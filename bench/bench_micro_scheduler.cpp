@@ -206,7 +206,7 @@ struct SaturatedCluster {
     if (traced) {
       recorder = std::make_unique<trace::TraceRecorder>();
       decisions = std::make_unique<trace::DecisionLog>();
-      engine.set_trace_recorder(recorder.get());
+      engine.add_observer(recorder.get());
       pna->set_decision_log(decisions.get());
     }
     engine.start();

@@ -7,6 +7,7 @@
 
 #include "mrs/common/log.hpp"
 #include "mrs/common/strfmt.hpp"
+#include "mrs/mapreduce/observers.hpp"
 #include "mrs/net/distance.hpp"
 #include "mrs/sched/fifo.hpp"
 #include "mrs/sim/network_service.hpp"
@@ -224,7 +225,7 @@ ExperimentResult run_experiment_impl(const ExperimentConfig& cfg,
   if (tracing) {
     recorder = std::make_unique<trace::TraceRecorder>();
     decision_log = std::make_unique<trace::DecisionLog>();
-    engine.set_trace_recorder(recorder.get());
+    engine.add_observer(recorder.get());
     scheduler->set_decision_log(decision_log.get());
   }
 
@@ -238,20 +239,13 @@ ExperimentResult run_experiment_impl(const ExperimentConfig& cfg,
     if (cfg.net_faults.enabled()) net_faults.set_telemetry(&registry);
   }
 
-  std::unique_ptr<sim::CsvTraceSink> trace;
-  sim::MemoryTraceSink perfetto_events;
-  std::vector<sim::TraceSink*> sinks;
+  std::unique_ptr<mapreduce::CsvTraceSink> trace;
+  mapreduce::MemoryTraceSink perfetto_events;
   if (!cfg.trace_path.empty()) {
-    trace = std::make_unique<sim::CsvTraceSink>(cfg.trace_path);
-    sinks.push_back(trace.get());
+    trace = std::make_unique<mapreduce::CsvTraceSink>(cfg.trace_path);
+    engine.add_observer(trace.get());
   }
-  if (!cfg.perfetto_path.empty()) sinks.push_back(&perfetto_events);
-  sim::TeeTraceSink tee(sinks);
-  if (sinks.size() == 1) {
-    engine.set_trace_sink(sinks.front());
-  } else if (sinks.size() > 1) {
-    engine.set_trace_sink(&tee);
-  }
+  if (!cfg.perfetto_path.empty()) engine.add_observer(&perfetto_events);
 
   // Periodic gauge sampler (jobs in system, queue depths, utilization,
   // offered vs completed work). The `done` predicate lets the event queue

@@ -4,133 +4,96 @@
 
 namespace mrs::trace {
 
-JobTrace& TraceRecorder::job(JobId id) {
-  MRS_REQUIRE(id.valid());
-  if (id.value() >= jobs_.size()) jobs_.resize(id.value() + 1);
-  return jobs_[id.value()];
-}
+namespace {
 
-AttemptSpan* TraceRecorder::open_attempt(TaskSpans& task, bool backup) {
+/// The task's newest still-open attempt of the given kind, or nullptr.
+AttemptSpan* open_attempt(TaskSpans& task, bool backup) {
   for (auto it = task.attempts.rbegin(); it != task.attempts.rend(); ++it) {
     if (it->backup == backup && !it->closed) return &*it;
   }
   return nullptr;
 }
 
-void TraceRecorder::job_activated(JobId id, const std::string& name,
-                                  TenantId tenant, std::size_t map_count,
-                                  std::size_t reduce_count, Seconds submit,
-                                  Seconds now) {
-  JobTrace& jt = job(id);
-  jt.job = id;
-  jt.name = name;
-  jt.tenant = tenant;
-  jt.submit = submit;
-  jt.admitted = now;
-  jt.activated = true;
-  jt.maps.resize(map_count);
-  jt.reduces.resize(reduce_count);
+}  // namespace
+
+JobTrace& TraceRecorder::job(JobId id) {
+  MRS_REQUIRE(id.valid());
+  if (id.value() >= jobs_.size()) jobs_.resize(id.value() + 1);
+  return jobs_[id.value()];
 }
 
-void TraceRecorder::job_finished(JobId id, Seconds now, bool aborted) {
-  JobTrace& jt = job(id);
-  jt.finish = now;
-  jt.aborted = aborted;
+TaskSpans& TraceRecorder::task(const mapreduce::EngineEvent& e) {
+  std::vector<TaskSpans>& tasks = e.is_map ? job(e.job).maps
+                                           : job(e.job).reduces;
+  MRS_REQUIRE(e.task < tasks.size());
+  return tasks[e.task];
 }
 
-void TraceRecorder::map_assigned(JobId id, std::size_t task, NodeId node,
-                                 int locality, bool backup, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.maps.size());
-  AttemptSpan a;
-  a.attempt = jt.maps[task].attempts.size() + 1;
-  a.node = node;
-  a.locality = locality;
-  a.backup = backup;
-  a.assigned = now;
-  jt.maps[task].attempts.push_back(a);
-}
-
-void TraceRecorder::map_running(JobId id, std::size_t task, bool backup,
-                                bool remote, Seconds nominal, bool straggler,
-                                Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.maps.size());
-  if (AttemptSpan* a = open_attempt(jt.maps[task], backup)) {
-    a->ready = now;
-    a->remote_fetch = remote;
-    a->nominal_compute = nominal;
-    a->straggler = straggler;
-  }
-}
-
-void TraceRecorder::map_finished(JobId id, std::size_t task, bool backup,
-                                 Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.maps.size());
-  for (AttemptSpan& a : jt.maps[task].attempts) {
-    if (a.closed) continue;
-    a.closed = true;
-    a.end = now;
-    a.finished = (a.backup == backup);  // losing racer is implicitly killed
-  }
-}
-
-void TraceRecorder::map_killed(JobId id, std::size_t task, bool backup,
-                               Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.maps.size());
-  if (AttemptSpan* a = open_attempt(jt.maps[task], backup)) {
-    a->closed = true;
-    a->end = now;
-  }
-}
-
-void TraceRecorder::reduce_assigned(JobId id, std::size_t task, NodeId node,
-                                    int locality, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  AttemptSpan a;
-  a.attempt = jt.reduces[task].attempts.size() + 1;
-  a.node = node;
-  a.locality = locality;
-  a.assigned = now;
-  jt.reduces[task].attempts.push_back(a);
-}
-
-void TraceRecorder::reduce_shuffling(JobId id, std::size_t task, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  if (AttemptSpan* a = open_attempt(jt.reduces[task], false)) a->ready = now;
-}
-
-void TraceRecorder::reduce_shuffle_done(JobId id, std::size_t task,
-                                        Seconds compute_duration,
-                                        Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  if (AttemptSpan* a = open_attempt(jt.reduces[task], false)) {
-    a->shuffle_done = now;
-    a->nominal_compute = compute_duration;
-  }
-}
-
-void TraceRecorder::reduce_finished(JobId id, std::size_t task, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  if (AttemptSpan* a = open_attempt(jt.reduces[task], false)) {
-    a->closed = true;
-    a->end = now;
-    a->finished = true;
-  }
-}
-
-void TraceRecorder::reduce_killed(JobId id, std::size_t task, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  if (AttemptSpan* a = open_attempt(jt.reduces[task], false)) {
-    a->closed = true;
-    a->end = now;
+void TraceRecorder::on_event(const mapreduce::EngineEvent& e) {
+  using mapreduce::EventKind;
+  switch (e.kind) {
+    case EventKind::kJobActivated: {
+      JobTrace& jt = job(e.job);
+      jt.job = e.job;
+      jt.name = e.job_name;
+      jt.tenant = e.tenant;
+      jt.submit = e.submit;
+      jt.admitted = e.time;
+      jt.activated = true;
+      jt.maps.resize(e.maps);
+      jt.reduces.resize(e.reduces);
+      break;
+    }
+    case EventKind::kJobFinished:
+    case EventKind::kJobAborted: {
+      JobTrace& jt = job(e.job);
+      jt.finish = e.time;
+      jt.aborted = e.kind == EventKind::kJobAborted;
+      break;
+    }
+    case EventKind::kTaskAssigned: {
+      TaskSpans& t = task(e);
+      AttemptSpan a;
+      a.attempt = t.attempts.size() + 1;
+      a.node = e.node;
+      a.locality = static_cast<int>(e.locality);
+      a.backup = e.backup;
+      a.assigned = e.time;
+      t.attempts.push_back(a);
+      break;
+    }
+    case EventKind::kTaskReady:
+      if (AttemptSpan* a = open_attempt(task(e), e.backup)) {
+        a->ready = e.time;
+        a->remote_fetch = e.remote;
+        a->nominal_compute = e.duration;
+        a->straggler = e.straggler;
+      }
+      break;
+    case EventKind::kShuffleDone:
+      if (AttemptSpan* a = open_attempt(task(e), false)) {
+        a->shuffle_done = e.time;
+        a->nominal_compute = e.duration;
+      }
+      break;
+    case EventKind::kTaskFinished:
+      // Closes every open attempt: the losing side of a speculation race
+      // ends (killed) with the winner.
+      for (AttemptSpan& a : task(e).attempts) {
+        if (a.closed) continue;
+        a.closed = true;
+        a.end = e.time;
+        a.finished = a.backup == e.backup;
+      }
+      break;
+    case EventKind::kTaskKilled:
+      if (AttemptSpan* a = open_attempt(task(e), e.backup)) {
+        a->closed = true;
+        a->end = e.time;
+      }
+      break;
+    default:  // admission, stalls and node events leave spans untouched
+      break;
   }
 }
 

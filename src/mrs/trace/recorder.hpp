@@ -1,50 +1,22 @@
-// TraceRecorder: builds JobTrace span trees from engine lifecycle hooks.
+// TraceRecorder: builds JobTrace span trees from engine lifecycle events.
 //
-// The engine holds a nullable TraceRecorder* and calls these hooks with
-// plain data (ids, indices, times, flags). When the pointer is null the
-// cost is one branch per lifecycle event; the recorder itself never
-// consumes RNG or feeds back into scheduling, so enabling it cannot
-// perturb placements (byte-identity with tracing off is tested).
+// The recorder is an engine observer (mrs/mapreduce/event.hpp): installed
+// with Engine::add_observer, it turns each job/attempt event into span
+// boundaries and ignores the rest. It never consumes RNG or feeds back
+// into scheduling, so enabling it cannot perturb placements (byte-identity
+// with tracing off is tested).
 #pragma once
 
-#include <cstddef>
-#include <string>
 #include <vector>
 
-#include "mrs/common/ids.hpp"
-#include "mrs/common/units.hpp"
+#include "mrs/mapreduce/event.hpp"
 #include "mrs/trace/span.hpp"
 
 namespace mrs::trace {
 
-class TraceRecorder {
+class TraceRecorder final : public mapreduce::EngineObserver {
  public:
-  // --- job lifecycle ---
-  void job_activated(JobId job, const std::string& name, TenantId tenant,
-                     std::size_t map_count, std::size_t reduce_count,
-                     Seconds submit, Seconds now);
-  void job_finished(JobId job, Seconds now, bool aborted);
-
-  // --- map attempt lifecycle ---
-  void map_assigned(JobId job, std::size_t task, NodeId node, int locality,
-                    bool backup, Seconds now);
-  /// Startup done; fetch/compute begins. `nominal` is the drawn compute
-  /// duration, `remote` marks a streamed network fetch.
-  void map_running(JobId job, std::size_t task, bool backup, bool remote,
-                   Seconds nominal, bool straggler, Seconds now);
-  /// Attempt with `backup` flag won. Any other still-open attempt of the
-  /// task (the losing side of a speculation race) is closed as killed.
-  void map_finished(JobId job, std::size_t task, bool backup, Seconds now);
-  void map_killed(JobId job, std::size_t task, bool backup, Seconds now);
-
-  // --- reduce attempt lifecycle ---
-  void reduce_assigned(JobId job, std::size_t task, NodeId node, int locality,
-                       Seconds now);
-  void reduce_shuffling(JobId job, std::size_t task, Seconds now);
-  void reduce_shuffle_done(JobId job, std::size_t task,
-                           Seconds compute_duration, Seconds now);
-  void reduce_finished(JobId job, std::size_t task, Seconds now);
-  void reduce_killed(JobId job, std::size_t task, Seconds now);
+  void on_event(const mapreduce::EngineEvent& event) override;
 
   /// All traces, indexed by JobId value. Entries for jobs that never
   /// activated (admission-rejected) have activated == false.
@@ -52,7 +24,7 @@ class TraceRecorder {
 
  private:
   JobTrace& job(JobId id);
-  AttemptSpan* open_attempt(TaskSpans& task, bool backup);
+  TaskSpans& task(const mapreduce::EngineEvent& event);
 
   std::vector<JobTrace> jobs_;
 };

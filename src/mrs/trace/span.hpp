@@ -8,9 +8,8 @@
 // critical-path extractor can partition a job's response time exactly.
 //
 // The model is plain data on purpose: the recorder (recorder.hpp) fills
-// it from engine lifecycle hooks that pass ids, indices, and times —
-// never engine object references — so mrs_trace depends only on
-// mrs_common and the engine can forward-declare the recorder.
+// it from engine lifecycle events that carry ids, indices, and times —
+// never engine object references — so mrs_trace links only mrs_common.
 #pragma once
 
 #include <cstddef>

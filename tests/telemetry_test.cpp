@@ -318,19 +318,30 @@ TEST(JsonlExport, EscapesHostileStrings) {
   EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
 }
 
+/// Event of job 0 ("job1"), as the engine emits it.
+mapreduce::EngineEvent job1_event(mapreduce::EventKind kind, Seconds time,
+                                  bool is_map = true, std::size_t task = 0,
+                                  std::size_t node = 0, bool backup = false) {
+  return {.kind = kind,
+          .time = time,
+          .job = JobId(0),
+          .job_name = "job1",
+          .is_map = is_map,
+          .backup = backup,
+          .task = task,
+          .node = NodeId(node)};
+}
+
 TEST(PerfettoExport, EmitsBalancedJsonWithSlicesAndCounters) {
-  std::vector<sim::TraceEvent> events = {
-      {0.0, sim::TraceEventKind::kJobActivated, "job1", ""},
-      {1.0, sim::TraceEventKind::kMapAssigned, "job1/map/0",
-       "node=2 locality=node-local"},
-      {4.0, sim::TraceEventKind::kMapFinished, "job1/map/0", "node=2"},
-      {2.0, sim::TraceEventKind::kReduceAssigned, "job1/reduce/0",
-       "node=1"},
-      {5.5, sim::TraceEventKind::kReduceKilled, "job1/reduce/0",
-       "node=1 reason=node-failure"},
-      {3.0, sim::TraceEventKind::kSpeculativeLaunch, "job1/map/1",
-       "node=0"},
-      {6.0, sim::TraceEventKind::kJobFinished, "job1", ""},
+  using mapreduce::EventKind;
+  const std::vector<mapreduce::EngineEvent> events = {
+      job1_event(EventKind::kJobActivated, 0.0),
+      job1_event(EventKind::kTaskAssigned, 1.0, true, 0, 2),
+      job1_event(EventKind::kTaskFinished, 4.0, true, 0, 2),
+      job1_event(EventKind::kTaskAssigned, 2.0, false, 0, 1),
+      job1_event(EventKind::kTaskKilled, 5.5, false, 0, 1),
+      job1_event(EventKind::kTaskAssigned, 3.0, true, 1, 0, /*backup=*/true),
+      job1_event(EventKind::kJobFinished, 6.0),
   };
   const std::string doc =
       to_chrome_trace(events, example_snapshot(), example_series());
@@ -365,9 +376,8 @@ TEST(PerfettoExport, EmitsBalancedJsonWithSlicesAndCounters) {
 TEST(PerfettoExport, UnpairedAssignIsTolerated) {
   // An assignment with no finish (run truncated) must not corrupt the
   // document.
-  std::vector<sim::TraceEvent> events = {
-      {1.0, sim::TraceEventKind::kMapAssigned, "j/map/0", "node=0"},
-  };
+  const std::vector<mapreduce::EngineEvent> events = {
+      job1_event(mapreduce::EventKind::kTaskAssigned, 1.0)};
   const std::string doc =
       to_chrome_trace(events, Snapshot{}, TimeSeries{});
   int braces = 0;
