@@ -12,15 +12,6 @@ NodeBlacklist::NodeBlacklist(std::size_t node_count, BlacklistConfig cfg)
   }
 }
 
-void NodeBlacklist::set_telemetry(telemetry::Registry* registry) {
-  if (registry == nullptr) {
-    entries_counter_ = exits_counter_ = nullptr;
-    return;
-  }
-  entries_counter_ = &registry->counter("control.blacklist.entries");
-  exits_counter_ = &registry->counter("control.blacklist.exits");
-}
-
 void NodeBlacklist::note_failure(NodeId node, Seconds now) {
   if (!cfg_.enabled) return;
   NodeInfo& n = info(node);
@@ -38,7 +29,6 @@ void NodeBlacklist::note_failure(NodeId node, Seconds now) {
   if (!n.listed && n.failure_times.size() >= cfg_.failure_threshold) {
     n.listed = true;
     ++entries_;
-    telemetry::inc(entries_counter_);
   }
 }
 
@@ -57,7 +47,6 @@ bool NodeBlacklist::end_probation(NodeId node, std::uint64_t epoch) {
   if (!n.listed || n.epoch != epoch) return false;
   n.listed = false;
   ++exits_;
-  telemetry::inc(exits_counter_);
   return true;
 }
 

@@ -28,7 +28,6 @@
 #include "mrs/common/check.hpp"
 #include "mrs/common/ids.hpp"
 #include "mrs/common/units.hpp"
-#include "mrs/telemetry/registry.hpp"
 
 namespace mrs::control {
 
@@ -47,9 +46,6 @@ class NodeBlacklist {
   NodeBlacklist(std::size_t node_count, BlacklistConfig cfg);
 
   [[nodiscard]] bool enabled() const { return cfg_.enabled; }
-
-  /// Optional telemetry (control.blacklist.* counters).
-  void set_telemetry(telemetry::Registry* registry);
 
   /// Record a failure of `node` at `now`. Marks the node listed when the
   /// windowed count reaches the threshold; always invalidates any pending
@@ -95,8 +91,6 @@ class NodeBlacklist {
   std::vector<NodeInfo> nodes_;
   std::size_t entries_ = 0;
   std::size_t exits_ = 0;
-  telemetry::Counter* entries_counter_ = nullptr;
-  telemetry::Counter* exits_counter_ = nullptr;
 };
 
 }  // namespace mrs::control

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mrs/core/pna_scheduler.hpp"
+#include "mrs/mapreduce/observers.hpp"
 #include "mrs/sched/coupling.hpp"
 #include "mrs/sched/fifo.hpp"
 #include "test_harness.hpp"
@@ -132,6 +133,8 @@ TEST(Interaction, RepeatedFailureOfSameNode) {
   h.submit_job(20, 4);
   sched::FifoScheduler fifo;
   h.engine.set_scheduler(&fifo);
+  mapreduce::MemoryTraceSink trace;
+  h.engine.add_observer(&trace);
   h.engine.start();
   // Fail -> recover -> fail the same node.
   h.sim.schedule_at(3.0, [&] { h.engine.fail_node(NodeId(0)); });
@@ -140,7 +143,7 @@ TEST(Interaction, RepeatedFailureOfSameNode) {
   h.sim.schedule_at(40.0, [&] { h.engine.recover_node(NodeId(0)); });
   h.sim.run(1e6);
   EXPECT_TRUE(h.engine.all_jobs_complete());
-  EXPECT_EQ(h.engine.failures_injected(), 2u);
+  EXPECT_EQ(trace.count("node-failed"), 2u);
 }
 
 }  // namespace
