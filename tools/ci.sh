@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Single-entry CI pipeline:
-#   1. tier-1: configure + build + ctest (the gate every change must pass)
+#   1. tier-1: configure (warnings are errors) + build + ctest (the gate
+#      every change must pass)
 #   2. telemetry smoke: a small streaming run must produce parseable
 #      JSONL + Chrome-trace output (validated with python3 when present)
 #   3. trace smoke: a --trace-out run must produce a causal trace that
@@ -14,15 +15,18 @@
 #      compares medians, so one descheduled run cannot flake the gate;
 #      the tracing-disabled heartbeat (BM_PnaHeartbeatTraced/0) is gated
 #      against the same baseline
-#   4. ASan/UBSan build of the test suite (PNATS_SANITIZE=asan), catching
+#   5. perfbench smoke: the benchmark package (perfbench/) builds and
+#      passes its self-test
+#   6. ASan/UBSan build of the test suite (PNATS_SANITIZE=asan), catching
 #      memory and UB bugs the plain build cannot
-#   5. TSan build running the fast-vs-naive equivalence suite (the
+#   7. TSan build running the fast-vs-naive equivalence suite (the
 #      incremental index under the threaded drivers) plus the flow-solver
 #      differential suite (its parallel model exercises the threaded
 #      component sweep); TSAN=1 widens this to the full test suite
 #
 # Run from the repository root: ./tools/ci.sh
-# Build trees: build/ (tier-1), build-asan/, build-tsan/.
+# Build trees: build/ (tier-1), build-asan/, build-tsan/,
+# .bench_build/perfbench/ (shared with perfbench/run.py).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,7 +35,7 @@ GENERATOR=()
 command -v ninja >/dev/null 2>&1 && GENERATOR=(-G Ninja)
 
 echo "==> tier-1: configure + build + ctest"
-cmake -B build -S . "${GENERATOR[@]}"
+cmake -B build -S . "${GENERATOR[@]}" -DPNATS_WARNINGS_AS_ERRORS=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
@@ -224,6 +228,12 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "perf smoke: python3 unavailable, ratio/baseline gates skipped"
 fi
+
+echo "==> perfbench smoke: benchmark package builds and self-tests"
+# Its own CMake package: an API change can pass tier-1 and break it.
+cmake -S perfbench -B .bench_build/perfbench "${GENERATOR[@]}"
+cmake --build .bench_build/perfbench -j "$JOBS" --target perfbench_selftest
+./.bench_build/perfbench/perfbench_selftest
 
 echo "==> sanitizer pass: ASan/UBSan test suite"
 cmake -B build-asan -S . "${GENERATOR[@]}" \
