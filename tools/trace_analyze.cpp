@@ -10,6 +10,7 @@
 //
 //   usage: trace_analyze FILE [--top K]
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -90,7 +91,13 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") usage(0);
     if (arg == "--top") {
       if (i + 1 >= argc) usage(2);
-      top = std::strtoul(argv[++i], nullptr, 10);
+      const char* text = argv[++i];
+      char* end = nullptr;
+      top = std::strtoul(text, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0') {
+        std::fprintf(stderr, "--top: bad number '%s'\n", text);
+        usage(2);
+      }
     } else if (path.empty()) {
       path = arg;
     } else {
