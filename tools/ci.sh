@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Single-entry CI pipeline:
 #   1. tier-1: configure (warnings are errors) + build + ctest (the gate
-#      every change must pass)
+#      every change must pass; it includes tests/cli_test.cpp, which runs
+#      the pnats_sim and trace_analyze binaries)
 #   2. telemetry smoke: a small streaming run must produce parseable
 #      JSONL + Chrome-trace output (validated with python3 when present)
 #   3. trace smoke: a --trace-out run must produce a causal trace that
