@@ -107,11 +107,8 @@ FlowId FlowModel::start(NodeId src, NodeId dst, Bytes size, Seconds now,
   active_pos_.push_back(active_list_.size());
   active_list_.push_back(index);
   add_to_links(index);
-  seed_links_.clear();
-  for (const DirectedLink& dl : paths_[index]) {
-    seed_links_.push_back(dl.directed_index());
-  }
-  solve_after_change(seed_links_);
+  add_seeds(index);
+  if (!deferring_) settle();
   return id;
 }
 
@@ -119,12 +116,9 @@ void FlowModel::cancel(FlowId id, Seconds now) {
   advance_to(now);
   FlowInfo& f = flows_.at(id.value());
   if (!f.active) return;
-  seed_links_.clear();
-  for (const DirectedLink& dl : paths_[id.value()]) {
-    seed_links_.push_back(dl.directed_index());
-  }
+  add_seeds(id.value());
   deactivate(id.value());
-  solve_after_change(seed_links_);
+  if (!deferring_) settle();
 }
 
 void FlowModel::advance_to(Seconds t) {
@@ -132,8 +126,7 @@ void FlowModel::advance_to(Seconds t) {
   const Seconds dt = std::max(0.0, t - now_);
   now_ = std::max(now_, t);
   if (dt <= 0.0 || active_list_.empty()) return;
-  bool completed_any = false;
-  seed_links_.clear();
+  settle();  // integrate at settled rates, even inside a deferral scope
   for (std::size_t pos = 0; pos < active_list_.size(); /* in body */) {
     const std::size_t i = active_list_[pos];
     FlowInfo& f = flows_[i];
@@ -142,19 +135,17 @@ void FlowModel::advance_to(Seconds t) {
       f.remaining = 0.0;
       bytes_delivered_ += f.total;
       newly_completed_.push_back(FlowId(i));
-      for (const DirectedLink& dl : paths_[i]) {
-        seed_links_.push_back(dl.directed_index());
-      }
+      add_seeds(i);
       deactivate(i);  // swap-remove: do not advance pos
-      completed_any = true;
     } else {
       ++pos;
     }
   }
-  if (completed_any) solve_after_change(seed_links_);
+  if (!deferring_) settle();
 }
 
 std::optional<std::pair<Seconds, FlowId>> FlowModel::next_completion() const {
+  MRS_REQUIRE(!solve_pending());
   std::optional<std::pair<Seconds, FlowId>> best;
   for (std::size_t i : active_list_) {
     const FlowInfo& f = flows_[i];
@@ -171,30 +162,55 @@ std::vector<FlowId> FlowModel::collect_completed() {
 }
 
 const FlowInfo& FlowModel::info(FlowId id) const {
+  MRS_REQUIRE(!solve_pending());
   return flows_.at(id.value());
 }
 
-void FlowModel::recompute_rates() { solve_full(); }
+void FlowModel::recompute_rates() {
+  pending_seeds_.clear();
+  solve_full();
+}
 
-void FlowModel::solve_after_change(std::span<const std::size_t> seed_links) {
-  if (active_list_.empty()) return;
+FlowModel::DeferredSolves::DeferredSolves(FlowModel& model) : model_(model) {
+  MRS_REQUIRE(!model_.deferring_);
+  model_.deferring_ = true;
+}
+
+FlowModel::DeferredSolves::~DeferredSolves() {
+  model_.deferring_ = false;
+  model_.settle();
+}
+
+void FlowModel::add_seeds(std::size_t index) {
+  for (const DirectedLink& dl : paths_[index]) {
+    pending_seeds_.push_back(dl.directed_index());
+  }
+}
+
+void FlowModel::settle() {
+  if (pending_seeds_.empty()) return;
   // The condition model may have resampled (or a fault may have been
   // toggled) since the last solve; capacities then changed under every
   // component, so a region solve would silently diverge from the reference
   // full pass. Detect it via the epoch counter and fall back to a full
   // solve.
-  if (naive_ ||
-      (cond_ != nullptr && cond_->resample_epoch() != cond_epoch_seen_)) {
+  if (active_list_.empty()) {
+    // Nothing left to share the links.
+  } else if (naive_ || (cond_ != nullptr &&
+                        cond_->resample_epoch() != cond_epoch_seen_)) {
     solve_full();
-    return;
+  } else {
+    ++solves_;
+    collect_region(pending_seeds_);
+    apply_stall_delta(solve_region(region_flows_, ws_, /*linear_scan=*/false));
   }
-  collect_region(seed_links);
-  apply_stall_delta(solve_region(region_flows_, ws_, /*linear_scan=*/false));
+  pending_seeds_.clear();
 }
 
 void FlowModel::solve_full() {
   if (cond_ != nullptr) cond_epoch_seen_ = cond_->resample_epoch();
   if (active_list_.empty()) return;
+  ++solves_;
   if (naive_) {
     // Reference path: the whole active set as one region, bottlenecks found
     // by scanning every directed link — the pre-incremental solver.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace mrs::net {
 
@@ -49,7 +50,13 @@ void LinkConditionModel::advance_to(Seconds t) {
   now_ = std::max(now_, t);
 }
 
+void LinkConditionModel::set_before_change(std::function<void()> hook) {
+  MRS_REQUIRE(!hook || !before_change_);
+  before_change_ = std::move(hook);
+}
+
 void LinkConditionModel::resample() {
+  if (before_change_) before_change_();
   ++epoch_;
   // Every link draws from the stream regardless of fault or surge state:
   // repairing a link must not shift its neighbours' utilization series.
@@ -77,6 +84,7 @@ void LinkConditionModel::resample() {
 void LinkConditionModel::set_link_fault(LinkId link, bool faulted) {
   char& state = faulted_.at(link.value());
   if ((state != 0) == faulted) return;
+  if (before_change_) before_change_();
   state = faulted ? 1 : 0;
   if (faulted) {
     ++faulted_count_;
@@ -89,6 +97,7 @@ void LinkConditionModel::set_link_fault(LinkId link, bool faulted) {
 
 void LinkConditionModel::add_link_surge(LinkId link, double delta) {
   if (delta == 0.0) return;
+  if (before_change_) before_change_();
   double& s = surge_.at(link.value());
   const bool was_surged = s > 0.0;
   s = std::max(0.0, s + delta);

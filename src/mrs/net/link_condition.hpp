@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "mrs/common/ids.hpp"
@@ -100,6 +101,12 @@ class LinkConditionModel {
   /// epoch.
   [[nodiscard]] std::uint64_t resample_epoch() const { return epoch_; }
 
+  /// Run `hook` right before every change of the effective capacities (a
+  /// resample, a fault toggle, a surge). The network service settles its
+  /// deferred flow solves here, so each is solved at the capacities of the
+  /// instant it was made. One hook per model; an empty function clears it.
+  void set_before_change(std::function<void()> hook);
+
  private:
   void resample();
 
@@ -114,6 +121,7 @@ class LinkConditionModel {
   std::size_t faulted_count_ = 0;
   std::size_t surged_count_ = 0;
   std::uint64_t epoch_ = 0;
+  std::function<void()> before_change_;
   double reference_rate_;            ///< min host-link capacity (for scaling)
 };
 

@@ -2,8 +2,12 @@
 //
 // Callers start transfers and get a completion callback; the service keeps
 // exactly one pending "next flow completes" event in the simulation,
-// re-armed whenever the flow set (and therefore the rate allocation)
-// changes, and periodically re-applies background-traffic resamples.
+// re-armed once per dispatch: every entry point (a transfer, a cancel, a
+// completion, a condition change or tick) runs inside one FlowModel
+// deferral scope that also covers the completion callbacks it fires, so the
+// transfers those callbacks start and cancel are solved together with the
+// completions, once, and the event is armed after the last callback. The
+// service also periodically re-applies background-traffic resamples.
 #pragma once
 
 #include <functional>
@@ -26,8 +30,13 @@ class NetworkService {
   /// recomputes flow rates.
   NetworkService(Simulation* simulation, const net::Topology* topo,
                  net::LinkConditionModel* cond = nullptr);
+  ~NetworkService();
+  NetworkService(const NetworkService&) = delete;
+  NetworkService& operator=(const NetworkService&) = delete;
 
   /// Start a transfer; `done` fires (once) when the last byte arrives.
+  /// From inside a completion callback, the rates are solved and the
+  /// completion event re-armed when that callback's dispatch ends.
   /// Requires src != dst — local reads are not network transfers.
   /// `rate_cap`, when finite, bounds the flow's rate (application-limited
   /// streams, e.g. a map task reading input only as fast as it computes).
@@ -35,7 +44,8 @@ class NetworkService {
                   BytesPerSec rate_cap =
                       std::numeric_limits<BytesPerSec>::infinity());
 
-  /// Abort an in-flight transfer; its callback will not fire.
+  /// Abort an in-flight transfer; its callback will not fire. Solved like
+  /// transfer().
   void cancel(FlowId id);
 
   /// Out-of-band link-condition change (fault injection, surge episodes):
@@ -61,8 +71,15 @@ class NetworkService {
   }
 
  private:
-  /// Advance the model to sim-now, dispatch completions, re-arm the timer.
-  void sync();
+  /// Run `change` and then advance the model to sim-now and dispatch
+  /// completions, all in one deferral scope; close it (one solve) and
+  /// re-arm the completion event. Inside a running dispatch, just runs
+  /// `change`.
+  template <typename Change>
+  void sync(Change&& change);
+  /// Advance the condition model and flows to sim-now and re-solve the
+  /// whole network (then dispatch, via sync).
+  void resample_conditions();
   void arm_completion_event();
   /// Keep a background-resample tick armed while flows are active; the tick
   /// self-cancels when the network goes idle so the event queue can drain.

@@ -4,7 +4,7 @@
 // simultaneous events fire in scheduling order and every run is
 // deterministic. Cancellation uses tombstones (lazy deletion), which the
 // network service relies on to invalidate stale flow-completion events.
-// Long streams cancel heavily (every flow-rate change reschedules the
+// Long streams cancel heavily (every network dispatch reschedules the
 // completion event), so both the heap and the callback table amortize their
 // cleanup: the heap filters dead entries in one O(n) pass once tombstones
 // outnumber live entries, and the callback table drops its fired prefix

@@ -5,10 +5,15 @@
 // remaining bytes, stall flag, completion order, and every maintained
 // per-link rate aggregate — across thousands of interleaved start / cancel /
 // advance / resample / fault events on fat-trees from k=4 up to the 1k-host
-// k=16 case.
+// k=16 case. The DeferredBursts cases feed the incremental model its events
+// in bursts inside one FlowModel::DeferredSolves scope (as the network
+// service does per completion dispatch) and compare it, after each scope
+// closes, with the eager and naive models fed the same events one by one.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "mrs/common/rng.hpp"
@@ -27,6 +32,9 @@ struct DifferentialOptions {
   bool with_faults = false;     ///< random link cuts/repairs
   bool with_switch_faults = false;  ///< correlated whole-switch cuts/repairs
   std::size_t max_live = 200;   ///< force drains past this backlog
+  /// Apply events to model 0 in bursts of 1-8 inside one DeferredSolves
+  /// scope; the other models stay eager.
+  bool deferred_bursts = false;
 };
 
 class Differential {
@@ -58,16 +66,32 @@ class Differential {
     }
     models_[1]->set_naive_flow_solver(true);
     models_[2]->set_flow_solver_threads(4);
+    if (opt_.deferred_bursts && conds_[0]) {
+      // As the network service does: a capacity change inside a burst
+      // first settles what the burst deferred.
+      conds_[0]->set_before_change([this] { models_[0]->settle(); });
+    }
   }
 
   void run() {
     for (std::size_t e = 0; e < opt_.events; ++e) {
-      step();
+      if (opt_.deferred_bursts) {
+        run_burst();
+        compare_next_completion();
+        compare_link_loads();
+      } else {
+        step();
+        if (e % 64 == 0) compare_link_loads();
+      }
       compare_models();
-      if (e % 64 == 0) compare_link_loads();
       ASSERT_FALSE(::testing::Test::HasFatalFailure() ||
                    ::testing::Test::HasNonfatalFailure())
           << "solver divergence at event " << e;
+    }
+    if (opt_.deferred_bursts) {
+      // The bursts really were coalesced (the eager model runs at least
+      // one solve per event; model 2 is the eager incremental one).
+      EXPECT_LT(models_[0]->solves(), models_[2]->solves());
     }
   }
 
@@ -75,6 +99,19 @@ class Differential {
   void advance_conditions(Seconds t) {
     for (auto& cond : conds_) {
       if (cond) cond->advance_to(t);
+    }
+  }
+
+  void run_burst() {
+    now_ += rng_.uniform(0.0, 0.05);
+    advance_conditions(now_);
+    // Starts and cancels inside the burst share its instant, like the
+    // transfers a completion callback starts; completions move the clock.
+    const FlowModel::DeferredSolves scope(*models_[0]);
+    const std::size_t events = 1 + rng_.index(8);
+    for (std::size_t k = 0; k < events; ++k) {
+      step();
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 
@@ -98,8 +135,10 @@ class Differential {
   }
 
   void start_flow() {
-    now_ += rng_.uniform(0.0, 0.05);
-    advance_conditions(now_);
+    if (!opt_.deferred_bursts) {
+      now_ += rng_.uniform(0.0, 0.05);
+      advance_conditions(now_);
+    }
     const NodeId src(rng_.index(topo_->host_count()));
     NodeId dst(rng_.index(topo_->host_count()));
     if (dst == src) dst = NodeId((src.value() + 1) % topo_->host_count());
@@ -116,7 +155,15 @@ class Differential {
       }
     }
     live_.push_back(id);
+    expect_deferred();
     collect_all();
+  }
+
+  /// A flow event inside a burst leaves model 0's solve pending.
+  void expect_deferred() {
+    if (models_[0]->solves_deferred()) {
+      ASSERT_TRUE(models_[0]->solve_pending());
+    }
   }
 
   void cancel_flow() {
@@ -124,22 +171,35 @@ class Differential {
     const FlowId id = live_[pick];
     live_[pick] = live_.back();
     live_.pop_back();
-    now_ += rng_.uniform(0.0, 0.02);
-    advance_conditions(now_);
+    if (!opt_.deferred_bursts) {
+      now_ += rng_.uniform(0.0, 0.02);
+      advance_conditions(now_);
+    }
     for (auto& fm : models_) fm->cancel(id, now_);
+    expect_deferred();
     collect_all();
   }
 
-  void run_to_next_completion() {
-    const auto next = models_[0]->next_completion();
-    for (std::size_t m = 1; m < 3; ++m) {
+  /// Bitwise-equal next completion on every model not inside a burst
+  /// (those are compared when it closes); returns the naive model's, which
+  /// never defers.
+  std::optional<std::pair<Seconds, FlowId>> compare_next_completion() {
+    const auto next = models_[1]->next_completion();
+    for (const std::size_t m : {0, 2}) {
+      if (models_[m]->solves_deferred()) continue;
       const auto other = models_[m]->next_completion();
-      ASSERT_EQ(other.has_value(), next.has_value());
-      if (next) {
-        ASSERT_EQ(other->first, next->first);  // bitwise-equal ETA
-        ASSERT_EQ(other->second.value(), next->second.value());
+      EXPECT_EQ(other.has_value(), next.has_value());
+      if (next && other) {
+        EXPECT_EQ(other->first, next->first);  // bitwise-equal ETA
+        EXPECT_EQ(other->second.value(), next->second.value());
       }
     }
+    return next;
+  }
+
+  void run_to_next_completion() {
+    const auto next = compare_next_completion();
+    ASSERT_FALSE(::testing::Test::HasNonfatalFailure());
     // All live flows may be stalled on cut links (no ETA): idle forward.
     now_ = next ? std::max(now_, next->first) + 1e-9 : now_ + 1.0;
     advance_conditions(now_);
@@ -298,6 +358,37 @@ TEST_P(FlowDifferential, SwitchFaultsFatTreeK8) {
   opt.with_condition = true;
   opt.with_faults = true;
   opt.with_switch_faults = true;
+  Differential(&topo, GetParam(), opt).run();
+}
+
+TEST_P(FlowDifferential, DeferredBurstsFatTreeK4) {
+  const Topology topo = make_fat_tree({4, units::Gbps(1)});
+  DifferentialOptions opt;
+  opt.events = 600;
+  opt.deferred_bursts = true;
+  Differential(&topo, GetParam(), opt).run();
+}
+
+TEST_P(FlowDifferential, DeferredBurstsFaultsFatTreeK4) {
+  // Cut links park flows mid-burst and resamples move the condition epoch
+  // inside the scope: closing it must take the full-solve path then.
+  const Topology topo = make_fat_tree({4, units::Gbps(1)});
+  DifferentialOptions opt;
+  opt.events = 600;
+  opt.with_condition = true;
+  opt.with_faults = true;
+  opt.with_switch_faults = true;
+  opt.deferred_bursts = true;
+  Differential(&topo, GetParam(), opt).run();
+}
+
+TEST_P(FlowDifferential, DeferredBurstsFaultsFatTreeK8) {
+  const Topology topo = make_fat_tree({8, units::Gbps(1)});
+  DifferentialOptions opt;
+  opt.events = 300;
+  opt.with_condition = true;
+  opt.with_faults = true;
+  opt.deferred_bursts = true;
   Differential(&topo, GetParam(), opt).run();
 }
 

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "mrs/common/rng.hpp"
 #include "mrs/net/flow.hpp"
+#include "mrs/net/link_condition.hpp"
 #include "mrs/net/topology.hpp"
 
 namespace mrs::net {
@@ -184,6 +187,100 @@ TEST(FlowModel, CrossRackBottleneckOnUplink) {
   for (FlowId id : ids) {
     EXPECT_NEAR(fm.info(id).rate, 0.5 * kGb, 1.0);
   }
+}
+
+TEST(FlowModel, DeferredScopeSolvesOnceOnClose) {
+  const Topology t = make_single_rack(4, units::Gbps(1));
+  FlowModel eager(&t);
+  FlowModel deferred(&t);
+  const FlowId a = eager.start(NodeId(0), NodeId(1), 1.0 * kGb, 0.0);
+  deferred.start(NodeId(0), NodeId(1), 1.0 * kGb, 0.0);
+  const std::uint64_t solves0 = deferred.solves();
+  eager.advance_to(2.0);  // a completes; b, c, d start at the same instant
+  const FlowId b = eager.start(NodeId(0), NodeId(2), 100.0 * kGb, 2.0);
+  const FlowId c = eager.start(NodeId(0), NodeId(3), 100.0 * kGb, 2.0);
+  const FlowId d = eager.start(NodeId(3), NodeId(2), 100.0 * kGb, 2.0);
+  eager.cancel(c, 2.0);
+  {
+    const FlowModel::DeferredSolves scope(deferred);
+    EXPECT_TRUE(deferred.solves_deferred());
+    deferred.advance_to(2.0);
+    ASSERT_EQ(deferred.collect_completed(), std::vector<FlowId>{a});
+    EXPECT_TRUE(deferred.solve_pending());
+    deferred.start(NodeId(0), NodeId(2), 100.0 * kGb, 2.0);
+    deferred.start(NodeId(0), NodeId(3), 100.0 * kGb, 2.0);
+    deferred.start(NodeId(3), NodeId(2), 100.0 * kGb, 2.0);
+    deferred.cancel(c, 2.0);
+    EXPECT_EQ(deferred.solves(), solves0);  // nothing solved yet
+  }
+  EXPECT_FALSE(deferred.solves_deferred());
+  EXPECT_FALSE(deferred.solve_pending());
+  EXPECT_EQ(deferred.solves(), solves0 + 1);
+  EXPECT_EQ(eager.solves(), solves0 + 4);
+  for (const FlowId id : {a, b, c, d}) {
+    EXPECT_EQ(deferred.info(id).rate, eager.info(id).rate);  // bitwise
+    EXPECT_EQ(deferred.info(id).active, eager.info(id).active);
+  }
+  EXPECT_EQ(deferred.next_completion(), eager.next_completion());
+  EXPECT_NEAR(deferred.info(b).rate, kGb / 2, 1.0);  // shares 2's downlink
+}
+
+TEST(FlowModel, DeferredScopeSettlesBeforeTimeMoves) {
+  // Bytes must move at settled rates: advancing to a later time inside the
+  // scope runs the pending solve first, so b and c progress at half rate.
+  const Topology t = make_single_rack(3, units::Gbps(1));
+  FlowModel fm(&t);
+  const FlowModel::DeferredSolves scope(fm);
+  const FlowId b = fm.start(NodeId(0), NodeId(1), 1.0 * kGb, 0.0);
+  const FlowId c = fm.start(NodeId(0), NodeId(2), 3.0 * kGb, 0.0);
+  fm.advance_to(2.0 + 1e-6);  // b finishes at t=2 at half the link
+  EXPECT_EQ(fm.collect_completed(), std::vector<FlowId>{b});
+  fm.recompute_rates();  // settles too
+  EXPECT_FALSE(fm.solve_pending());
+  EXPECT_NEAR(fm.info(c).remaining, 2.0 * kGb, 1e3);
+  EXPECT_NEAR(fm.info(c).rate, kGb, 1.0);
+}
+
+TEST(FlowModel, DeferredScopeSettlesBeforeCapacitiesChange) {
+  // A fault toggled inside the scope, after the last flow event: the eager
+  // model solved that event at the old capacities and only sees the cut at
+  // its next event. The before-change hook gives the deferred model the
+  // same rates.
+  const Topology t = make_single_rack(3, units::Gbps(1));
+  LinkConditionModel eager_cond(&t, {}, Rng(1));
+  LinkConditionModel deferred_cond(&t, {}, Rng(1));
+  FlowModel eager(&t, &eager_cond);
+  FlowModel deferred(&t, &deferred_cond);
+  deferred_cond.set_before_change([&] { deferred.settle(); });
+  const FlowId a = eager.start(NodeId(0), NodeId(1), kGb, 0.0);
+  eager_cond.set_link_fault(LinkId(0), true);
+  {
+    const FlowModel::DeferredSolves scope(deferred);
+    deferred.start(NodeId(0), NodeId(1), kGb, 0.0);
+    deferred_cond.set_link_fault(LinkId(0), true);
+    EXPECT_FALSE(deferred.solve_pending());
+  }
+  EXPECT_EQ(deferred.info(a).rate, eager.info(a).rate);
+  EXPECT_EQ(deferred.info(a).stalled, eager.info(a).stalled);
+  EXPECT_FALSE(deferred.info(a).stalled);  // the cut is seen at a later event
+  deferred_cond.set_before_change({});
+}
+
+TEST(FlowModelDeathTest, ReadingRatesWhileASolveIsPendingAborts) {
+  // The stale-read rule: no rate reader may see the rates of a deferred
+  // scope before it settles (always-on MRS_REQUIRE, not a debug assert).
+  const Topology t = make_single_rack(3, units::Gbps(1));
+  FlowModel fm(&t);
+  const FlowModel::DeferredSolves scope(fm);
+  const FlowId a = fm.start(NodeId(0), NodeId(1), kGb, 0.0);
+  EXPECT_EQ(fm.active_count(), 1u);  // structural reads stay allowed
+  EXPECT_EQ(fm.flows_on(t.path(NodeId(0), NodeId(1)).front()
+                            .directed_index()),
+            1u);
+  EXPECT_DEATH((void)fm.info(a), "solve_pending");
+  EXPECT_DEATH((void)fm.next_completion(), "solve_pending");
+  EXPECT_DEATH((void)fm.directed_link_load(0), "solve_pending");
+  EXPECT_DEATH((void)fm.stalled_count(), "solve_pending");
 }
 
 // Property sweep: with n equal flows through one bottleneck, each gets 1/n.

@@ -221,6 +221,43 @@ TEST(NetworkService, CancelSuppressesCallback) {
   EXPECT_FALSE(fired);
 }
 
+TEST(NetworkService, CompletionDispatchSolvesAndArmsOnce) {
+  // A completion callback starts three transfers and cancels one of them:
+  // the whole dispatch is one deferral scope, so the completion and the
+  // four flow changes cost one region solve, and the completion event is
+  // armed once, after the callback.
+  Simulation s;
+  const net::Topology topo = net::make_single_rack(4, units::Gbps(1));
+  NetworkService net(&s, &topo);
+  std::vector<int> fired(4, 0);
+  FlowId b, c, d;
+  bool pending_in_callback = false;
+  net.transfer(NodeId(0), NodeId(1), 1.0 * kGb, [&] {
+    ++fired[0];
+    b = net.transfer(NodeId(0), NodeId(2), 1.0 * kGb, [&] { ++fired[1]; });
+    c = net.transfer(NodeId(0), NodeId(3), 1.0 * kGb, [&] { ++fired[2]; });
+    d = net.transfer(NodeId(3), NodeId(2), 1.0 * kGb, [&] { ++fired[3]; });
+    net.cancel(c);
+    // Stale-read rule: rates are unreadable until the dispatch settles.
+    pending_in_callback = net.flows().solve_pending();
+    EXPECT_EQ(s.pending_count(), 0u);  // no nested re-arm
+  });
+  const std::uint64_t solves0 = net.flows().solves();
+  ASSERT_TRUE(s.step());  // a completes at t=1; its callback runs
+  EXPECT_EQ(fired, (std::vector<int>{1, 0, 0, 0}));
+  EXPECT_TRUE(pending_in_callback);
+  EXPECT_FALSE(net.flows().solve_pending());
+  EXPECT_EQ(net.flows().solves(), solves0 + 1);
+  EXPECT_EQ(s.pending_count(), 1u);  // exactly one live completion event
+  EXPECT_EQ(net.active_transfers(), 2u);
+  EXPECT_NEAR(net.flows().info(b).rate, kGb / 2, 1.0);  // b, d share 2's link
+  EXPECT_NEAR(net.flows().info(d).rate, kGb / 2, 1.0);
+  EXPECT_FALSE(net.flows().info(c).active);
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 1, 0, 1}));
+  EXPECT_NEAR(s.now(), 3.0, 1e-6);  // 1 GB each at half rate from t=1
+}
+
 TEST(NetworkService, QueueDrainsWithConditionModel) {
   // With a background model the condition tick must self-cancel when the
   // network goes idle, letting the event queue drain.

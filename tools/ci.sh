@@ -27,15 +27,29 @@
 #
 # Run from the repository root: ./tools/ci.sh
 # Build trees: build/ (tier-1), build-asan/, build-tsan/,
-# .bench_build/perfbench/ (shared with perfbench/run.py).
+# .bench_build/perfbench/ (shared with perfbench/run.py). A tree that is
+# already configured keeps its generator; a new one uses Ninja when present.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
-GENERATOR=()
-command -v ninja >/dev/null 2>&1 && GENERATOR=(-G Ninja)
+
+# Set GENERATOR to the -G flags for build tree $1: the generator recorded in
+# its CMakeCache.txt (CMake refuses to switch an existing tree's generator),
+# else Ninja when available, else CMake's default.
+generator_for() {
+  local cache="$1/CMakeCache.txt" gen=""
+  [[ -f "$cache" ]] && gen="$(sed -n 's/^CMAKE_GENERATOR:INTERNAL=//p' "$cache")"
+  GENERATOR=()
+  if [[ -n "$gen" ]]; then
+    GENERATOR=(-G "$gen")
+  elif command -v ninja >/dev/null 2>&1; then
+    GENERATOR=(-G Ninja)
+  fi
+}
 
 echo "==> tier-1: configure + build + ctest"
+generator_for build
 cmake -B build -S . "${GENERATOR[@]}" -DPNATS_WARNINGS_AS_ERRORS=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
@@ -232,11 +246,13 @@ fi
 
 echo "==> perfbench smoke: benchmark package builds and self-tests"
 # Its own CMake package: an API change can pass tier-1 and break it.
+generator_for .bench_build/perfbench
 cmake -S perfbench -B .bench_build/perfbench "${GENERATOR[@]}"
 cmake --build .bench_build/perfbench -j "$JOBS" --target perfbench_selftest
 ./.bench_build/perfbench/perfbench_selftest
 
 echo "==> sanitizer pass: ASan/UBSan test suite"
+generator_for build-asan
 cmake -B build-asan -S . "${GENERATOR[@]}" \
   -DPNATS_SANITIZE=asan \
   -DPNATS_BUILD_BENCH=OFF -DPNATS_BUILD_EXAMPLES=OFF
@@ -244,6 +260,7 @@ cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "==> sanitizer pass: TSan equivalence + flow-differential suites"
+generator_for build-tsan
 cmake -B build-tsan -S . "${GENERATOR[@]}" \
   -DPNATS_SANITIZE=tsan \
   -DPNATS_BUILD_BENCH=OFF -DPNATS_BUILD_EXAMPLES=OFF
