@@ -16,7 +16,6 @@
 // is byte-identical, so the policies are exactly paired.
 //
 // Output: bench_out/admission_sweep.csv + a stdout table per scheduler.
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -92,21 +91,7 @@ int main() {
     }
   }
 
-  // Same static striping as driver::run_experiments: each cell writes only
-  // its own slot.
-  std::vector<driver::StreamResult> results(configs.size());
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers = std::min(hw, configs.size());
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([w, workers, &configs, &results] {
-      for (std::size_t i = w; i < configs.size(); i += workers) {
-        results[i] = driver::run_stream_experiment(configs[i]);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  const auto results = driver::run_stream_experiments(configs);
 
   CsvWriter csv("bench_out/admission_sweep.csv",
                 {"scheduler", "policy", "mtbf_s", "rate_per_hour",

@@ -1,27 +1,16 @@
-// Shared support for the per-figure bench binaries.
-//
-// The paper's headline experiments (Fig. 4-7, Table III) all post-process
-// the same nine runs: the Wordcount / Terasort / Grep batches of Table II,
-// each under the Fair, Coupling and Probabilistic schedulers. Those runs
-// are expensive, so the first bench binary to need them computes and
-// persists them under bench_out/cache/; later binaries load the cache.
-// Delete bench_out/cache/ to force re-simulation.
+// Shared constants for the bench binaries: the output directory, the seed
+// every bench uses, the paper's three schedulers and the report header.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "mrs/driver/experiment.hpp"
-#include "mrs/driver/result_io.hpp"
-#include "mrs/metrics/summary.hpp"
-#include "mrs/workload/table2.hpp"
 
 namespace mrs::bench {
 
 inline const char* kOutputDir = "bench_out";
-inline const char* kCacheDir = "bench_out/cache";
 inline constexpr std::uint64_t kSeed = 42;
 
 inline const std::vector<driver::SchedulerKind>& schedulers() {
@@ -29,94 +18,6 @@ inline const std::vector<driver::SchedulerKind>& schedulers() {
       driver::SchedulerKind::kFair, driver::SchedulerKind::kCoupling,
       driver::SchedulerKind::kPna};
   return kKinds;
-}
-
-inline const std::vector<mapreduce::JobKind>& batches() {
-  static const std::vector<mapreduce::JobKind> kBatches = {
-      mapreduce::JobKind::kWordcount, mapreduce::JobKind::kTerasort,
-      mapreduce::JobKind::kGrep};
-  return kBatches;
-}
-
-/// The nine standard runs keyed by (scheduler, batch). Per-batch results
-/// are kept separate so per-application views remain possible; most
-/// consumers merge them.
-struct PaperRuns {
-  // run[scheduler kind] -> one merged result over the three batches
-  std::map<driver::SchedulerKind, driver::ExperimentResult> merged;
-};
-
-inline std::string run_stem(driver::SchedulerKind sched,
-                            mapreduce::JobKind batch) {
-  return std::string("paper_") + driver::to_string(sched) + "_" +
-         mapreduce::to_string(batch);
-}
-
-/// Merge b's records into a (job ids are remapped to stay unique).
-inline void merge_into(driver::ExperimentResult& a,
-                       const driver::ExperimentResult& b) {
-  const std::size_t job_offset =
-      a.job_records.empty()
-          ? 0
-          : a.job_records.back().id.value() + 1;
-  for (auto j : b.job_records) {
-    j.id = JobId(j.id.value() + job_offset);
-    a.job_records.push_back(std::move(j));
-  }
-  for (auto t : b.task_records) {
-    t.job = JobId(t.job.value() + job_offset);
-    a.task_records.push_back(std::move(t));
-  }
-  a.makespan = std::max(a.makespan, b.makespan);
-  a.events_processed += b.events_processed;
-  a.completed = a.completed && b.completed;
-  a.utilization.map_slot_seconds_busy +=
-      b.utilization.map_slot_seconds_busy;
-  a.utilization.reduce_slot_seconds_busy +=
-      b.utilization.reduce_slot_seconds_busy;
-  a.utilization.span += b.utilization.span;
-  a.utilization.total_map_slots = b.utilization.total_map_slots;
-  a.utilization.total_reduce_slots = b.utilization.total_reduce_slots;
-}
-
-/// Compute (or load from cache) one standard run.
-inline driver::ExperimentResult standard_run(driver::SchedulerKind sched,
-                                             mapreduce::JobKind batch) {
-  const std::string stem = run_stem(sched, batch);
-  if (auto cached = driver::load_result(kCacheDir, stem)) {
-    std::printf("[cache] %s\n", stem.c_str());
-    return std::move(*cached);
-  }
-  std::printf("[run  ] %s (the paper's %s batch under '%s')...\n",
-              stem.c_str(), mapreduce::to_string(batch),
-              driver::to_string(sched));
-  std::fflush(stdout);
-  const auto cfg = driver::paper_config(workload::table2_batch(batch), sched,
-                                        kSeed);
-  auto result = driver::run_experiment(cfg);
-  driver::save_result(kCacheDir, stem, result);
-  return result;
-}
-
-/// All nine standard runs, merged per scheduler (the paper runs the three
-/// batches separately and reports distributions over all 30 jobs).
-inline PaperRuns paper_runs() {
-  PaperRuns runs;
-  for (auto sched : schedulers()) {
-    driver::ExperimentResult merged;
-    merged.completed = true;
-    bool first = true;
-    for (auto batch : batches()) {
-      auto r = standard_run(sched, batch);
-      if (first) {
-        merged.scheduler_name = r.scheduler_name;
-        first = false;
-      }
-      merge_into(merged, r);
-    }
-    runs.merged.emplace(sched, std::move(merged));
-  }
-  return runs;
 }
 
 inline void print_header(const char* figure, const char* caption) {

@@ -17,7 +17,6 @@
 // Output: bench_out/degraded_network.csv + a stdout table per scenario.
 // PNATS_QUICK=1 shortens the horizon for CI smoke runs.
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -149,21 +148,7 @@ int main() {
     }
   }
 
-  // Same static striping as driver::run_experiments: each cell writes only
-  // its own slot.
-  std::vector<driver::StreamResult> results(configs.size());
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers = std::min<std::size_t>(hw, configs.size());
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([w, workers, &configs, &results] {
-      for (std::size_t i = w; i < configs.size(); i += workers) {
-        results[i] = driver::run_stream_experiment(configs[i]);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  const auto results = driver::run_stream_experiments(configs);
 
   CsvWriter csv(quick ? "bench_out/degraded_network_quick.csv"
                       : "bench_out/degraded_network.csv",

@@ -24,7 +24,6 @@
 // bench_out/hetero_sweep_quick.csv; the full run writes
 // bench_out/hetero_sweep.csv (checked in, analyzed in EXPERIMENTS.md).
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,6 +31,7 @@
 #include "mrs/common/strfmt.hpp"
 #include "mrs/driver/stream_experiment.hpp"
 #include "mrs/metrics/steady_state.hpp"
+#include "mrs/metrics/summary.hpp"
 
 namespace {
 
@@ -106,21 +106,7 @@ int main() {
     }
   }
 
-  // Same static striping as driver::run_experiments: each cell writes only
-  // its own slot.
-  std::vector<driver::StreamResult> results(configs.size());
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers = std::min<std::size_t>(hw, configs.size());
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([w, workers, &configs, &results] {
-      for (std::size_t i = w; i < configs.size(); i += workers) {
-        results[i] = driver::run_stream_experiment(configs[i]);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  const auto results = driver::run_stream_experiments(configs);
 
   CsvWriter csv(quick ? "bench_out/hetero_sweep_quick.csv"
                       : "bench_out/hetero_sweep.csv",

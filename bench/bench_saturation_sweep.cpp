@@ -15,7 +15,6 @@
 // (ExperimentConfig::naive_scheduler_path) so the incremental-scoring
 // speedup can be measured as the ratio of the reported wall times.
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -72,21 +71,7 @@ int main() {
     for (double rate : kRates) configs.push_back(sweep_config(sched, rate));
   }
 
-  // Same static striping as driver::run_experiments: each cell writes only
-  // its own slot.
-  std::vector<driver::StreamResult> results(configs.size());
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers = std::min(hw, configs.size());
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([w, workers, &configs, &results] {
-      for (std::size_t i = w; i < configs.size(); i += workers) {
-        results[i] = driver::run_stream_experiment(configs[i]);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  const auto results = driver::run_stream_experiments(configs);
 
   CsvWriter csv("bench_out/saturation_sweep.csv",
                 {"scheduler", "rate_per_hour", "offered_jobs_per_hour",

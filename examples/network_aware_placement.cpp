@@ -89,6 +89,6 @@ int main() {
       "probabilistic scheduler instead weighs that wait against the\n"
       "measured transfer cost and streams remote input when the path is\n"
       "cheap — trading locality for slot utilization, the balance the\n"
-      "paper's P_min knob controls (see bench_pmin_sweep).\n");
+      "paper's P_min knob controls (see bench_paper pmin_sweep).\n");
   return 0;
 }

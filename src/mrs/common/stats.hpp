@@ -73,8 +73,8 @@ class Cdf {
 };
 
 /// Render one or more CDFs as a fixed-width ASCII chart (x = value,
-/// y = cumulative fraction), one glyph per series. Used by the figure
-/// benches so `bench_fig*` output is readable without plotting tools.
+/// y = cumulative fraction), one glyph per series. Used by bench_paper's
+/// figure rows so their output is readable without plotting tools.
 [[nodiscard]] std::string render_cdf_ascii(
     std::span<const std::pair<std::string, const Cdf*>> series, int width = 72,
     int height = 20, const std::string& x_label = "value");

@@ -1,5 +1,6 @@
 #include "mrs/driver/experiment.hpp"
 
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -7,6 +8,7 @@
 
 #include "mrs/common/log.hpp"
 #include "mrs/common/strfmt.hpp"
+#include "mrs/driver/striped.hpp"
 #include "mrs/mapreduce/observers.hpp"
 #include "mrs/net/distance.hpp"
 #include "mrs/sched/fifo.hpp"
@@ -431,25 +433,38 @@ ExperimentResult run_experiment_streamed(const ExperimentConfig& cfg,
   return run_experiment_impl(cfg, &source, lookahead);
 }
 
+void run_striped(std::size_t n,
+                 const std::function<void(std::size_t)>& body) {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers = std::min(hw, n);
+  // Static striping: each index writes only its own result slot, so no
+  // synchronisation is needed (Core Guidelines CP.20-ish: share nothing
+  // mutable).
+  std::vector<std::exception_ptr> errors(workers);
+  {
+    std::vector<std::jthread> threads;  // joined on every exit from here
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      threads.emplace_back([w, workers, n, &body, &errors] {
+        try {
+          for (std::size_t i = w; i < n; i += workers) body(i);
+        } catch (...) {
+          errors[w] = std::current_exception();
+        }
+      });
+    }
+  }
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
 std::vector<ExperimentResult> run_experiments(
     std::span<const ExperimentConfig> configs) {
   std::vector<ExperimentResult> results(configs.size());
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers = std::min(hw, configs.size());
-
-  // Static striping: worker w runs configs w, w+workers, ... Each config
-  // writes only its own result slot, so no synchronisation is needed
-  // (Core Guidelines CP.20-ish: share nothing mutable).
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([w, workers, configs, &results] {
-      for (std::size_t i = w; i < configs.size(); i += workers) {
-        results[i] = run_experiment(configs[i]);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  run_striped(configs.size(), [&](std::size_t i) {
+    results[i] = run_experiment(configs[i]);
+  });
   return results;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mrs/common/check.hpp"
+#include "mrs/driver/striped.hpp"
 
 namespace mrs::driver {
 
@@ -11,13 +12,13 @@ namespace {
 /// Shared steady-state post-processing of a finished run.
 void finish_stream_result(const StreamConfig& cfg, StreamResult& result) {
   const metrics::Window window{cfg.warmup, cfg.arrivals.duration};
-  // Slot totals as the cluster was built (uniform node config).
-  const std::size_t map_slots = cfg.base.nodes * cfg.base.node.map_slots;
-  const std::size_t reduce_slots =
-      cfg.base.nodes * cfg.base.node.reduce_slots;
+  // Slot totals of the cluster as built: node classes may give nodes
+  // their own slot counts, so cfg.base.node alone does not determine them.
+  const auto& util = result.run.utilization;
   result.steady = metrics::steady_state_summary(
-      result.run.job_records, result.run.task_records, window, map_slots,
-      reduce_slots, result.run.admission_outcomes);
+      result.run.job_records, result.run.task_records, window,
+      util.total_map_slots, util.total_reduce_slots,
+      result.run.admission_outcomes);
 }
 
 /// Keep the failure injector armed over the whole arrival horizon: with
@@ -68,6 +69,15 @@ StreamResult run_stream_experiment(const StreamConfig& cfg) {
   result.run = run_experiment(run_cfg);
   finish_stream_result(cfg, result);
   return result;
+}
+
+std::vector<StreamResult> run_stream_experiments(
+    std::span<const StreamConfig> configs) {
+  std::vector<StreamResult> results(configs.size());
+  run_striped(configs.size(), [&](std::size_t i) {
+    results[i] = run_stream_experiment(configs[i]);
+  });
+  return results;
 }
 
 StreamResult run_stream_experiment(const StreamConfig& cfg,

@@ -10,6 +10,7 @@
 // drain tail do not pollute the stationary numbers.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "mrs/driver/experiment.hpp"
@@ -59,6 +60,11 @@ struct StreamResult {
 /// arrivals are pulled incrementally from the trace file; otherwise they
 /// are pre-drawn and buffered.
 [[nodiscard]] StreamResult run_stream_experiment(const StreamConfig& cfg);
+
+/// Run several independent open-loop experiments concurrently (the
+/// run_experiments fan-out). Results are in input order.
+[[nodiscard]] std::vector<StreamResult> run_stream_experiments(
+    std::span<const StreamConfig> configs);
 
 /// Run one open-loop experiment over an arbitrary arrival source
 /// (generator, trace reader, ...), streamed incrementally. The steady

@@ -271,22 +271,26 @@ TEST(MultiTenant, TenantSlicesSumToAggregate) {
 
 TEST(MultiTenant, SerialAndParallelRunsIdentical) {
   // The per-tenant summaries must be byte-identical whether the stream
-  // runs alone in this thread or concurrently with an unrelated run —
-  // the determinism contract extends to the tenant slices.
+  // runs alone in this thread or concurrently with an unrelated run, on
+  // a hand-made thread or through run_stream_experiments' striped
+  // fan-out: the determinism contract extends to the tenant slices.
   const StreamConfig cfg = two_tenant_stream(SchedulerKind::kFair, 9);
+  const StreamConfig noisy = two_tenant_stream(SchedulerKind::kPna, 10);
   const auto serial = run_stream_experiment(cfg);
 
   StreamResult threaded, other;
   std::thread worker([&] { threaded = run_stream_experiment(cfg); });
-  std::thread noise([&] {
-    other = run_stream_experiment(
-        two_tenant_stream(SchedulerKind::kPna, 10));
-  });
+  std::thread noise([&] { other = run_stream_experiment(noisy); });
   worker.join();
   noise.join();
+  const auto striped =
+      run_stream_experiments(std::vector<StreamConfig>{noisy, cfg});
+  ASSERT_EQ(striped.size(), 2u);
   expect_identical_results(serial.run, threaded.run);
   expect_identical_tenant_summaries(serial.steady, threaded.steady);
-  (void)other;
+  expect_identical_results(serial.run, striped[1].run);
+  expect_identical_tenant_summaries(serial.steady, striped[1].steady);
+  expect_identical_results(other.run, striped[0].run);
 }
 
 TEST(MultiTenant, AlwaysAdmitNoQuotaIsNoopOnTenantStream) {

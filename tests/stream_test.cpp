@@ -3,6 +3,7 @@
 // windowing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "mrs/driver/stream_experiment.hpp"
@@ -121,6 +122,43 @@ TEST(StreamExperiment, SubmitTimesFollowArrivals) {
     }
     EXPECT_TRUE(found) << j.name;
   }
+}
+
+TEST(StreamExperiment, SlotUtilizationUsesNodeClassSlotCounts) {
+  // Two node classes with one map and one reduce slot each: the cluster
+  // has 12 + 12 slots, not the 48 + 24 that base.node's default 4/2 slots
+  // per node would give. Steady utilization divides by the former.
+  StreamConfig cfg = tiny_stream(SchedulerKind::kPna);
+  cfg.base.nodes = 12;
+  cfg.arrivals.rate_per_hour = 300.0;
+  cfg.arrivals.mix.map_count_scale = 0.05;
+  cfg.arrivals.mix.reduce_count_scale = 0.05;
+  hetero::NodeClass a, b;
+  a.name = "a";
+  b.name = "b";
+  for (hetero::NodeClass* c : {&a, &b}) {
+    c->map_slots = 1;
+    c->reduce_slots = 1;
+  }
+  cfg.base.hetero.classes = {a, b};
+  const auto r = run_stream_experiment(cfg);
+  ASSERT_TRUE(r.run.completed);
+  ASSERT_EQ(r.run.utilization.total_map_slots, 12u);
+  ASSERT_EQ(r.run.utilization.total_reduce_slots, 12u);
+
+  const metrics::Window window{cfg.warmup, cfg.arrivals.duration};
+  double map_busy = 0.0, reduce_busy = 0.0;
+  for (const auto& t : r.run.task_records) {
+    const double overlap =
+        std::max(0.0, std::min(t.finished_at, window.end) -
+                          std::max(t.assigned_at, window.begin));
+    (t.is_map ? map_busy : reduce_busy) += overlap;
+  }
+  const double len = window.end - window.begin;
+  ASSERT_GT(map_busy, 0.0);
+  EXPECT_DOUBLE_EQ(r.steady.map_slot_utilization, map_busy / (len * 12.0));
+  EXPECT_DOUBLE_EQ(r.steady.reduce_slot_utilization,
+                   reduce_busy / (len * 12.0));
 }
 
 TEST(StreamExperiment, MmppStreamRuns) {

@@ -24,6 +24,14 @@
 #      incremental index under the threaded drivers) plus the flow-solver
 #      differential suite (its parallel model exercises the threaded
 #      component sweep); TSAN=1 widens this to the full test suite
+# Between 3 and 4 run the admission, tenant, hetero, chaos and
+# trace-replay smokes, then the bench_paper smoke: --help lists 15
+# distinct rows, an unknown row exits 2, the two rows that need no
+# simulation write their CSVs, and every `bench_paper <row>` the docs
+# name is a listed row.
+#
+# Every step runs even when an earlier one failed; the script then lists
+# the failed steps and exits non-zero.
 #
 # Run from the repository root: ./tools/ci.sh
 # Build trees: build/ (tier-1), build-asan/, build-tsan/,
@@ -48,15 +56,21 @@ generator_for() {
   fi
 }
 
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+# Each step is a function run by run_step below. The bodies stay at
+# column 0 so their heredocs keep working.
+step_tier1() {
 echo "==> tier-1: configure + build + ctest"
 generator_for build
 cmake -B build -S . "${GENERATOR[@]}" -DPNATS_WARNINGS_AS_ERRORS=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+}
 
+step_telemetry() {
 echo "==> telemetry smoke: exporters produce parseable output"
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./build/tools/pnats_sim --arrivals poisson --rate 240 --duration 600 \
   --nodes 8 --job-scale 0.02 --warmup 100 --log-level warn --quiet \
   --telemetry-out "$SMOKE_DIR/telemetry.jsonl" \
@@ -81,7 +95,9 @@ print(f"telemetry smoke: {len(lines)} jsonl lines, "
       f"{len(trace['traceEvents'])} trace events")
 PY
 fi
+}
 
+step_trace() {
 echo "==> trace smoke: causal trace analyzable, blame partition exact"
 # A saturated stream (past the ~600-650 jobs/h knee of this setup) with
 # the causal tracer on: trace_analyze re-checks every job's blame
@@ -110,7 +126,9 @@ print(f"trace smoke: {len(blames)} blamed jobs, "
       f"shares sum to {100.0 * share:.4f}% of {total:.0f}s response")
 PY
 fi
+}
 
+step_admission() {
 echo "==> admission smoke: overload sheds load, light load admits everything"
 # Past the saturation knee (900 jobs/h vs a ~600-650 knee on this
 # 12-node/5%-scale setup) the static-threshold policy must reject a
@@ -128,7 +146,9 @@ LO_OUT="$(./build/tools/pnats_sim --arrivals poisson --rate 150 \
   --log-level warn --quiet)"
 echo "$LO_OUT" | grep -q 'rejected=0 (0.0%) deferred=0'
 echo "admission smoke: threshold policy rejects past the knee only"
+}
 
+step_tenant() {
 echo "==> tenant smoke: two-tenant stream reports per-tenant slices"
 # A steady Poisson tenant and a bursty MMPP neighbour: the summary must
 # print one parseable line per tenant, and the tenant slices must sum to
@@ -158,7 +178,9 @@ echo "==> tenant smoke: quick isolation bench runs"
 PNATS_QUICK=1 ./build/bench/bench_tenant_isolation >/dev/null
 test -s bench_out/tenant_isolation_quick.csv
 echo "tenant smoke: bench_out/tenant_isolation_quick.csv written"
+}
 
+step_hetero() {
 echo "==> hetero smoke: fast/slow classes run end-to-end"
 # A two-class cluster must print one parseable summary line per class,
 # and every finished map must be attributed to exactly one class.
@@ -185,7 +207,9 @@ echo "==> hetero smoke: quick heterogeneity sweep runs"
 PNATS_QUICK=1 ./build/bench/bench_hetero_sweep >/dev/null
 test -s bench_out/hetero_sweep_quick.csv
 echo "hetero smoke: bench_out/hetero_sweep_quick.csv written"
+}
 
+step_chaos() {
 echo "==> chaos smoke: degraded network drains with stall retries"
 # A 1.2x-knee stream under link cuts, switch faults and surges with the
 # stall watchdog on: the run must drain cleanly (exit 0 / drained=yes),
@@ -209,7 +233,9 @@ echo "==> chaos smoke: quick degraded-network bench runs"
 PNATS_QUICK=1 ./build/bench/bench_degraded_network >/dev/null
 test -s bench_out/degraded_network_quick.csv
 echo "chaos smoke: bench_out/degraded_network_quick.csv written"
+}
 
+step_trace_replay() {
 echo "==> trace-replay smoke: generated trace streams through the replay path"
 # Synthesize a SWIM-style production trace, replay it through the
 # memory-bounded streaming path (--stream-trace), and require the run to
@@ -232,7 +258,39 @@ echo "==> trace-replay smoke: quick trace-replay bench runs"
 PNATS_QUICK=1 ./build/bench/bench_trace_replay >/dev/null
 test -s bench_out/trace_replay_quick.csv
 echo "trace-replay smoke: bench_out/trace_replay_quick.csv written"
+}
 
+step_bench_paper() {
+echo "==> bench_paper smoke: row table, bad row, no-simulation rows, doc names"
+# --help lists one "  <row>  <figure>: <caption>" line per row; the rows
+# must be 15 distinct names. An unknown row exits 2. Table II and Fig. 3
+# need no simulation, so they are cheap enough to run here. Every
+# `bench_paper <row>` the docs name must be a listed row (the same
+# doc-drift idea as cli_test's flag check).
+PAPER_ROWS="$(./build/bench/bench_paper --help | awk '/^  [a-z]/ {print $1}')"
+test "$(echo "$PAPER_ROWS" | wc -l)" -eq 15
+test "$(echo "$PAPER_ROWS" | sort -u | wc -l)" -eq 15
+BAD_ROW_STATUS=0
+./build/bench/bench_paper no_such_row >/dev/null 2>&1 || BAD_ROW_STATUS=$?
+test "$BAD_ROW_STATUS" -eq 2
+rm -f bench_out/table2_workload.csv bench_out/fig3_datasize_cdf.csv
+./build/bench/bench_paper table2_workload fig3_datasize_cdf >/dev/null
+test -s bench_out/table2_workload.csv
+test -s bench_out/fig3_datasize_cdf.csv
+DOC_ROWS="$(grep -ohE 'bench_paper( +[a-z][a-z0-9]*_[a-z0-9_]*)+' \
+  README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md \
+  | tr -s ' ' '\n' | grep -v '^bench_paper$' | sort -u)"
+test -n "$DOC_ROWS"
+for row in $DOC_ROWS; do
+  if ! echo "$PAPER_ROWS" | grep -qx "$row"; then
+    echo "docs name bench_paper $row, which --help does not list"
+    exit 1
+  fi
+done
+echo "bench_paper smoke: 15 rows; docs name $(echo "$DOC_ROWS" | wc -l) of them"
+}
+
+step_perf() {
 echo "==> perf smoke: optimized vs naive gated benchmark families"
 ./build/bench/bench_micro_scheduler \
   --benchmark_filter='BM_PnaHeartbeat(Saturated|Hetero|Traced)|BM_FlowEventsFatTree1k' \
@@ -243,14 +301,18 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "perf smoke: python3 unavailable, ratio/baseline gates skipped"
 fi
+}
 
+step_perfbench() {
 echo "==> perfbench smoke: benchmark package builds and self-tests"
 # Its own CMake package: an API change can pass tier-1 and break it.
 generator_for .bench_build/perfbench
 cmake -S perfbench -B .bench_build/perfbench "${GENERATOR[@]}"
 cmake --build .bench_build/perfbench -j "$JOBS" --target perfbench_selftest
 ./.bench_build/perfbench/perfbench_selftest
+}
 
+step_asan() {
 echo "==> sanitizer pass: ASan/UBSan test suite"
 generator_for build-asan
 cmake -B build-asan -S . "${GENERATOR[@]}" \
@@ -258,7 +320,9 @@ cmake -B build-asan -S . "${GENERATOR[@]}" \
   -DPNATS_BUILD_BENCH=OFF -DPNATS_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+}
 
+step_tsan() {
 echo "==> sanitizer pass: TSan equivalence + flow-differential suites"
 generator_for build-tsan
 cmake -B build-tsan -S . "${GENERATOR[@]}" \
@@ -271,5 +335,42 @@ else
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R 'Equivalence|FlowDifferential'
 fi
+}
 
+# Run every step even when an earlier one failed, so one red gate (the
+# perf smoke's baseline floor, say) cannot hide the steps after it. A step
+# runs in a subshell with errexit on, so it still stops at its own first
+# failing command; the failed steps are listed at the end and fail CI.
+FAILED_STEPS=()
+run_step() {
+  local name="$1" status=0
+  set +e
+  ( set -e; "$2" )
+  status=$?
+  set -e
+  if (( status != 0 )); then
+    echo "==> FAILED: $name (exit $status)"
+    FAILED_STEPS+=("$name")
+  fi
+}
+
+run_step "tier-1" step_tier1
+run_step "telemetry smoke" step_telemetry
+run_step "trace smoke" step_trace
+run_step "admission smoke" step_admission
+run_step "tenant smoke" step_tenant
+run_step "hetero smoke" step_hetero
+run_step "chaos smoke" step_chaos
+run_step "trace-replay smoke" step_trace_replay
+run_step "bench_paper smoke" step_bench_paper
+run_step "perf smoke" step_perf
+run_step "perfbench smoke" step_perfbench
+run_step "ASan/UBSan pass" step_asan
+run_step "TSan pass" step_tsan
+
+if (( ${#FAILED_STEPS[@]} > 0 )); then
+  echo "==> ci: ${#FAILED_STEPS[@]} step(s) failed:"
+  printf '    %s\n' "${FAILED_STEPS[@]}"
+  exit 1
+fi
 echo "==> ci: all passes green"
