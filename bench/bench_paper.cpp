@@ -1,7 +1,8 @@
 // The paper's evaluation (Table II-III, Figs. 3-7, the Sec. III P_min
-// selection) plus the ablations and extras, from one table with a row per
-// figure. Each row prints the reproduced rows/series (ASCII CDFs for
-// figures) and writes bench_out/<row>.csv.
+// selection), the ablations and extras, and the open-loop stream studies,
+// from one table with a row per figure or study. Each row prints the
+// reproduced rows/series (ASCII CDFs for figures) and writes
+// bench_out/<row>.csv.
 //
 //   bench_paper                      every row, in table order
 //   bench_paper fig4_jct_cdf ...     just the named rows
@@ -11,24 +12,32 @@
 // nine runs: the Wordcount / Terasort / Grep batches of Table II, each under
 // the Fair, Coupling and Probabilistic schedulers. They are simulated at
 // most once per invocation, on first use. Sweeping rows run their configs
-// concurrently through driver::run_experiments; results are deterministic
-// per config, so the output does not depend on the thread count.
+// concurrently through driver::run_experiments (stream rows through
+// driver::run_stream_experiments); results are deterministic per config,
+// so the output does not depend on the thread count. A stream study's
+// `_quick` row is its full row over a shorter horizon (the CI smoke).
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "mrs/common/csv.hpp"
 #include "mrs/common/stats.hpp"
 #include "mrs/common/strfmt.hpp"
 #include "mrs/common/table.hpp"
 #include "mrs/dfs/block_store.hpp"
+#include "mrs/driver/stream_experiment.hpp"
+#include "mrs/metrics/steady_state.hpp"
 #include "mrs/metrics/summary.hpp"
+#include "mrs/workload/trace_gen.hpp"
 
 namespace {
 
@@ -36,6 +45,22 @@ using namespace mrs;
 using driver::SchedulerKind;
 
 // --- shared scaffolding -----------------------------------------------------
+
+constexpr const char* kOutputDir = "bench_out";
+constexpr std::uint64_t kSeed = 42;
+
+/// The paper's three schedulers, in report order.
+const std::vector<SchedulerKind> kSchedulers = {
+    SchedulerKind::kFair, SchedulerKind::kCoupling, SchedulerKind::kPna};
+
+/// What a stream row measures over; the paper rows ignore it. A `_quick`
+/// row differs from its full twin only here.
+struct Horizon {
+  Seconds duration = 0.0;          ///< arrival horizon
+  Seconds warmup = 0.0;            ///< cut from the steady-state window
+  std::vector<double> rates = {};  ///< trace_replay's rate grid (jobs/h)
+  bool scale_demo = false;         ///< trace_replay's >=100k-job demo
+};
 
 double mean_jct(const driver::ExperimentResult& r) {
   RunningStats jct;
@@ -49,7 +74,7 @@ double mean_jct(const driver::ExperimentResult& r) {
 driver::ExperimentConfig sweep_config(
     std::vector<workload::JobDescription> jobs, SchedulerKind kind,
     Seconds max_sim_time) {
-  auto cfg = driver::paper_config(std::move(jobs), kind, bench::kSeed);
+  auto cfg = driver::paper_config(std::move(jobs), kind, kSeed);
   cfg.max_sim_time = max_sim_time;
   return cfg;
 }
@@ -66,7 +91,7 @@ std::vector<workload::JobDescription> catalog_jobs(
 std::vector<mapreduce::JobSpec> table2_specs(
     dfs::BlockStore& store, const workload::WorkloadConfig& wcfg) {
   const auto topo = net::make_single_rack(60);
-  dfs::BlockPlacer placer(&topo, Rng(bench::kSeed).split("placement"));
+  dfs::BlockPlacer placer(&topo, Rng(kSeed).split("placement"));
   return workload::make_batch(workload::table2_catalog(), store, placer,
                               wcfg);
 }
@@ -74,7 +99,7 @@ std::vector<mapreduce::JobSpec> table2_specs(
 std::vector<std::pair<std::string, const Cdf*>> scheduler_series(
     const std::map<SchedulerKind, Cdf>& cdfs) {
   std::vector<std::pair<std::string, const Cdf*>> series;
-  for (auto kind : bench::schedulers()) {
+  for (auto kind : kSchedulers) {
     series.emplace_back(driver::to_string(kind), &cdfs.at(kind));
   }
   return series;
@@ -123,17 +148,17 @@ PaperRuns simulate_paper_runs() {
       mapreduce::JobKind::kWordcount, mapreduce::JobKind::kTerasort,
       mapreduce::JobKind::kGrep};
   std::vector<driver::ExperimentConfig> cfgs;
-  for (auto sched : bench::schedulers()) {
+  for (auto sched : kSchedulers) {
     for (auto batch : batches) {
       cfgs.push_back(driver::paper_config(workload::table2_batch(batch),
-                                          sched, bench::kSeed));
+                                          sched, kSeed));
     }
   }
   const auto results = driver::run_experiments(cfgs);
 
   PaperRuns runs;
   auto r = results.begin();
-  for (auto sched : bench::schedulers()) {
+  for (auto sched : kSchedulers) {
     driver::ExperimentResult merged;
     merged.completed = true;
     merged.scheduler_name = r->scheduler_name;
@@ -158,7 +183,7 @@ const PaperRuns& paper_runs() {
 // Table II: the 30-job workload (10 Wordcount, 10 Terasort, 10 Grep;
 // 10-100 GB) with map/reduce task counts, plus the derived effective input
 // and expected shuffle volume of our materialisation.
-void table2_workload(CsvWriter& csv) {
+void table2_workload(CsvWriter& csv, const Horizon&) {
   dfs::BlockStore store(60);
   workload::WorkloadConfig wcfg;
   const auto specs = table2_specs(store, wcfg);
@@ -195,7 +220,7 @@ void table2_workload(CsvWriter& csv) {
 // jobs, plus the paper's headline fractions ("about 60 percent of jobs have
 // more than 50GB shuffle data size, and about 20 percent ... more than
 // 100GB; about 20 percent ... less than 10GB").
-void fig3_datasize_cdf(CsvWriter& csv) {
+void fig3_datasize_cdf(CsvWriter& csv, const Horizon&) {
   dfs::BlockStore store(60);
   const auto specs = table2_specs(store, workload::WorkloadConfig{});
 
@@ -231,7 +256,7 @@ void fig3_datasize_cdf(CsvWriter& csv) {
 // Fig. 4: CDF of job completion time over the 30 Table II jobs under the
 // Fair, Coupling and Probabilistic schedulers (replication factor 2), plus
 // the cluster-utilization comparison the paper discusses.
-void fig4_jct_cdf(CsvWriter& csv) {
+void fig4_jct_cdf(CsvWriter& csv, const Horizon&) {
   const auto& runs = paper_runs();
 
   std::map<SchedulerKind, Cdf> cdfs;
@@ -245,7 +270,7 @@ void fig4_jct_cdf(CsvWriter& csv) {
 
   std::printf("%-14s %10s %10s %10s %10s %9s %9s\n", "scheduler", "mean",
               "p50", "p90", "makespan", "map-util", "red-util");
-  for (auto kind : bench::schedulers()) {
+  for (auto kind : kSchedulers) {
     const auto& r = runs.merged.at(kind);
     std::printf("%-14s %9.1fs %9.1fs %9.1fs %9.1fs %8.1f%% %8.1f%%\n",
                 r.scheduler_name.c_str(), mean_jct(r),
@@ -257,7 +282,7 @@ void fig4_jct_cdf(CsvWriter& csv) {
       "\nPaper shape: the probabilistic scheduler's CDF lies left of the\n"
       "baselines. See EXPERIMENTS.md for the measured-vs-paper analysis.\n");
 
-  for (auto kind : bench::schedulers()) {
+  for (auto kind : kSchedulers) {
     for (const auto& p : cdfs.at(kind).points()) {
       csv.row({driver::to_string(kind), strf("%.3f", p.value),
                strf("%.4f", p.fraction)});
@@ -270,7 +295,7 @@ void fig4_jct_cdf(CsvWriter& csv) {
 // ((baseline - probabilistic) / baseline), over paired runs of the same
 // 30-job workload (identical seeds, identical block placement and
 // intermediate data).
-void fig5_reduction(CsvWriter& csv) {
+void fig5_reduction(CsvWriter& csv, const Horizon&) {
   const auto& runs = paper_runs();
   const auto& pna = runs.merged.at(SchedulerKind::kPna);
   const auto& coupling = runs.merged.at(SchedulerKind::kCoupling);
@@ -323,7 +348,7 @@ void fig5_reduction(CsvWriter& csv) {
 
 // Fig. 6: CDF of map-task (a) and reduce-task (b) running times under the
 // three schedulers, replication factor 2.
-void fig6_task_cdf(CsvWriter& csv) {
+void fig6_task_cdf(CsvWriter& csv, const Horizon&) {
   const auto& runs = paper_runs();
 
   for (const bool maps : {true, false}) {
@@ -340,7 +365,7 @@ void fig6_task_cdf(CsvWriter& csv) {
                             .c_str());
     std::printf("%-14s %9s %9s %9s %9s\n", "scheduler", "p50", "p90", "p99",
                 "max");
-    for (auto kind : bench::schedulers()) {
+    for (auto kind : kSchedulers) {
       const Cdf& c = cdfs.at(kind);
       std::printf("%-14s %8.1fs %8.1fs %8.1fs %8.1fs\n",
                   driver::to_string(kind), c.value_at(0.5), c.value_at(0.9),
@@ -355,7 +380,7 @@ void fig6_task_cdf(CsvWriter& csv) {
   for (const bool maps : {true, false}) {
     const auto filter = maps ? metrics::TaskFilter::kMapsOnly
                              : metrics::TaskFilter::kReducesOnly;
-    for (auto kind : bench::schedulers()) {
+    for (auto kind : kSchedulers) {
       const Cdf c = metrics::task_time_cdf(
           runs.merged.at(kind).task_records, filter);
       for (const auto& p : c.resampled(200)) {
@@ -369,7 +394,7 @@ void fig6_task_cdf(CsvWriter& csv) {
 // Table III: percentage of node-local / rack-local / remote tasks (maps and
 // reduces combined, per the paper's definition in Sec. III-C) under the
 // three schedulers.
-void table3_locality(CsvWriter& csv) {
+void table3_locality(CsvWriter& csv, const Horizon&) {
   const auto& runs = paper_runs();
 
   AsciiTable table({"", "Probabilistic", "Coupling", "Fair"});
@@ -401,13 +426,13 @@ void table3_locality(CsvWriter& csv) {
 
   std::printf("breakdown by task type (%% node-local):\n");
   std::printf("%-14s %10s %10s\n", "scheduler", "maps", "reduces");
-  for (auto kind : bench::schedulers()) {
+  for (auto kind : kSchedulers) {
     std::printf("%-14s %9.2f%% %9.2f%%\n", driver::to_string(kind),
                 maps_only[kind].node_local_pct,
                 reduces_only[kind].node_local_pct);
   }
 
-  for (auto kind : bench::schedulers()) {
+  for (auto kind : kSchedulers) {
     csv.row({driver::to_string(kind), "all",
              strf("%.3f", all[kind].node_local_pct),
              strf("%.3f", all[kind].rack_local_pct),
@@ -426,7 +451,7 @@ void table3_locality(CsvWriter& csv) {
 // Fig. 7: percentage of map tasks with local data as a function of the
 // input data size (10-100 GB), per scheduler. Each point averages the
 // Wordcount, Terasort and Grep jobs of that size.
-void fig7_locality_vs_size(CsvWriter& csv) {
+void fig7_locality_vs_size(CsvWriter& csv, const Horizon&) {
   const auto& runs = paper_runs();
   const auto& catalog = workload::table2_catalog();
 
@@ -461,7 +486,7 @@ void fig7_locality_vs_size(CsvWriter& csv) {
     table.add_row({strf("%.0f", gb), strf("%.1f", pct(SchedulerKind::kPna)),
                    strf("%.1f", pct(SchedulerKind::kCoupling)),
                    strf("%.1f", pct(SchedulerKind::kFair))});
-    for (auto kind : bench::schedulers()) {
+    for (auto kind : kSchedulers) {
       csv.row({strf("%.0f", gb), driver::to_string(kind),
                strf("%.2f", pct(kind))});
     }
@@ -479,7 +504,7 @@ void fig7_locality_vs_size(CsvWriter& csv) {
 // methodology and exposes the completion cliff at P_min = 1 - 1/e ~ 0.632
 // (above it, uniform-cost reduce offers are always rejected and jobs never
 // finish).
-void pmin_sweep(CsvWriter& csv) {
+void pmin_sweep(CsvWriter& csv, const Horizon&) {
   const auto jobs = workload::table2_batch(mapreduce::JobKind::kWordcount);
   const std::vector<double> sweep = {0.0, 0.1, 0.2, 0.3, 0.4,
                                      0.5, 0.6, 0.63, 0.7};
@@ -520,7 +545,7 @@ void pmin_sweep(CsvWriter& csv) {
 // them on a mixed batch: exponential (the paper), linear, sigmoid, step,
 // and greedy (deterministic min-cost, i.e. no probabilistic relaxation at
 // all).
-void ablation_probability_model(CsvWriter& csv) {
+void ablation_probability_model(CsvWriter& csv, const Horizon&) {
   using core::ProbabilityModel;
   // Mixed batch: small/medium jobs of each application.
   const auto jobs = catalog_jobs({0, 2, 10, 12, 20, 22});
@@ -571,7 +596,7 @@ void ablation_probability_model(CsvWriter& csv) {
 //   oracle    - ground truth (not realisable; upper bound),
 // under increasingly non-linear map emission (alpha), where early
 // in-progress sizes are most misleading.
-void ablation_estimator(CsvWriter& csv) {
+void ablation_estimator(CsvWriter& csv, const Horizon&) {
   using core::EstimatorMode;
   // Shuffle-heavy jobs so reduce placement (and hence estimation) matters.
   const auto jobs = catalog_jobs({0, 2, 10, 12});  // WC+TS 10/30 GB
@@ -622,7 +647,7 @@ void ablation_estimator(CsvWriter& csv) {
 // load-aware monitor — evaluated in the regime the paper motivates: data
 // concentrated on a subset of nodes (NAS/SAN-like skewed placement) under
 // persistent background cross-traffic, plus a multi-rack variant.
-void ablation_netcond(CsvWriter& csv) {
+void ablation_netcond(CsvWriter& csv, const Horizon&) {
   using driver::DistanceMode;
   const auto jobs = catalog_jobs({0, 10, 20, 2, 12, 22});
   const std::vector<std::pair<DistanceMode, const char*>> modes = {
@@ -674,13 +699,13 @@ void ablation_netcond(CsvWriter& csv) {
 // Extended baselines: the paper evaluates against Fair and Coupling; its
 // related-work section also discusses FIFO, LARTS [4] and Quincy [20].
 // This row runs all six schedulers on one mixed batch.
-void extended_baselines(CsvWriter& csv) {
+void extended_baselines(CsvWriter& csv, const Horizon&) {
   const auto jobs = catalog_jobs({0, 2, 10, 12, 20, 22});
   std::vector<driver::ExperimentConfig> cfgs;
   for (auto kind : {SchedulerKind::kFifo, SchedulerKind::kFair,
                     SchedulerKind::kCoupling, SchedulerKind::kLarts,
                     SchedulerKind::kMinCost, SchedulerKind::kPna}) {
-    cfgs.push_back(driver::paper_config(jobs, kind, bench::kSeed));
+    cfgs.push_back(driver::paper_config(jobs, kind, kSeed));
   }
   const auto results = driver::run_experiments(cfgs);
 
@@ -709,7 +734,7 @@ void extended_baselines(CsvWriter& csv) {
 // abstract motivates. Runs the mixed batch under (a) a clean cluster,
 // (b) stragglers, (c) stragglers + speculative execution, and (d) random
 // TaskTracker failures, for the Fair and Probabilistic schedulers.
-void fault_tolerance(CsvWriter& csv) {
+void fault_tolerance(CsvWriter& csv, const Horizon&) {
   const auto jobs = catalog_jobs({0, 10, 20});
   struct Scenario {
     const char* name;
@@ -789,12 +814,12 @@ std::string render_row(const std::vector<metrics::TimelinePoint>& tl,
 // simultaneously far below a desired level", while eager probabilistic
 // assignment keeps slots busy. One ASCII timeline per scheduler, from the
 // Wordcount paper runs (the shuffle-heavy representative).
-void running_tasks(CsvWriter& csv) {
+void running_tasks(CsvWriter& csv, const Horizon&) {
   constexpr Seconds kStep = 5.0;
   std::size_t peak = 0;
   std::map<SchedulerKind, std::vector<metrics::TimelinePoint>> map_tl,
       red_tl;
-  for (auto kind : bench::schedulers()) {
+  for (auto kind : kSchedulers) {
     const auto& result = paper_runs().wordcount.at(kind);
     map_tl[kind] = metrics::running_tasks_timeline(
         result.task_records, metrics::TaskFilter::kMapsOnly, kStep);
@@ -805,14 +830,14 @@ void running_tasks(CsvWriter& csv) {
   }
 
   std::printf("running MAP tasks (height scaled to peak %zu):\n", peak);
-  for (auto kind : bench::schedulers()) {
+  for (auto kind : kSchedulers) {
     std::printf("%-14s %s\n", driver::to_string(kind),
                 render_row(map_tl[kind], 64, peak).c_str());
   }
 
   std::printf("\n%-14s %12s %10s %14s %12s\n", "scheduler", "mean maps",
               "peak maps", "mean reduces", "peak reduces");
-  for (auto kind : bench::schedulers()) {
+  for (auto kind : kSchedulers) {
     const auto ms = metrics::summarize_timeline(map_tl[kind]);
     const auto rs = metrics::summarize_timeline(red_tl[kind]);
     std::printf("%-14s %12.1f %10zu %14.1f %12zu\n",
@@ -834,7 +859,7 @@ void running_tasks(CsvWriter& csv) {
 // slot-hoarding trade-off that motivates the Coupling Scheduler (and that
 // the paper's probabilistic immediate assignment leans on). Sweep the gate
 // for Fair and Probabilistic.
-void ablation_slowstart(CsvWriter& csv) {
+void ablation_slowstart(CsvWriter& csv, const Horizon&) {
   const auto jobs = catalog_jobs({0, 2, 10, 12});  // shuffle-heavy
   const std::vector<double> gates = {0.0, 0.05, 0.25, 0.5, 0.75, 0.95};
   const std::vector<SchedulerKind> kinds = {SchedulerKind::kFair,
@@ -871,6 +896,898 @@ void ablation_slowstart(CsvWriter& csv) {
       "motivates Coupling's progress-coupled launching.\n");
 }
 
+// --- stream rows ------------------------------------------------------------
+
+// The stream studies' cluster: 12 nodes serving Table II jobs at 5% of
+// their map/reduce counts keeps one cell in the seconds range while
+// preserving the mix shape (many small jobs, a heavy tail of big ones).
+// The saturation knee of this setup is ~550-650 jobs/h for every
+// scheduler.
+constexpr double kJobScale = 0.05;
+constexpr std::size_t kStreamNodes = 12;
+
+/// One stream cell under `sched` on the stream cluster, measured over `h`.
+/// The Wordcount batch is a dummy: the stream overwrites base.jobs with
+/// the arrivals.
+driver::StreamConfig stream_config(SchedulerKind sched, const Horizon& h) {
+  driver::StreamConfig cfg;
+  cfg.base = driver::paper_config(
+      workload::table2_batch(mapreduce::JobKind::kWordcount), sched, kSeed);
+  cfg.base.nodes = kStreamNodes;
+  cfg.arrivals.duration = h.duration;
+  cfg.arrivals.mix.map_count_scale = kJobScale;
+  cfg.arrivals.mix.reduce_count_scale = kJobScale;
+  cfg.warmup = h.warmup;
+  return cfg;
+}
+
+// Saturation sweep: offered load vs goodput and response-time percentiles
+// for PNA against the Fair and Coupling baselines, under an open-loop
+// Poisson job stream drawn from the Table II mix.
+//
+// Each (scheduler, rate) cell is one streaming run with a shared seed, so
+// every scheduler faces the byte-identical arrival sequence at a given
+// rate. Below the knee goodput tracks the offered rate and response times
+// stay flat; past it the backlog grows for the whole measurement window
+// and the percentiles blow up — the per-scheduler knee is the capacity
+// number a closed batch (makespan) experiment cannot measure. The rate
+// grid brackets the knee.
+void saturation_sweep(CsvWriter& csv, const Horizon& h) {
+  constexpr double kRates[] = {150.0, 300.0, 450.0, 600.0, 750.0, 900.0};
+  std::vector<driver::StreamConfig> configs;
+  for (auto sched : kSchedulers) {
+    for (double rate : kRates) {
+      auto cfg = stream_config(sched, h);
+      cfg.arrivals.process = workload::ArrivalProcess::kPoisson;
+      cfg.arrivals.rate_per_hour = rate;
+      configs.push_back(std::move(cfg));
+    }
+  }
+
+  const auto results = driver::run_stream_experiments(configs);
+
+  std::size_t i = 0;
+  for (auto sched : kSchedulers) {
+    std::printf("\n%-13s %9s %9s %8s %8s %8s %8s %7s\n",
+                driver::to_string(sched), "offered/h", "goodput/h", "p50",
+                "p95", "p99", "queue50", "maputil");
+    for (double rate : kRates) {
+      const auto& r = results[i++];
+      const auto& ss = r.steady;
+      std::printf("  rate %5.0f  %9.1f %9.1f %7.1fs %7.1fs %7.1fs %7.1fs "
+                  "%6.1f%%%s\n",
+                  rate, ss.offered_jobs_per_hour,
+                  ss.throughput_jobs_per_hour, ss.response_time.p50,
+                  ss.response_time.p95, ss.response_time.p99,
+                  ss.queueing_delay.p50, 100.0 * ss.map_slot_utilization,
+                  r.run.completed ? "" : "  [did not drain]");
+      csv.row({driver::to_string(sched), strf("%.6g", rate),
+               strf("%.6g", ss.offered_jobs_per_hour),
+               strf("%.6g", ss.throughput_jobs_per_hour),
+               strf("%.6g", ss.response_time.p50),
+               strf("%.6g", ss.response_time.p95),
+               strf("%.6g", ss.response_time.p99),
+               strf("%.6g", ss.response_time.mean),
+               strf("%.6g", ss.queueing_delay.p50),
+               strf("%.6g", ss.queueing_delay.p95),
+               strf("%.6g", ss.queueing_delay.p99),
+               strf("%.6g", ss.mean_jobs_in_system),
+               strf("%.6g", ss.map_slot_utilization),
+               strf("%.6g", ss.reduce_slot_utilization),
+               r.run.completed ? "1" : "0"});
+    }
+  }
+}
+
+// Admission sweep: goodput vs rejection rate for each admission policy at
+// and past the saturation knee, per scheduler, with and without failure
+// injection.
+//
+// The cluster is offered the knee rate and 1.5x the knee rate, to show
+// what each control policy buys there. Below the knee every policy admits
+// everything and the columns coincide; past it, always-admit lets the
+// backlog (and response percentiles) diverge while the threshold policies
+// trade a slice of the offered load for goodput and latency on the jobs
+// they do admit — the classic goodput-vs-rejection curve.
+//
+// Each (scheduler, rate, policy, mtbf) cell is one streaming run with a
+// shared seed: within a (scheduler, rate, mtbf) group the arrival sequence
+// is byte-identical, so the policies are exactly paired.
+void admission_sweep(CsvWriter& csv, const Horizon& h) {
+  /// Knee rate and 1.5x the knee (past saturation) per the saturation sweep.
+  constexpr double kRates[] = {600.0, 900.0};
+  constexpr Seconds kMtbfs[] = {0.0, 400.0};
+  constexpr control::AdmissionPolicyKind kPolicies[] = {
+      control::AdmissionPolicyKind::kAlwaysAdmit,
+      control::AdmissionPolicyKind::kStaticThreshold,
+      control::AdmissionPolicyKind::kTokenBucket,
+      control::AdmissionPolicyKind::kAdaptive,
+  };
+
+  std::vector<driver::StreamConfig> configs;
+  for (auto sched : kSchedulers) {
+    for (Seconds mtbf : kMtbfs) {
+      for (double rate : kRates) {
+        for (auto policy : kPolicies) {
+          auto cfg = stream_config(sched, h);
+          cfg.base.failures.cluster_mtbf = mtbf;
+          cfg.base.admission.policy = policy;
+          // Backlog limit between the sub-knee steady-state L (~10) and
+          // the always-admit overload peak (~37): tight enough to shed load
+          // at 1.5x, loose enough not to starve slots (a limit near the
+          // sub-knee L rejects so aggressively that goodput drops below
+          // always-admit). The token bucket refills at the knee rate; the
+          // adaptive max sits below the overload peak so the AIMD limit is
+          // the binding constraint.
+          cfg.base.admission.max_jobs_in_system = 24.0;
+          cfg.base.admission.bucket_rate_per_hour = 650.0;
+          cfg.base.admission.adaptive_target_delay = 60.0;
+          cfg.base.admission.adaptive_max_limit = 32.0;
+          cfg.arrivals.process = workload::ArrivalProcess::kPoisson;
+          cfg.arrivals.rate_per_hour = rate;
+          configs.push_back(std::move(cfg));
+        }
+      }
+    }
+  }
+
+  const auto results = driver::run_stream_experiments(configs);
+
+  std::size_t i = 0;
+  for (auto sched : kSchedulers) {
+    for (Seconds mtbf : kMtbfs) {
+      std::printf("\n%-13s (mtbf=%s)\n  %-17s %5s %9s %9s %7s %8s %8s %7s\n",
+                  driver::to_string(sched),
+                  mtbf > 0.0 ? strf("%.0fs", mtbf).c_str() : "off", "policy",
+                  "rate", "offered/h", "goodput/h", "rej%", "p50", "p99",
+                  "L");
+      for (double rate : kRates) {
+        for (auto policy : kPolicies) {
+          const auto& r = results[i++];
+          const auto& ss = r.steady;
+          std::printf("  %-17s %5.0f %9.1f %9.1f %6.1f%% %7.1fs %7.1fs "
+                      "%6.1f%s\n",
+                      control::to_string(policy), rate,
+                      ss.offered_jobs_per_hour, ss.throughput_jobs_per_hour,
+                      100.0 * ss.rejection_rate, ss.response_time.p50,
+                      ss.response_time.p99, ss.mean_jobs_in_system,
+                      r.run.completed ? "" : "  [did not drain]");
+          csv.row({driver::to_string(sched), control::to_string(policy),
+                   strf("%.6g", mtbf), strf("%.6g", rate),
+                   strf("%.6g", ss.offered_jobs_per_hour),
+                   strf("%.6g", ss.throughput_jobs_per_hour),
+                   strf("%.6g", ss.rejection_rate),
+                   strf("%zu", ss.jobs_rejected),
+                   strf("%zu", ss.jobs_deferred),
+                   strf("%zu", ss.jobs_aborted),
+                   strf("%.6g", ss.deferral_delay.p50),
+                   strf("%.6g", ss.deferral_delay.p99),
+                   strf("%.6g", ss.response_time.p50),
+                   strf("%.6g", ss.response_time.p95),
+                   strf("%.6g", ss.response_time.p99),
+                   strf("%.6g", ss.mean_jobs_in_system),
+                   r.run.completed ? "1" : "0"});
+        }
+      }
+    }
+  }
+}
+
+// Telemetry overhead: the acceptance bar for the subsystem is that
+// instrumentation costs < 5% wall clock when no exporter is attached.
+//
+// Four modes over the same paper-scale mixed batch (identical seeds, so
+// the simulated work is byte-identical):
+//   baseline  — enable_telemetry = false: every metric pointer stays null,
+//               the hot path pays one predictable branch per event
+//   counters  — registry attached (the run_experiment default): counter
+//               bumps + histogram observes + scoped wall timers
+//   tracing   — counters plus the causal tracer (span recorder + placement
+//               decision log + critical-path extraction, no file output)
+//   exporting — counters plus the 10 s gauge sampler and both exporters
+//               (JSONL + Chrome trace) writing to temp files
+struct ModeResult {
+  std::string name;
+  std::vector<double> run_ms;  ///< one entry per rep
+  std::size_t events = 0;      ///< events processed per run (identical)
+
+  [[nodiscard]] double best_ms() const {
+    return *std::min_element(run_ms.begin(), run_ms.end());
+  }
+  [[nodiscard]] double mean_ms() const {
+    double s = 0.0;
+    for (double v : run_ms) s += v;
+    return s / static_cast<double>(run_ms.size());
+  }
+};
+
+driver::ExperimentConfig mode_config(const std::string& mode,
+                                     const std::string& tmp) {
+  // The pnats_sim "mixed" batch: two applications of each Table II kind.
+  auto cfg = driver::paper_config(catalog_jobs({0, 2, 10, 12, 20, 22}),
+                                  SchedulerKind::kPna, kSeed);
+  cfg.enable_telemetry = mode != "baseline";
+  cfg.enable_tracing = mode == "tracing";
+  if (mode == "exporting") {
+    cfg.sample_period = 10.0;
+    cfg.telemetry_path = tmp + "/overhead_telemetry.jsonl";
+    cfg.perfetto_path = tmp + "/overhead_perfetto.json";
+  }
+  return cfg;
+}
+
+void telemetry_overhead(CsvWriter& csv, const Horizon&) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kReps = 3;
+  const std::string tmp = std::filesystem::temp_directory_path().string();
+  const std::vector<std::string> modes = {"baseline", "counters", "tracing",
+                                          "exporting"};
+
+  std::printf("telemetry overhead | paper-scale mixed batch, %zu reps "
+              "per mode (best-of shown)\n",
+              kReps);
+
+  // Interleave modes across reps so host noise (thermal drift, other
+  // processes) hits all modes equally instead of biasing the last one.
+  std::vector<ModeResult> results;
+  for (const auto& m : modes) results.push_back({m, {}, 0});
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    for (std::size_t mi = 0; mi < modes.size(); ++mi) {
+      const auto cfg = mode_config(modes[mi], tmp);
+      const auto t0 = Clock::now();
+      const auto run = driver::run_experiment(cfg);
+      const auto t1 = Clock::now();
+      if (!run.completed) {
+        std::fprintf(stderr, "mode %s did not complete\n",
+                     modes[mi].c_str());
+        std::exit(1);
+      }
+      results[mi].events = run.events_processed;
+      results[mi].run_ms.push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+  }
+
+  const double base_ms = results[0].best_ms();
+  std::printf("  %-10s %10s %10s %12s %14s %10s\n", "mode", "best_ms",
+              "mean_ms", "events", "events/sec", "overhead");
+  for (const auto& r : results) {
+    const double best = r.best_ms();
+    const double slowdown = 100.0 * (best - base_ms) / base_ms;
+    const double eps = static_cast<double>(r.events) / (best / 1e3);
+    std::printf("  %-10s %10.1f %10.1f %12zu %14.0f %+9.2f%%\n",
+                r.name.c_str(), best, r.mean_ms(), r.events, eps,
+                slowdown);
+    csv.row({r.name, std::to_string(kReps), strf("%.3f", best),
+             strf("%.3f", r.mean_ms()), std::to_string(r.events),
+             strf("%.0f", eps), strf("%.3f", slowdown)});
+  }
+
+  // The acceptance bar applies to detached-exporter instrumentation
+  // (mode "counters"): warn loudly if it exceeds 5%.
+  const double counters_pct =
+      100.0 * (results[1].best_ms() - base_ms) / base_ms;
+  if (counters_pct >= 5.0) {
+    std::fprintf(stderr,
+                 "WARNING: counters-only overhead %.2f%% >= 5%% bar\n",
+                 counters_pct);
+  }
+}
+
+// Tenant isolation: what a bursty neighbour costs a steady tenant, and
+// what per-tenant admission quotas buy back.
+//
+// A steady Poisson tenant (300 jobs/h, fair-share weight 4) shares the
+// stream cluster with a bursty MMPP tenant offering 900 jobs/h — 1.5x the
+// saturation knee — at weight 1. Each scheduler variant runs three cells
+// on the same seed:
+//
+//   solo     the steady tenant alone (its undisturbed baseline; the
+//            per-tenant RNG streams make its arrivals byte-identical in
+//            every cell)
+//   shared   both tenants, no quotas (always-admit)
+//   quota    both tenants under admission quotas {4, 1} over a backlog
+//            budget of 24 jobs — the bursty tenant may hold at most
+//            24 * 1/5 jobs in system, the steady one 24 * 4/5
+//
+// The headline number is the steady tenant's p99 response-time
+// degradation (shared / solo); quotas should pull it back toward 1 by
+// deferring/rejecting the neighbour's overload instead of letting it
+// monopolize the backlog.
+//
+// Scheduler variants: Fair with the plain kFair job order, Fair with
+// kWeightedFair (the weights above), and PNA (placement-probability
+// scheduling, kFair order).
+enum class Cell { kSolo, kShared, kQuota };
+
+constexpr const char* cell_name(Cell c) {
+  switch (c) {
+    case Cell::kSolo: return "solo";
+    case Cell::kShared: return "shared";
+    case Cell::kQuota: return "quota";
+  }
+  return "?";
+}
+
+void tenant_isolation(CsvWriter& csv, const Horizon& h) {
+  constexpr double kSteadyRate = 300.0;  ///< jobs/h, well under the knee
+  constexpr double kBurstyRate = 900.0;  ///< 1.5x the ~600 jobs/h knee
+  constexpr double kSteadyWeight = 4.0;
+  constexpr double kBurstyWeight = 1.0;
+  constexpr double kBacklogBudget = 24.0;  ///< quota budget (jobs in system)
+
+  struct Variant {
+    const char* label;
+    SchedulerKind sched;
+    mapreduce::JobOrder order;
+  };
+  constexpr Variant kVariants[] = {
+      {"fair", SchedulerKind::kFair, mapreduce::JobOrder::kFair},
+      {"weighted-fair", SchedulerKind::kFair,
+       mapreduce::JobOrder::kWeightedFair},
+      {"pna", SchedulerKind::kPna, mapreduce::JobOrder::kFair},
+  };
+  constexpr Cell kCells[] = {Cell::kSolo, Cell::kShared, Cell::kQuota};
+
+  std::vector<driver::StreamConfig> configs;
+  for (const auto& v : kVariants) {
+    for (Cell cell : kCells) {
+      auto cfg = stream_config(v.sched, h);
+      cfg.base.fair.job_order = v.order;
+
+      workload::TenantConfig steady;
+      steady.name = "steady";
+      steady.rate_per_hour = kSteadyRate;
+      steady.weight = kSteadyWeight;
+      steady.mix = cfg.arrivals.mix;
+      cfg.arrivals.tenants.push_back(steady);
+
+      if (cell != Cell::kSolo) {
+        workload::TenantConfig bursty;
+        bursty.name = "bursty";
+        bursty.process = workload::ArrivalProcess::kMmpp;
+        bursty.rate_per_hour = kBurstyRate;
+        bursty.weight = kBurstyWeight;
+        bursty.mix = cfg.arrivals.mix;
+        cfg.arrivals.tenants.push_back(bursty);
+      }
+      if (cell == Cell::kQuota) {
+        cfg.base.admission.max_jobs_in_system = kBacklogBudget;
+        cfg.base.admission.tenant_quota_weights = {kSteadyWeight,
+                                                   kBurstyWeight};
+      }
+      configs.push_back(std::move(cfg));
+    }
+  }
+
+  const auto results = driver::run_stream_experiments(configs);
+
+  std::size_t i = 0;
+  for (const auto& v : kVariants) {
+    std::printf("\n%-13s %-7s %9s %8s %8s %7s %9s %9s %7s\n", v.label,
+                "cell", "steady/h", "p50", "p99", "x-solo", "bursty/h",
+                "b.rej", "L");
+    double solo_p99 = 0.0;
+    for (Cell cell : kCells) {
+      const auto& r = results[i++];
+      const auto& ss = r.steady;
+      const auto* steady = ss.tenant(TenantId(0));
+      const auto* bursty = ss.tenant(TenantId(1));
+      if (steady == nullptr) continue;  // nothing measured: skip the row
+      if (cell == Cell::kSolo) solo_p99 = steady->response_time.p99;
+      const double degradation =
+          solo_p99 > 0.0 ? steady->response_time.p99 / solo_p99 : 0.0;
+      std::printf("%-13s %-7s %9.1f %7.1fs %7.1fs %6.2fx %9.1f %9zu "
+                  "%6.1f%s\n",
+                  "", cell_name(cell), steady->throughput_jobs_per_hour,
+                  steady->response_time.p50, steady->response_time.p99,
+                  degradation,
+                  bursty != nullptr ? bursty->throughput_jobs_per_hour : 0.0,
+                  bursty != nullptr ? bursty->jobs_rejected : 0,
+                  ss.mean_jobs_in_system,
+                  r.run.completed ? "" : "  [did not drain]");
+      csv.row({v.label, cell_name(cell),
+               cell == Cell::kQuota ? "1" : "0",
+               strf("%.6g", steady->throughput_jobs_per_hour),
+               strf("%.6g", steady->response_time.p50),
+               strf("%.6g", steady->response_time.p99),
+               strf("%.6g", degradation),
+               strf("%zu", steady->jobs_rejected),
+               strf("%zu", steady->jobs_deferred),
+               strf("%.6g",
+                    bursty != nullptr ? bursty->throughput_jobs_per_hour
+                                      : 0.0),
+               strf("%.6g",
+                    bursty != nullptr ? bursty->response_time.p99 : 0.0),
+               strf("%zu", bursty != nullptr ? bursty->jobs_rejected : 0),
+               strf("%zu", bursty != nullptr ? bursty->jobs_deferred : 0),
+               strf("%.6g", ss.mean_jobs_in_system),
+               r.run.completed ? "1" : "0"});
+    }
+  }
+}
+
+// Heterogeneous-cluster sweep: what compute-awareness buys on a
+// fast-rack / slow-rack cluster.
+//
+// The stream cluster is split by rack (2 racks) into a "fast" class (CPU
+// speed s) and a "slow" class (CPU speed 1/s) with identical slot counts
+// and NICs — racks bought in different generations. The skew axis sweeps
+// s in {1, 2, 4}; s = 1 is the homogeneous control where every variant
+// should agree. Each cell runs the same open-loop Poisson stream (per-job
+// streams are labeled, so arrivals are byte-identical across variants):
+//
+//   pna-net      PNA, cost_mix 0   — the paper's network-only cost
+//   pna-mix      PNA, cost_mix 0.5 — blended network + compute seconds
+//   pna-compute  PNA, cost_mix 1   — compute seconds only
+//   unrelated    greedy min-completion-time on unrelated machines
+//                (Fotakis et al. line; deterministic, compute-aware)
+//
+// The headline numbers are steady-state p99 response time and the share
+// of map work the fast rack ends up executing: network-only PNA keeps
+// following data locality and strands half the work on the slow rack,
+// while the compute-aware variants shift it to the fast rack at the cost
+// of remote reads.
+hetero::HeteroConfig fast_slow_racks(double skew) {
+  hetero::NodeClass fast;
+  fast.name = "fast";
+  fast.cpu_speed = skew;
+  hetero::NodeClass slow;
+  slow.name = "slow";
+  slow.cpu_speed = 1.0 / skew;
+  hetero::HeteroConfig cfg;
+  cfg.classes = {fast, slow};
+  cfg.assign = hetero::AssignMode::kByRack;
+  return cfg;
+}
+
+void hetero_sweep(CsvWriter& csv, const Horizon& h) {
+  constexpr double kRate = 360.0;  ///< jobs/h, under the homogeneous knee
+  constexpr double kSkews[] = {1.0, 2.0, 4.0};
+  struct Variant {
+    const char* label;
+    SchedulerKind sched;
+    double cost_mix;
+  };
+  constexpr Variant kVariants[] = {
+      {"pna-net", SchedulerKind::kPna, 0.0},
+      {"pna-mix", SchedulerKind::kPna, 0.5},
+      {"pna-compute", SchedulerKind::kPna, 1.0},
+      {"unrelated", SchedulerKind::kUnrelated, 0.0},
+  };
+
+  std::vector<driver::StreamConfig> configs;
+  for (const double skew : kSkews) {
+    for (const auto& v : kVariants) {
+      auto cfg = stream_config(v.sched, h);
+      cfg.base.racks = 2;
+      cfg.base.hetero = fast_slow_racks(skew);
+      cfg.base.pna.cost_mix = v.cost_mix;
+      cfg.arrivals.rate_per_hour = kRate;
+      configs.push_back(std::move(cfg));
+    }
+  }
+
+  const auto results = driver::run_stream_experiments(configs);
+
+  std::size_t i = 0;
+  for (const double skew : kSkews) {
+    std::printf("\nskew %.0fx (fast %.2gx, slow %.2gx)\n", skew * skew,
+                skew, 1.0 / skew);
+    std::printf("%-13s %9s %8s %8s %7s %7s %7s\n", "variant", "goodput/h",
+                "p50", "p99", "L", "fast%", "local%");
+    for (const auto& v : kVariants) {
+      const auto& r = results[i++];
+      const auto& ss = r.steady;
+      const auto fast_maps =
+          r.run.telemetry.counter("hetero.class.fast.maps_finished");
+      const auto slow_maps =
+          r.run.telemetry.counter("hetero.class.slow.maps_finished");
+      const double fast_share =
+          fast_maps + slow_maps > 0
+              ? static_cast<double>(fast_maps) /
+                    static_cast<double>(fast_maps + slow_maps)
+              : 0.0;
+      const auto loc = metrics::locality_summary(
+          r.run.task_records, metrics::TaskFilter::kMapsOnly);
+      std::printf("%-13s %9.1f %7.1fs %7.1fs %6.2f %6.1f%% %6.1f%%%s\n",
+                  v.label, ss.throughput_jobs_per_hour,
+                  ss.response_time.p50, ss.response_time.p99,
+                  ss.mean_jobs_in_system, 100.0 * fast_share,
+                  loc.node_local_pct,
+                  r.run.completed ? "" : "  [did not drain]");
+      csv.row({strf("%.6g", skew), v.label, strf("%.6g", v.cost_mix),
+               strf("%.6g", ss.throughput_jobs_per_hour),
+               strf("%.6g", ss.response_time.p50),
+               strf("%.6g", ss.response_time.p95),
+               strf("%.6g", ss.response_time.p99),
+               strf("%.6g", ss.mean_jobs_in_system),
+               strf("%.6g", ss.map_slot_utilization),
+               strf("%llu", static_cast<unsigned long long>(fast_maps)),
+               strf("%llu", static_cast<unsigned long long>(slow_maps)),
+               strf("%.6g", fast_share),
+               strf("%.6g", loc.node_local_pct),
+               r.run.completed ? "1" : "0"});
+    }
+  }
+}
+
+// Degraded networks (ROADMAP "reconfigurable and degraded networks"): how
+// much of the PNA advantage survives when the network itself misbehaves.
+// An open-loop Poisson stream at 1.2x the knee rate runs under four chaos
+// scenarios — clean, link/switch cuts, background-traffic surges, and
+// both — for PNA on static hop distances, PNA on condition-aware per-link
+// distances, min-cost and FIFO. Every scheduler faces the byte-identical
+// arrival sequence and the byte-identical fault schedule (the injector
+// draws on labeled sub-streams the schedulers never touch).
+//
+// Reported per cell: goodput, response p50/p99, the stall-retry ledger
+// (transfer stall timeouts and retries), the chaos event counts, and the
+// critical-path blame shares — under cuts the blame mass must shift from
+// queue/compute toward network and retry, and the condition-aware PNA
+// should shed some of that shift by routing around degraded paths.
+struct BlameShares {
+  double queue = 0.0, network = 0.0, compute = 0.0, retry = 0.0;
+};
+
+BlameShares blame_shares(const driver::ExperimentResult& r) {
+  BlameShares s;
+  double response = 0.0;
+  for (const auto& b : r.job_blames) {
+    s.queue += b.queue();
+    s.network += b.network();
+    s.compute += b.compute();
+    s.retry += b.retry();
+    response += b.response;
+  }
+  if (response > 0.0) {
+    s.queue /= response;
+    s.network /= response;
+    s.compute /= response;
+    s.retry /= response;
+  }
+  return s;
+}
+
+void degraded_network(CsvWriter& csv, const Horizon& h) {
+  constexpr double kRate = 720.0;  // 1.2x the ~600 jobs/h knee at this scale
+  struct SchedulerCase {
+    const char* name;
+    SchedulerKind kind;
+    driver::DistanceMode distance;
+  };
+  constexpr SchedulerCase kCases[] = {
+      {"pna-hop", SchedulerKind::kPna, driver::DistanceMode::kHops},
+      {"pna-cond", SchedulerKind::kPna,
+       driver::DistanceMode::kWeightedPerLink},
+      {"mincost", SchedulerKind::kMinCost, driver::DistanceMode::kHops},
+      {"fifo", SchedulerKind::kFifo, driver::DistanceMode::kHops},
+  };
+  struct Scenario {
+    const char* name;
+    bool cuts;
+    bool surges;
+  };
+  constexpr Scenario kScenarios[] = {
+      {"clean", false, false},
+      {"cuts", true, false},
+      {"surges", false, true},
+      {"cuts+surges", true, true},
+  };
+
+  std::vector<driver::StreamConfig> configs;
+  for (const auto& scenario : kScenarios) {
+    for (const auto& sc : kCases) {
+      auto cfg = stream_config(sc.kind, h);
+      cfg.base.racks = 4;  // rack uplinks give faults somewhere to bite
+      cfg.base.distance_mode = sc.distance;
+      cfg.base.enable_tracing = true;  // blame shares need the span trees
+      cfg.arrivals.process = workload::ArrivalProcess::kPoisson;
+      cfg.arrivals.rate_per_hour = kRate;
+      if (scenario.cuts) {
+        cfg.base.net_faults.link_mtbf = 60.0;
+        cfg.base.net_faults.link_repair_time = 45.0;
+        cfg.base.net_faults.switch_mtbf = 400.0;
+        cfg.base.net_faults.switch_repair_time = 90.0;
+        cfg.base.net_faults.repair_jitter = 0.3;
+      }
+      if (scenario.surges) {
+        cfg.base.net_faults.surge_mtbf = 150.0;
+        cfg.base.net_faults.surge_duration = 90.0;
+        cfg.base.net_faults.surge_utilization = 0.6;
+      }
+      if (scenario.cuts || scenario.surges) {
+        cfg.base.engine.stall_timeout = 30.0;
+        cfg.base.engine.stall_backoff_base = 5.0;
+        cfg.base.engine.stall_backoff_cap = 60.0;
+      }
+      configs.push_back(std::move(cfg));
+    }
+  }
+
+  const auto results = driver::run_stream_experiments(configs);
+
+  std::size_t i = 0;
+  for (const auto& scenario : kScenarios) {
+    AsciiTable table({"scheduler", "goodput/h", "p50 (s)", "p99 (s)",
+                      "stalls", "retries", "net blame", "retry blame"});
+    for (std::size_t c = 1; c <= 7; ++c) table.set_right_aligned(c);
+    for (const auto& sc : kCases) {
+      const auto& r = results[i++];
+      const auto& ss = r.steady;
+      const auto& tel = r.run.telemetry;
+      const BlameShares shares = blame_shares(r.run);
+      table.add_row(
+          {sc.name, strf("%.1f", ss.throughput_jobs_per_hour),
+           strf("%.1f", ss.response_time.p50),
+           strf("%.1f", ss.response_time.p99),
+           strf("%llu", static_cast<unsigned long long>(
+                            tel.counter("engine.transfer.stall_timeouts"))),
+           strf("%llu", static_cast<unsigned long long>(
+                            tel.counter("engine.transfer.retries"))),
+           strf("%.1f%%", 100.0 * shares.network),
+           strf("%.1f%%", 100.0 * shares.retry)});
+      csv.row({scenario.name, sc.name, strf("%.6g", ss.offered_jobs_per_hour),
+               strf("%.6g", ss.throughput_jobs_per_hour),
+               strf("%.6g", ss.response_time.p50),
+               strf("%.6g", ss.response_time.p99),
+               strf("%llu", static_cast<unsigned long long>(
+                                tel.counter("engine.transfer.stall_timeouts"))),
+               strf("%llu", static_cast<unsigned long long>(
+                                tel.counter("engine.transfer.retries"))),
+               strf("%llu", static_cast<unsigned long long>(
+                                tel.counter("net.fault.links_cut"))),
+               strf("%llu", static_cast<unsigned long long>(
+                                tel.counter("net.fault.switch_events"))),
+               strf("%llu", static_cast<unsigned long long>(
+                                tel.counter("net.surge.episodes"))),
+               strf("%.6g", shares.queue), strf("%.6g", shares.network),
+               strf("%.6g", shares.compute), strf("%.6g", shares.retry),
+               r.run.completed ? "1" : "0"});
+    }
+    std::printf("\n[%s]\n%s", scenario.name, table.render().c_str());
+  }
+  std::printf(
+      "\nUnder cuts the blame mass shifts from queue/compute toward network\n"
+      "and retry; the condition-aware PNA sheds part of that shift by\n"
+      "placing around degraded paths, while FIFO absorbs it in p99.\n");
+}
+
+// Production-trace replay: how much do the Poisson and MMPP abstractions
+// mispredict against a SWIM/Facebook-style trace at the same mean rate?
+//
+// For each scheduler x rate cell the stream cluster serves three arrival
+// processes — homogeneous Poisson, 2-state MMPP, and a streamed replay of
+// a ProductionTraceGenerator trace (diurnal sinusoid x burst chain x
+// heavy-tailed sizes x Zipf users) generated at the same
+// mean_rate_per_hour and written to a trace CSV first, so the replay
+// exercises the full file -> TraceStreamReader -> run_experiment_streamed
+// path. The trace file per rate is shared across schedulers: every
+// scheduler faces the byte-identical arrival sequence.
+//
+// The comparison to read off the CSV: the knee (where goodput detaches
+// from offered load and p99 blows up) sits at a LOWER rate under trace
+// replay than under Poisson at the same mean — burst episodes saturate
+// the cluster while calm stretches idle it — and the per-tenant p99
+// spread is wide (heavy users queue behind their own bursts).
+//
+// CSV rows: aggregate rows tenant="all", plus per-tenant rows for the
+// trace cells; with `scale_demo`, a last row for the >=100k-job
+// streaming-replay scale demonstration (bounded arrival buffer: the
+// driver holds only the lookahead window, never the whole trace).
+enum class Process { kPoisson, kMmpp, kTrace };
+
+const char* to_string(Process p) {
+  switch (p) {
+    case Process::kPoisson: return "poisson";
+    case Process::kMmpp: return "mmpp";
+    case Process::kTrace: return "trace";
+  }
+  return "?";
+}
+
+std::string trace_path_for(double rate) {
+  return (std::filesystem::temp_directory_path() /
+          strf("pnats_trace_replay_%.0f.csv", rate))
+      .string();
+}
+
+// Peak RSS from /proc/self/status, in MiB (0 when unavailable).
+double peak_rss_mib() {
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  while (in >> key) {
+    if (key == "VmHWM:") {
+      double kb = 0.0;
+      in >> kb;
+      return kb / 1024.0;
+    }
+    in.ignore(4096, '\n');
+  }
+  return 0.0;
+}
+
+// Stream a >=100k-job generated trace end to end. The point is the
+// arrival-buffer profile, not the schedule: the buffered path would
+// materialise every Arrival up front (StreamResult::arrivals), the
+// streamed path holds only the lookahead window — the resident set is
+// then dominated by the per-job/task records the run exists to report,
+// not by the trace.
+void scale_demo(CsvWriter& csv) {
+  workload::TraceGenConfig gcfg;
+  gcfg.duration = 25.0 * 3600.0;
+  gcfg.mean_rate_per_hour = 4400.0;  // ~110k jobs over 25h
+  gcfg.users = 8;
+  gcfg.mix.map_count_scale = 0.01;  // tiny jobs keep one run tractable
+  gcfg.mix.reduce_count_scale = 0.01;
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pnats_trace_replay_100k.csv")
+          .string();
+  std::size_t rows = 0;
+  {
+    workload::ProductionTraceGenerator gen(gcfg, Rng(kSeed));
+    rows = workload::write_arrival_trace(path, gen);
+  }
+  std::printf("\nscale demo: generated %zu-job trace (%.1f MiB on disk)\n",
+              rows, std::filesystem::file_size(path) / (1024.0 * 1024.0));
+
+  driver::StreamConfig cfg;
+  cfg.base = driver::paper_config(
+      workload::table2_batch(mapreduce::JobKind::kWordcount),
+      SchedulerKind::kPna, kSeed);
+  cfg.base.nodes = 24;
+  cfg.arrivals.process = workload::ArrivalProcess::kTrace;
+  cfg.arrivals.trace_path = path;
+  cfg.arrivals.duration = gcfg.duration;
+  cfg.warmup = 3600.0;
+  cfg.stream_trace = true;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto r = driver::run_stream_experiment(cfg);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const auto& ss = r.steady;
+  std::printf("scale demo: streamed replay of %zu jobs %s in %.1fs wall "
+              "(arrivals buffered: %zu, peak RSS %.0f MiB)\n",
+              r.run.job_records.size(),
+              r.run.completed ? "drained" : "DID NOT DRAIN", wall,
+              r.arrivals.size(), peak_rss_mib());
+  std::printf("scale demo: goodput %.1f jobs/h, response p50 %.1fs p99 "
+              "%.1fs, L %.1f\n",
+              ss.throughput_jobs_per_hour, ss.response_time.p50,
+              ss.response_time.p99, ss.mean_jobs_in_system);
+  csv.row({"trace-100k", "pna", strf("%.6g", gcfg.mean_rate_per_hour), "all",
+           strf("%.6g", ss.offered_jobs_per_hour),
+           strf("%.6g", ss.throughput_jobs_per_hour),
+           strf("%.6g", ss.response_time.p50),
+           strf("%.6g", ss.response_time.p95),
+           strf("%.6g", ss.response_time.p99),
+           strf("%.6g", ss.queueing_delay.p99),
+           strf("%.6g", ss.mean_jobs_in_system),
+           strf("%.6g", ss.map_slot_utilization),
+           r.run.completed ? "1" : "0"});
+  std::filesystem::remove(path);
+}
+
+void trace_replay(CsvWriter& csv, const Horizon& h) {
+  // One shared trace file per rate, drained from the generator through the
+  // canonical writer so the replay path is file -> TraceStreamReader. The
+  // generator at bench scale: one diurnal cycle inside the measurement
+  // window and burst sojourns short enough that every cell sees several
+  // episodes. Mix scale matches the Poisson/MMPP cells so only the
+  // arrival-clock shape differs.
+  for (double rate : h.rates) {
+    workload::TraceGenConfig gcfg;
+    gcfg.duration = h.duration;
+    gcfg.mean_rate_per_hour = rate;
+    gcfg.diurnal_period = h.duration;
+    gcfg.mean_calm_sojourn = 150.0;
+    gcfg.mean_burst_sojourn = 60.0;
+    gcfg.users = 6;
+    gcfg.mix.map_count_scale = kJobScale;
+    gcfg.mix.reduce_count_scale = kJobScale;
+    workload::ProductionTraceGenerator gen(gcfg, Rng(kSeed));
+    (void)workload::write_arrival_trace(trace_path_for(rate), gen);
+  }
+
+  const std::vector<Process> processes = {Process::kPoisson, Process::kMmpp,
+                                          Process::kTrace};
+  std::vector<driver::StreamConfig> configs;
+  for (Process p : processes) {
+    for (auto sched : kSchedulers) {
+      for (double rate : h.rates) {
+        auto cfg = stream_config(sched, h);
+        cfg.arrivals.rate_per_hour = rate;
+        switch (p) {
+          case Process::kPoisson:
+            cfg.arrivals.process = workload::ArrivalProcess::kPoisson;
+            break;
+          case Process::kMmpp:
+            cfg.arrivals.process = workload::ArrivalProcess::kMmpp;
+            break;
+          case Process::kTrace:
+            cfg.arrivals.process = workload::ArrivalProcess::kTrace;
+            cfg.arrivals.trace_path = trace_path_for(rate);
+            cfg.stream_trace = true;  // the memory-bounded streaming path
+            break;
+        }
+        configs.push_back(std::move(cfg));
+      }
+    }
+  }
+
+  const auto results = driver::run_stream_experiments(configs);
+  for (double rate : h.rates) std::filesystem::remove(trace_path_for(rate));
+
+  std::size_t i = 0;
+  for (Process p : processes) {
+    for (auto sched : kSchedulers) {
+      std::printf("\n[%s] %-13s %9s %9s %8s %8s %8s %7s\n", to_string(p),
+                  driver::to_string(sched), "offered/h", "goodput/h", "p50",
+                  "p95", "p99", "maputil");
+      for (double rate : h.rates) {
+        const auto& r = results[i++];
+        const auto& ss = r.steady;
+        std::printf("  rate %5.0f  %9.1f %9.1f %7.1fs %7.1fs %7.1fs "
+                    "%6.1f%%%s\n",
+                    rate, ss.offered_jobs_per_hour,
+                    ss.throughput_jobs_per_hour, ss.response_time.p50,
+                    ss.response_time.p95, ss.response_time.p99,
+                    100.0 * ss.map_slot_utilization,
+                    r.run.completed ? "" : "  [did not drain]");
+        csv.row({to_string(p), driver::to_string(sched), strf("%.6g", rate),
+                 "all", strf("%.6g", ss.offered_jobs_per_hour),
+                 strf("%.6g", ss.throughput_jobs_per_hour),
+                 strf("%.6g", ss.response_time.p50),
+                 strf("%.6g", ss.response_time.p95),
+                 strf("%.6g", ss.response_time.p99),
+                 strf("%.6g", ss.queueing_delay.p99),
+                 strf("%.6g", ss.mean_jobs_in_system),
+                 strf("%.6g", ss.map_slot_utilization),
+                 r.run.completed ? "1" : "0"});
+        if (p != Process::kTrace) continue;
+        // Per-tenant tail rows: only the trace cells carry a real tenant
+        // population (Poisson/MMPP cells are single-tenant).
+        for (const auto& t : ss.tenants) {
+          csv.row({to_string(p), driver::to_string(sched),
+                   strf("%.6g", rate), strf("%zu", t.tenant.value()),
+                   strf("%.6g", t.offered_jobs_per_hour),
+                   strf("%.6g", t.throughput_jobs_per_hour),
+                   strf("%.6g", t.response_time.p50),
+                   strf("%.6g", t.response_time.p95),
+                   strf("%.6g", t.response_time.p99),
+                   strf("%.6g", t.queueing_delay.p99),
+                   strf("%.6g", t.mean_jobs_in_system),
+                   /*map_slot_utilization=*/"",
+                   r.run.completed ? "1" : "0"});
+        }
+      }
+    }
+  }
+
+  // Per-tenant p99 spread at the mid-grid rate for the trace process: the
+  // Zipf-heavy user 0 should pay the widest tail.
+  const double report_rate = h.rates[h.rates.size() / 2];
+  std::printf("\n[trace] per-tenant response p99 at rate %.0f/h:\n",
+              report_rate);
+  i = 2 * kSchedulers.size() * h.rates.size();  // trace block start
+  for (std::size_t s = 0; s < kSchedulers.size(); ++s) {
+    for (std::size_t ri = 0; ri < h.rates.size(); ++ri) {
+      if (h.rates[ri] != report_rate) continue;
+      const auto& ss = results[i + s * h.rates.size() + ri].steady;
+      std::printf("  %-13s", driver::to_string(kSchedulers[s]));
+      for (const auto& t : ss.tenants) {
+        std::printf("  t%zu %6.1fs", t.tenant.value(), t.response_time.p99);
+      }
+      std::printf("\n");
+    }
+  }
+
+  if (h.scale_demo) scale_demo(csv);
+}
+
 // --- the table --------------------------------------------------------------
 
 struct Row {
@@ -878,16 +1795,53 @@ struct Row {
   const char* figure;
   const char* caption;
   std::vector<std::string> columns;  ///< CSV header
-  void (*report)(CsvWriter&);
+  void (*report)(CsvWriter&, const Horizon&);
+  Horizon horizon = {};
   /// The report quotes the CSV path in its own notes, so the closing
   /// "CSV: <path>" line is left out.
   bool quotes_csv_path = false;
 };
 
+// What a stream study shares with its `_quick` twin.
+constexpr const char* kTenantCaption =
+    "steady tenant's p99 under a bursty neighbour at 1.5x the knee, with "
+    "and without admission quotas";
+const std::vector<std::string> kTenantColumns = {
+    "variant", "cell", "quota", "steady_goodput_jobs_per_hour",
+    "steady_response_p50_s", "steady_response_p99_s",
+    "steady_p99_degradation", "steady_rejected", "steady_deferred",
+    "bursty_goodput_jobs_per_hour", "bursty_response_p99_s",
+    "bursty_rejected", "bursty_deferred", "mean_jobs_in_system", "drained"};
+constexpr const char* kHeteroCaption =
+    "fast-rack/slow-rack cluster: network-only PNA vs combined-cost PNA vs "
+    "the unrelated-machines greedy";
+const std::vector<std::string> kHeteroColumns = {
+    "skew", "variant", "cost_mix", "goodput_jobs_per_hour", "response_p50_s",
+    "response_p95_s", "response_p99_s", "mean_jobs_in_system",
+    "map_slot_util", "fast_maps", "slow_maps", "fast_map_share",
+    "node_local_pct", "drained"};
+constexpr const char* kDegradedCaption =
+    "PNA (hop / condition-aware) vs min-cost and FIFO under link cuts, "
+    "switch faults and traffic surges at 1.2x the knee rate";
+const std::vector<std::string> kDegradedColumns = {
+    "scenario", "scheduler", "offered_jobs_per_hour",
+    "goodput_jobs_per_hour", "response_p50_s", "response_p99_s",
+    "stall_timeouts", "transfer_retries", "links_cut", "switch_events",
+    "surge_episodes", "blame_queue_share", "blame_network_share",
+    "blame_compute_share", "blame_retry_share", "drained"};
+constexpr const char* kTraceReplayCaption =
+    "knees and per-tenant tails: streamed generated-trace replay vs Poisson "
+    "and MMPP at the same mean rate";
+const std::vector<std::string> kTraceReplayColumns = {
+    "process", "scheduler", "rate_per_hour", "tenant",
+    "offered_jobs_per_hour", "goodput_jobs_per_hour", "response_p50_s",
+    "response_p95_s", "response_p99_s", "queueing_p99_s",
+    "mean_jobs_in_system", "map_slot_utilization", "drained"};
+
 const std::vector<Row> kRows = {
     {"table2_workload", "Table II", "the 30 benchmark jobs",
      {"job_id", "name", "maps", "reduces", "input_gib", "shuffle_gib"},
-     table2_workload, true},
+     table2_workload, {}, true},
     {"fig3_datasize_cdf", "Fig. 3", "CDF of input and shuffle data size",
      {"series", "gib", "cdf"}, fig3_datasize_cdf},
     {"fig4_jct_cdf", "Fig. 4",
@@ -937,26 +1891,69 @@ const std::vector<Row> kRows = {
      "reduce launch gate vs completion time",
      {"slowstart", "scheduler", "mean_jct", "reduce_util"},
      ablation_slowstart},
+    {"saturation_sweep", "Saturation sweep",
+     "open-loop Poisson stream: offered load vs goodput and response-time "
+     "percentiles per scheduler",
+     {"scheduler", "rate_per_hour", "offered_jobs_per_hour",
+      "goodput_jobs_per_hour", "response_p50_s", "response_p95_s",
+      "response_p99_s", "response_mean_s", "queueing_p50_s",
+      "queueing_p95_s", "queueing_p99_s", "mean_jobs_in_system",
+      "map_slot_utilization", "reduce_slot_utilization", "drained"},
+     saturation_sweep, {600.0, 100.0}},
+    {"admission_sweep", "Admission sweep",
+     "goodput vs rejection per admission policy at and past the saturation "
+     "knee, with/without failures",
+     {"scheduler", "policy", "mtbf_s", "rate_per_hour",
+      "offered_jobs_per_hour", "goodput_jobs_per_hour", "rejection_rate",
+      "jobs_rejected", "jobs_deferred", "jobs_aborted", "deferral_p50_s",
+      "deferral_p99_s", "response_p50_s", "response_p95_s",
+      "response_p99_s", "mean_jobs_in_system", "drained"},
+     admission_sweep, {600.0, 100.0}},
+    {"tenant_isolation", "Tenant isolation", kTenantCaption, kTenantColumns,
+     tenant_isolation, {600.0, 100.0}},
+    {"tenant_isolation_quick", "Tenant isolation (quick)", kTenantCaption,
+     kTenantColumns, tenant_isolation, {300.0, 50.0}},
+    {"hetero_sweep", "Heterogeneity sweep", kHeteroCaption, kHeteroColumns,
+     hetero_sweep, {900.0, 150.0}},
+    {"hetero_sweep_quick", "Heterogeneity sweep (quick)", kHeteroCaption,
+     kHeteroColumns, hetero_sweep, {300.0, 50.0}},
+    {"degraded_network", "Degraded networks", kDegradedCaption,
+     kDegradedColumns, degraded_network, {600.0, 100.0}},
+    {"degraded_network_quick", "Degraded networks (quick)", kDegradedCaption,
+     kDegradedColumns, degraded_network, {240.0, 40.0}},
+    {"trace_replay", "Production trace replay", kTraceReplayCaption,
+     kTraceReplayColumns, trace_replay,
+     {600.0, 100.0, {150.0, 300.0, 450.0, 600.0, 750.0, 900.0}, true}},
+    {"trace_replay_quick", "Production trace replay (quick)",
+     kTraceReplayCaption, kTraceReplayColumns, trace_replay,
+     {300.0, 50.0, {300.0, 600.0}}},
+    {"telemetry_overhead", "Telemetry overhead",
+     "wall-clock cost of each telemetry mode on the mixed batch (best of 3)",
+     {"mode", "reps", "best_ms", "mean_ms", "events", "events_per_sec",
+      "slowdown_pct_vs_baseline"},
+     telemetry_overhead},
 };
 
 void print_help() {
   std::printf(
       "usage: bench_paper [row ...]\n"
-      "Reproduces the paper's tables and figures. With no rows, runs every\n"
-      "row in the order below; each prints its report and writes\n"
-      "%s/<row>.csv.\n\nrows:\n",
-      bench::kOutputDir);
+      "Reproduces the paper's tables and figures and the stream studies.\n"
+      "With no rows, runs every row in the order below; each prints its\n"
+      "report and writes %s/<row>.csv.\n\nrows:\n",
+      kOutputDir);
   for (const Row& row : kRows) {
     std::printf("  %-28s %s: %s\n", row.name, row.figure, row.caption);
   }
 }
 
 void run(const Row& row) {
-  bench::print_header(row.figure, row.caption);
-  std::filesystem::create_directories(bench::kOutputDir);
-  CsvWriter csv(std::string(bench::kOutputDir) + "/" + row.name + ".csv",
+  const char* rule =
+      "================================================================";
+  std::printf("\n%s\n%s — %s\n%s\n", rule, row.figure, row.caption, rule);
+  std::filesystem::create_directories(kOutputDir);
+  CsvWriter csv(std::string(kOutputDir) + "/" + row.name + ".csv",
                 row.columns);
-  row.report(csv);
+  row.report(csv, row.horizon);
   if (!row.quotes_csv_path) std::printf("CSV: %s\n", csv.path().c_str());
 }
 

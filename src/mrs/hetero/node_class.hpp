@@ -51,7 +51,7 @@ enum class AssignMode {
   /// Per-node weighted draw on the labeled sub-stream (default).
   kWeighted,
   /// Class = rack id modulo class count — whole racks share a class
-  /// (the fast-rack / slow-rack study in bench_hetero_sweep).
+  /// (the fast-rack / slow-rack study in `bench_paper hetero_sweep`).
   kByRack,
 };
 

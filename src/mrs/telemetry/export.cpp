@@ -1,24 +1,14 @@
 #include "mrs/telemetry/export.hpp"
 
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 
+#include "mrs/common/json.hpp"
 #include "mrs/common/strfmt.hpp"
 
 namespace mrs::telemetry {
 
 namespace {
-
-/// %.17g keeps doubles round-trippable; JSON forbids NaN/Inf, so they are
-/// emitted as null.
-std::string json_number(double v) {
-  if (v != v || v == std::numeric_limits<double>::infinity() ||
-      v == -std::numeric_limits<double>::infinity()) {
-    return "null";
-  }
-  return strf("%.17g", v);
-}
 
 void append_uint_array(std::string& out,
                        const std::vector<std::uint64_t>& values) {
@@ -31,27 +21,6 @@ void append_uint_array(std::string& out,
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string to_jsonl(const Snapshot& snapshot, const TimeSeries& series) {
   std::string out;

@@ -11,9 +11,6 @@
 
 namespace mrs::telemetry {
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// One {"type":"sample",...} line per row, then one line per counter,
 /// gauge, histogram and timer. Returns the full JSONL document.
 [[nodiscard]] std::string to_jsonl(const Snapshot& snapshot,

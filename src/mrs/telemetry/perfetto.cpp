@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "mrs/common/json.hpp"
 #include "mrs/common/strfmt.hpp"
 #include "mrs/mapreduce/observers.hpp"
 #include "mrs/telemetry/export.hpp"

@@ -1,39 +1,12 @@
 #include "mrs/trace/jsonl.hpp"
 
+#include <cstdint>
 #include <fstream>
+#include <stdexcept>
 
-#include "mrs/common/check.hpp"
-#include "mrs/common/strfmt.hpp"
+#include "mrs/common/json.hpp"
 
 namespace mrs::trace {
-namespace {
-
-// Minimal JSON string escape for job/class names (telemetry's escaper
-// lives a layer above this library).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strf("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Round-trippable double formatting (matches the telemetry exporter).
-std::string num(double v) { return strf("%.17g", v); }
-
-}  // namespace
 
 void to_jsonl(const std::vector<JobTrace>& jobs,
               const std::vector<PlacementDecisionRecord>& decisions,
@@ -41,10 +14,10 @@ void to_jsonl(const std::vector<JobTrace>& jobs,
   for (const JobTrace& jt : jobs) {
     if (!jt.activated) continue;
     out << "{\"type\":\"job\",\"job\":" << jt.job.value() << ",\"name\":\""
-        << escape(jt.name) << "\",\"tenant\":"
+        << json_escape(jt.name) << "\",\"tenant\":"
         << (jt.tenant.valid() ? jt.tenant.value() : 0)
-        << ",\"submit\":" << num(jt.submit) << ",\"admitted\":"
-        << num(jt.admitted) << ",\"finish\":" << num(jt.finish)
+        << ",\"submit\":" << json_number(jt.submit) << ",\"admitted\":"
+        << json_number(jt.admitted) << ",\"finish\":" << json_number(jt.finish)
         << ",\"aborted\":" << (jt.aborted ? 1 : 0)
         << ",\"maps\":" << jt.maps.size()
         << ",\"reduces\":" << jt.reduces.size() << "}\n";
@@ -57,14 +30,14 @@ void to_jsonl(const std::vector<JobTrace>& jobs,
               << (a.node.valid() ? static_cast<long long>(a.node.value()) : -1)
               << ",\"backup\":" << (a.backup ? 1 : 0)
               << ",\"locality\":" << a.locality
-              << ",\"assigned\":" << num(a.assigned)
-              << ",\"ready\":" << num(a.ready)
-              << ",\"shuffle_done\":" << num(a.shuffle_done)
-              << ",\"end\":" << num(a.end) << ",\"state\":\""
+              << ",\"assigned\":" << json_number(a.assigned)
+              << ",\"ready\":" << json_number(a.ready)
+              << ",\"shuffle_done\":" << json_number(a.shuffle_done)
+              << ",\"end\":" << json_number(a.end) << ",\"state\":\""
               << (a.finished ? "finished" : (a.closed ? "killed" : "open"))
               << "\",\"remote\":" << (a.remote_fetch ? 1 : 0)
               << ",\"straggler\":" << (a.straggler ? 1 : 0)
-              << ",\"nominal\":" << num(a.nominal_compute) << "}\n";
+              << ",\"nominal\":" << json_number(a.nominal_compute) << "}\n";
         }
       }
     };
@@ -72,7 +45,7 @@ void to_jsonl(const std::vector<JobTrace>& jobs,
     spans(jt.reduces, "reduce");
   }
   for (const PlacementDecisionRecord& d : decisions) {
-    out << "{\"type\":\"decision\",\"time\":" << num(d.time)
+    out << "{\"type\":\"decision\",\"time\":" << json_number(d.time)
         << ",\"kind\":\"" << (d.is_map ? "map" : "reduce") << "\",\"job\":"
         << (d.job.valid() ? static_cast<long long>(d.job.value()) : -1)
         << ",\"task\":"
@@ -80,23 +53,25 @@ void to_jsonl(const std::vector<JobTrace>& jobs,
         << ",\"node\":"
         << (d.node.valid() ? static_cast<long long>(d.node.value()) : -1)
         << ",\"candidates\":" << d.candidates
-        << ",\"free_nodes\":" << d.free_nodes << ",\"cost\":" << num(d.cost)
-        << ",\"cost_avg\":" << num(d.cost_avg) << ",\"p\":" << num(d.p)
+        << ",\"free_nodes\":" << d.free_nodes
+        << ",\"cost\":" << json_number(d.cost)
+        << ",\"cost_avg\":" << json_number(d.cost_avg)
+        << ",\"p\":" << json_number(d.p)
         << ",\"locality\":" << d.locality << ",\"outcome\":\""
         << to_string(d.outcome) << "\"}\n";
   }
   for (const JobBlame& b : blames) {
     out << "{\"type\":\"blame\",\"job\":" << b.job.value() << ",\"name\":\""
-        << escape(b.name) << "\",\"tenant\":"
+        << json_escape(b.name) << "\",\"tenant\":"
         << (b.tenant.valid() ? b.tenant.value() : 0) << ",\"critical_node\":"
         << (b.critical_node.valid()
                 ? static_cast<long long>(b.critical_node.value())
                 : -1)
-        << ",\"response\":" << num(b.response)
-        << ",\"queue\":" << num(b.queue())
-        << ",\"network\":" << num(b.network())
-        << ",\"compute\":" << num(b.compute())
-        << ",\"retry\":" << num(b.retry()) << "}\n";
+        << ",\"response\":" << json_number(b.response)
+        << ",\"queue\":" << json_number(b.queue())
+        << ",\"network\":" << json_number(b.network())
+        << ",\"compute\":" << json_number(b.compute())
+        << ",\"retry\":" << json_number(b.retry()) << "}\n";
   }
 }
 
@@ -104,7 +79,7 @@ void write_jsonl(const std::string& path, const std::vector<JobTrace>& jobs,
                  const std::vector<PlacementDecisionRecord>& decisions,
                  const std::vector<JobBlame>& blames) {
   std::ofstream out(path);
-  MRS_REQUIRE(out.is_open());
+  if (!out) throw std::runtime_error("write_jsonl: cannot open " + path);
   to_jsonl(jobs, decisions, blames, out);
 }
 

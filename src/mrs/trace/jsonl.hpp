@@ -18,7 +18,8 @@ void to_jsonl(const std::vector<JobTrace>& jobs,
               const std::vector<PlacementDecisionRecord>& decisions,
               const std::vector<JobBlame>& blames, std::ostream& out);
 
-/// Writes the trace to `path`; MRS_REQUIREs the file opens.
+/// Writes the trace to `path`; throws std::runtime_error if it cannot be
+/// opened.
 void write_jsonl(const std::string& path, const std::vector<JobTrace>& jobs,
                  const std::vector<PlacementDecisionRecord>& decisions,
                  const std::vector<JobBlame>& blames);

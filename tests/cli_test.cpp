@@ -1,16 +1,18 @@
 // Command-line front ends: pnats_sim and trace_analyze run as child
 // processes.
 //
-// Malformed input must exit with status 2 (never crash, hang or run with
-// a silently truncated value), the stream-mode header must report the
-// cluster that was built, and every flag the docs put on a pnats_sim
-// command line must be one that `pnats_sim --help` lists.
+// Malformed input, including a path that cannot be opened, must exit with
+// status 2 (never crash, hang or run with a silently truncated value), the
+// stream-mode header must report the cluster that was built, and every
+// flag the docs put on a pnats_sim command line must be one that
+// `pnats_sim --help` lists.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -161,6 +163,32 @@ TEST(Cli, TraceAnalyzeRejectsAMalformedTop) {
   for (const char* top : {"abc", "3x", "-1", ""}) {
     const Exit e = run(PNATS_TRACE_ANALYZE_BIN, {trace, "--top", top});
     EXPECT_TRUE(e.exited_with(2)) << "'" << top << "': " << e.output;
+  }
+}
+
+TEST(Cli, UnopenablePathsExitTwoNamingThePath) {
+  // A path below a regular file can be neither created nor read.
+  const fs::path file = fs::path(PNATS_CLI_OUT_DIR) / "cli_not_a_dir";
+  std::ofstream(file) << "x\n";
+  const std::string bad = (file / "x").string();
+  const std::vector<std::vector<std::string>> cases = {
+      {"--trace-out", bad},
+      {"--telemetry-out", bad},
+      {"--perfetto-out", bad},
+      {"--trace", bad},
+      {"--out", bad},
+      {"--arrivals", "trace", "--arrival-trace", bad},
+      {"--arrivals", "trace", "--arrival-trace", bad, "--stream-trace"},
+  };
+  for (const auto& flags : cases) {
+    std::vector<std::string> args = {"--batch", "grep", "--nodes", "12",
+                                     "--seed", "1", "--quiet"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const Exit e = sim(args);
+    const std::string& flag = *(std::find(flags.begin(), flags.end(), bad) - 1);
+    EXPECT_TRUE(e.exited_with(2)) << flag << ": " << e.output;
+    EXPECT_NE(e.output.find(bad), std::string::npos)
+        << flag << ": " << e.output;
   }
 }
 

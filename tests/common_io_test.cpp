@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "mrs/common/csv.hpp"
+#include "mrs/common/json.hpp"
 #include "mrs/common/strfmt.hpp"
 #include "mrs/common/table.hpp"
 
@@ -89,6 +91,22 @@ TEST(Strf, FormatsLikePrintf) {
 TEST(Strf, LongStringsNotTruncated) {
   const std::string big(5000, 'x');
   EXPECT_EQ(strf("%s", big.c_str()).size(), 5000u);
+}
+
+TEST(Json, EscapesHostileStrings) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(json_escape("a\r\nb"), "a\\r\\nb");
+  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
+}
+
+TEST(Json, NumbersRoundTripAndNonFiniteBecomesNull) {
+  EXPECT_EQ(json_number(0.1), "0.10000000000000001");
+  EXPECT_EQ(json_number(3.0), "3");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
 }
 
 }  // namespace

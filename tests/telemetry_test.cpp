@@ -310,14 +310,6 @@ TEST(JsonlExport, EveryLineIsABalancedObjectWithType) {
   EXPECT_NE(doc.find("\"overflow\":1"), std::string::npos);
 }
 
-TEST(JsonlExport, EscapesHostileStrings) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
-}
-
 /// Event of job 0 ("job1"), as the engine emits it.
 mapreduce::EngineEvent job1_event(mapreduce::EventKind kind, Seconds time,
                                   bool is_map = true, std::size_t task = 0,

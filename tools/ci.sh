@@ -25,10 +25,11 @@
 #      differential suite (its parallel model exercises the threaded
 #      component sweep); TSAN=1 widens this to the full test suite
 # Between 3 and 4 run the admission, tenant, hetero, chaos and
-# trace-replay smokes, then the bench_paper smoke: --help lists 15
-# distinct rows, an unknown row exits 2, the two rows that need no
-# simulation write their CSVs, and every `bench_paper <row>` the docs
-# name is a listed row.
+# trace-replay smokes (the last four include a `bench_paper <study>_quick`
+# row), then the bench_paper smoke: --help lists 26 distinct rows, an
+# unknown row exits 2, the two rows that need no simulation write their
+# CSVs, every `bench_paper <row>` the docs name is a listed row, and every
+# build/bench/<binary> the docs name is one the build defines and produced.
 #
 # Every step runs even when an earlier one failed; the script then lists
 # the failed steps and exits non-zero.
@@ -175,7 +176,7 @@ print("tenant smoke: slices sum to aggregate "
 PY
 fi
 echo "==> tenant smoke: quick isolation bench runs"
-PNATS_QUICK=1 ./build/bench/bench_tenant_isolation >/dev/null
+./build/bench/bench_paper tenant_isolation_quick >/dev/null
 test -s bench_out/tenant_isolation_quick.csv
 echo "tenant smoke: bench_out/tenant_isolation_quick.csv written"
 }
@@ -204,7 +205,7 @@ print(f"hetero smoke: {nodes} nodes per class, {sum(maps)} maps attributed")
 PY
 fi
 echo "==> hetero smoke: quick heterogeneity sweep runs"
-PNATS_QUICK=1 ./build/bench/bench_hetero_sweep >/dev/null
+./build/bench/bench_paper hetero_sweep_quick >/dev/null
 test -s bench_out/hetero_sweep_quick.csv
 echo "hetero smoke: bench_out/hetero_sweep_quick.csv written"
 }
@@ -230,7 +231,7 @@ test -s "$SMOKE_DIR/chaos.jsonl"
 ./build/tools/trace_analyze "$SMOKE_DIR/chaos.jsonl" --top 3 >/dev/null
 echo "chaos smoke: stream drained with non-zero stall retries"
 echo "==> chaos smoke: quick degraded-network bench runs"
-PNATS_QUICK=1 ./build/bench/bench_degraded_network >/dev/null
+./build/bench/bench_paper degraded_network_quick >/dev/null
 test -s bench_out/degraded_network_quick.csv
 echo "chaos smoke: bench_out/degraded_network_quick.csv written"
 }
@@ -255,7 +256,7 @@ echo "$TR_OUT" | grep -q 'drained=yes'
 echo "$TR_OUT" | grep -Eq 'tenant [0-9]+ submitted='
 echo "trace-replay smoke: streamed replay drained with per-tenant summary"
 echo "==> trace-replay smoke: quick trace-replay bench runs"
-PNATS_QUICK=1 ./build/bench/bench_trace_replay >/dev/null
+./build/bench/bench_paper trace_replay_quick >/dev/null
 test -s bench_out/trace_replay_quick.csv
 echo "trace-replay smoke: bench_out/trace_replay_quick.csv written"
 }
@@ -263,13 +264,16 @@ echo "trace-replay smoke: bench_out/trace_replay_quick.csv written"
 step_bench_paper() {
 echo "==> bench_paper smoke: row table, bad row, no-simulation rows, doc names"
 # --help lists one "  <row>  <figure>: <caption>" line per row; the rows
-# must be 15 distinct names. An unknown row exits 2. Table II and Fig. 3
+# must be 26 distinct names. An unknown row exits 2. Table II and Fig. 3
 # need no simulation, so they are cheap enough to run here. Every
 # `bench_paper <row>` the docs name must be a listed row (the same
-# doc-drift idea as cli_test's flag check).
+# doc-drift idea as cli_test's flag check), and every build/bench/<name>
+# they name must be an executable bench/CMakeLists.txt defines and the
+# build produced (a stale binary left in build/ does not count).
+DOCS=(README.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SKILL.md)
 PAPER_ROWS="$(./build/bench/bench_paper --help | awk '/^  [a-z]/ {print $1}')"
-test "$(echo "$PAPER_ROWS" | wc -l)" -eq 15
-test "$(echo "$PAPER_ROWS" | sort -u | wc -l)" -eq 15
+test "$(echo "$PAPER_ROWS" | wc -l)" -eq 26
+test "$(echo "$PAPER_ROWS" | sort -u | wc -l)" -eq 26
 BAD_ROW_STATUS=0
 ./build/bench/bench_paper no_such_row >/dev/null 2>&1 || BAD_ROW_STATUS=$?
 test "$BAD_ROW_STATUS" -eq 2
@@ -278,8 +282,7 @@ rm -f bench_out/table2_workload.csv bench_out/fig3_datasize_cdf.csv
 test -s bench_out/table2_workload.csv
 test -s bench_out/fig3_datasize_cdf.csv
 DOC_ROWS="$(grep -ohE 'bench_paper( +[a-z][a-z0-9]*_[a-z0-9_]*)+' \
-  README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md \
-  | tr -s ' ' '\n' | grep -v '^bench_paper$' | sort -u)"
+  "${DOCS[@]}" | tr -s ' ' '\n' | grep -v '^bench_paper$' | sort -u)"
 test -n "$DOC_ROWS"
 for row in $DOC_ROWS; do
   if ! echo "$PAPER_ROWS" | grep -qx "$row"; then
@@ -287,7 +290,18 @@ for row in $DOC_ROWS; do
     exit 1
   fi
 done
-echo "bench_paper smoke: 15 rows; docs name $(echo "$DOC_ROWS" | wc -l) of them"
+DOC_BINS="$(grep -ohE 'build/bench/[a-z_0-9]+' "${DOCS[@]}" \
+  | sed 's|.*/||' | sort -u)"
+test -n "$DOC_BINS"
+for bin in $DOC_BINS; do
+  if ! grep -q "^add_executable($bin " bench/CMakeLists.txt \
+      || ! test -x "build/bench/$bin"; then
+    echo "docs name build/bench/$bin, which the build does not produce"
+    exit 1
+  fi
+done
+echo "bench_paper smoke: 26 rows; docs name $(echo "$DOC_ROWS" | wc -l)" \
+  "of them and $(echo "$DOC_BINS" | wc -l) bench binaries"
 }
 
 step_perf() {

@@ -3,13 +3,14 @@
 // Runs a Table II batch, or an open-loop job stream, under a chosen
 // scheduler and prints a summary; optionally persists the full task/job
 // records for offline analysis. Every flag is one row of the table in
-// main(): the parser, `pnats_sim --help` and the defaults it shows all
+// run_cli(): the parser, `pnats_sim --help` and the defaults it shows all
 // come from those rows, and most rows bind a field of the run's config.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <string>
@@ -377,9 +378,7 @@ void print_exports(const driver::ExperimentResult& result,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   driver::StreamConfig scfg;
   auto& cfg = scfg.base;
   cfg = driver::paper_config({}, driver::SchedulerKind::kPna);
@@ -864,4 +863,18 @@ int main(int argc, char** argv) {
   }
   print_exports(result, cfg);
   return result.completed ? 0 : 1;
+}
+
+}  // namespace
+
+// A path the run cannot open or read (--trace-out, --arrival-trace, ...)
+// is user input, not a programming error: report it and exit 2 like any
+// other malformed flag.
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pnats_sim: %s\n", e.what());
+    return 2;
+  }
 }
