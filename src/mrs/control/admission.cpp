@@ -144,7 +144,6 @@ std::unique_ptr<AdmissionPolicy> make_policy(const AdmissionConfig& cfg) {
 AdmissionController::AdmissionController(AdmissionConfig cfg)
     : cfg_(std::move(cfg)), policy_(make_policy(cfg_)) {
   MRS_REQUIRE(cfg_.deferral.initial_backoff > 0.0);
-  MRS_REQUIRE(cfg_.deferral.backoff_multiplier >= 1.0);
   MRS_REQUIRE(cfg_.deferral.max_backoff >= cfg_.deferral.initial_backoff);
   MRS_REQUIRE(cfg_.delay_ewma_alpha > 0.0 && cfg_.delay_ewma_alpha <= 1.0);
   if (!cfg_.tenant_quota_weights.empty()) {
@@ -208,7 +207,7 @@ void AdmissionController::count_tenant_outcome(TenantId tenant,
 Seconds AdmissionController::backoff_for(std::size_t deferrals_so_far) const {
   Seconds backoff = cfg_.deferral.initial_backoff;
   for (std::size_t i = 0; i < deferrals_so_far; ++i) {
-    backoff *= cfg_.deferral.backoff_multiplier;
+    backoff *= 2.0;
     if (backoff >= cfg_.deferral.max_backoff) break;
   }
   return std::min(backoff, cfg_.deferral.max_backoff);

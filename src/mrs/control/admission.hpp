@@ -72,13 +72,12 @@ struct AdmissionObservables {
   Seconds queueing_delay_ewma = 0.0;
 };
 
-/// Retry schedule for deferred arrivals: backoff_k = min(initial *
-/// multiplier^k, max_backoff); after max_deferrals deferrals the next
-/// defer becomes a hard reject.
+/// Retry schedule for deferred arrivals: backoff_k = min(initial * 2^k,
+/// max_backoff); after max_deferrals deferrals the next defer becomes a
+/// hard reject.
 struct DeferralConfig {
   std::size_t max_deferrals = 4;
   Seconds initial_backoff = 15.0;
-  double backoff_multiplier = 2.0;
   Seconds max_backoff = 120.0;
 };
 

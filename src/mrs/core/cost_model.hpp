@@ -18,6 +18,10 @@
 
 namespace mrs::core {
 
+/// Converts bytes x distance network costs into seconds, commensurable
+/// with compute terms (PNA's cost blend, the unrelated-machines baseline).
+inline constexpr BytesPerSec kReferenceBandwidth = units::Gbps(1);
+
 /// How the scheduler guesses the final intermediate size I_jf of a map
 /// task that is still running.
 enum class EstimatorMode {

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <limits>
 
+#include "mrs/mapreduce/job_policy.hpp"
 #include "mrs/trace/decision.hpp"
 
 namespace mrs::core {
 
 using mapreduce::Engine;
+using mapreduce::JobOrder;
 using mapreduce::JobRun;
 using mapreduce::jobs_for_maps;
 using mapreduce::jobs_for_reduces;
@@ -17,7 +19,6 @@ PnaScheduler::PnaScheduler(PnaConfig cfg, Rng rng)
     : cfg_(cfg), rng_(std::move(rng)) {
   MRS_REQUIRE(cfg_.p_min >= 0.0 && cfg_.p_min < 1.0);
   MRS_REQUIRE(cfg_.cost_mix >= 0.0 && cfg_.cost_mix <= 1.0);
-  MRS_REQUIRE(cfg_.reference_bandwidth > 0.0);
 }
 
 void PnaScheduler::set_telemetry(telemetry::Registry* registry) {
@@ -46,50 +47,23 @@ void PnaScheduler::set_telemetry(telemetry::Registry* registry) {
 }
 
 void PnaScheduler::on_heartbeat(Engine& engine, NodeId node) {
-  // Map slots: walk jobs in policy order; a failed attempt (skip or lost
-  // Bernoulli draw) moves on to the next job, so one bad fit doesn't idle
-  // the whole node, but no job gets a second draw within one heartbeat.
-  // A job with nothing left to offer is *not* a failed attempt: Algorithm 1
-  // Line 11 breaks only on a lost draw / P_min skip, so an exhausted job
-  // always advances the walk (otherwise a fully-assigned front job idles
-  // the node while later jobs starve).
-  {
-    auto jobs = jobs_for_maps(engine, cfg_.job_order);
-    std::size_t ji = 0;
-    while (engine.map_budget_left() > 0 &&
-           engine.cluster().node(node).free_map_slots() > 0 &&
-           ji < jobs.size()) {
-      JobRun& job = *jobs[ji];
-      if (job.maps_unassigned() == 0) {
-        ++ji;  // exhausted mid-heartbeat: offer the slot to the next job
-        continue;
-      }
-      if (!schedule_map(engine, job, node)) {
-        if (!cfg_.walk_jobs_on_failure) break;  // Algorithm 1 Line 11
-        ++ji;
-      }
-    }
+  // One map and one reduce offer per heartbeat (the engine's budget of
+  // one each), made to the first job in fair order (Hadoop's default job
+  // policy). A failed draw or P_min skip ends the offer: Algorithm 1
+  // Line 11 and Algorithm 2 Line 12 return. Speculation may already have
+  // spent the map budget.
+  if (engine.map_budget_left() > 0 &&
+      engine.cluster().node(node).free_map_slots() > 0) {
+    const auto jobs = jobs_for_maps(engine, JobOrder::kFair);
+    if (!jobs.empty()) schedule_map(engine, *jobs.front(), node);
   }
-  // Reduce slots: same walk, plus the no-colocation gate of Algorithm 2.
-  {
-    auto jobs = jobs_for_reduces(engine, cfg_.job_order);
-    std::size_t ji = 0;
-    while (engine.reduce_budget_left() > 0 &&
-           engine.cluster().node(node).free_reduce_slots() > 0 &&
-           ji < jobs.size()) {
-      JobRun& job = *jobs[ji];
-      if (cfg_.forbid_colocated_reduces && job.has_reduce_on(node)) {
-        ++ji;  // the colocation gate always moves on to the next job
-        continue;
-      }
-      if (job.reduces_unassigned() == 0) {
-        ++ji;  // exhausted mid-heartbeat (Algorithm 2 Line 12 is a draw
-        continue;  // failure, not exhaustion)
-      }
-      if (!schedule_reduce(engine, job, node)) {
-        if (!cfg_.walk_jobs_on_failure) break;  // Algorithm 2 Line 12
-        ++ji;
-      }
+  // Algorithm 2, Line 1: never run two reduce tasks of one job on a node,
+  // so the offer goes to the first job without a reduce here.
+  if (engine.cluster().node(node).free_reduce_slots() > 0) {
+    for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFair)) {
+      if (job->has_reduce_on(node)) continue;
+      schedule_reduce(engine, *job, node);
+      break;
     }
   }
 }
@@ -135,13 +109,15 @@ bool PnaScheduler::schedule_map(Engine& engine, JobRun& job, NodeId node) {
   double best_c_ave = 0.0;
   std::size_t best_task = job.map_count();
   std::uint64_t candidates = 0;
-  const bool cached = job.has_static_costs();
+  // Costs come from the job's static replica-distance cache. B_j scales
+  // cost and average identically, so it cancels out of the ratio
+  // C_ave / C_ij — work with raw distances.
   // Fast C_ave: the per-task row sum over N_m is maintained incrementally
   // (patched by +/- distance on free-set toggles). Only provably exact —
   // and therefore only enabled — for integral static distances, where the
   // patched double sum is bit-identical to the naive rescan below.
   const bool incremental =
-      cfg_.incremental_scoring && cached && job.static_costs_integral();
+      cfg_.incremental_scoring && job.static_costs_integral();
   // Combined cost mode: per-node compute speeds enter both sides of the
   // ratio. The inverse-speed sum over N_m depends only on the free set,
   // so it is computed once per decision.
@@ -162,28 +138,20 @@ bool PnaScheduler::schedule_map(Engine& engine, JobRun& job, NodeId node) {
         continue;
       }
       ++candidates;
-      double c_ij, c_sum = 0.0;
+      double c_ij = job.static_min_distance(j, node);             // Line 4
+      double c_sum = 0.0;                                         // Line 6
       if (incremental) {
-        c_ij = job.static_min_distance(j, node);                  // Line 4
-        c_sum = job.static_free_map_sum(j);                       // Line 6
-      } else if (cached) {
-        // B_j scales cost and average identically, so it cancels out of the
-        // ratio C_ave / C_ij — work with raw distances.
-        c_ij = job.static_min_distance(j, node);                  // Line 4
-        for (NodeId k : n_m) c_sum += job.static_min_distance(j, k);
+        c_sum = job.static_free_map_sum(j);
       } else {
-        c_ij = engine.map_cost(job, j, node);                     // Line 4
-        for (NodeId k : n_m) c_sum += engine.map_cost(job, j, k); // Line 6
+        for (NodeId k : n_m) c_sum += job.static_min_distance(j, k);
       }
       if (mix > 0.0) {
         // Blend into estimated seconds. The distance terms above are
         // identical across the incremental/naive branches, and the blend
         // is applied to them with the same scale factors — so the
-        // fast-vs-naive byte identity survives the mix. (Cached branches
-        // carry raw distances, the provider branch bytes x distance.)
+        // fast-vs-naive byte identity survives the mix.
         const double bytes = job.spec().map_tasks[j].input_size;
-        const double net_scale =
-            (cached ? bytes : 1.0) / cfg_.reference_bandwidth;
+        const double net_scale = bytes / kReferenceBandwidth;
         const double comp_scale = bytes / job.spec().map_rate;
         c_ij = (1.0 - mix) * net_scale * c_ij +
                mix * comp_scale / node_speed;
@@ -297,9 +265,9 @@ bool PnaScheduler::schedule_reduce(Engine& engine, JobRun& job, NodeId node) {
         // sort+reduce compute seconds at the candidate's speed.
         const double comp_scale =
             eval.snapshot().total_for(f) / job.spec().reduce_rate;
-        c_if = (1.0 - mix) * c_if / cfg_.reference_bandwidth +
+        c_if = (1.0 - mix) * c_if / kReferenceBandwidth +
                mix * comp_scale / node_speed;
-        c_ave = (1.0 - mix) * c_ave / cfg_.reference_bandwidth +
+        c_ave = (1.0 - mix) * c_ave / kReferenceBandwidth +
                 mix * comp_scale * inv_speed_sum /
                     static_cast<double>(n_r.size());
       }

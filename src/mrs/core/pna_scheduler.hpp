@@ -14,7 +14,6 @@
 #include "mrs/core/cost_model.hpp"
 #include "mrs/core/probability.hpp"
 #include "mrs/mapreduce/engine.hpp"
-#include "mrs/mapreduce/job_policy.hpp"
 #include "mrs/mapreduce/scheduler.hpp"
 
 namespace mrs::core {
@@ -28,30 +27,17 @@ struct PnaConfig {
   /// Intermediate-size estimator (Eq. 3 by default; kCurrent reproduces
   /// the Coupling Scheduler's estimation for the ablation).
   EstimatorMode estimator = EstimatorMode::kProjected;
-  /// Job-level policy (the paper uses Hadoop's default fair scheduler).
-  mapreduce::JobOrder job_order = mapreduce::JobOrder::kFair;
-  /// Algorithm 2, Line 1: never run two reduce tasks of one job on a node.
-  bool forbid_colocated_reduces = true;
-  /// After a failed attempt (probability skip or lost draw) for the
-  /// job-level pick, offer the slot to the next job in policy order
-  /// instead of ending the heartbeat. The paper's pseudocode returns
-  /// immediately (false); walking on trades placement quality for
-  /// utilization. A job with no task left to offer always advances the
-  /// walk regardless — exhaustion is not a failed draw.
-  bool walk_jobs_on_failure = false;
   /// Blend a compute term into the placement cost (heterogeneous
   /// clusters). 0 = the paper's pure network cost, untouched code path.
   /// With alpha in (0, 1], both the offered node's cost and the Eq. 4/5
   /// average become estimated seconds:
-  ///   C = (1 - alpha) * bytes * distance / reference_bandwidth
+  ///   C = (1 - alpha) * bytes * distance / kReferenceBandwidth
   ///     + alpha * bytes / (rate * node_speed)
   /// so a fast node lowers its own cost relative to the average and
   /// attracts work even when its data is remote. The local-replica fast
   /// path is disabled when alpha > 0 (a local task on a slow node is no
   /// longer free).
   double cost_mix = 0.0;
-  /// Converts bytes x distance into seconds for the blend above.
-  BytesPerSec reference_bandwidth = units::Gbps(1);
   /// Use the incremental C_ave fast path (per-job row sums over the
   /// cluster's free-slot index, patched on membership toggles) when the
   /// job's static costs are integral — decision-identical to the naive

@@ -40,11 +40,9 @@ Bytes BlockStore::bytes_on_node(NodeId node) const {
   return node_bytes_[node.value()];
 }
 
-BlockPlacer::BlockPlacer(const net::Topology* topo, Rng rng,
-                         double skew_hot_fraction)
-    : topo_(topo), rng_(std::move(rng)), skew_hot_fraction_(skew_hot_fraction) {
+BlockPlacer::BlockPlacer(const net::Topology* topo, Rng rng)
+    : topo_(topo), rng_(std::move(rng)) {
   MRS_REQUIRE(topo_ != nullptr);
-  MRS_REQUIRE(skew_hot_fraction_ > 0.0 && skew_hot_fraction_ <= 1.0);
 }
 
 std::vector<NodeId> BlockPlacer::place(std::size_t replication,
@@ -107,11 +105,13 @@ std::vector<NodeId> BlockPlacer::place(std::size_t replication,
       break;
     }
     case PlacementPolicy::kSkewed: {
-      // Hot subset [0, hot) absorbs most replicas, modelling the NAS/SAN
-      // case the paper motivates (data concentrated on a few nodes).
+      // Hot subset [0, hot), a quarter of the nodes, absorbs most
+      // replicas, modelling the NAS/SAN case the paper motivates (data
+      // concentrated on a few nodes).
+      constexpr double kHotFraction = 0.25;
       const auto hot = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::ceil(
-                 skew_hot_fraction_ * static_cast<double>(n))));
+          1, static_cast<std::size_t>(
+                 std::ceil(kHotFraction * static_cast<double>(n))));
       while (chosen.size() < replication) {
         const bool in_hot = rng_.bernoulli(0.85);
         const NodeId cand(in_hot ? rng_.index(hot) : rng_.index(n));

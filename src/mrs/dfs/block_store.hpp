@@ -62,8 +62,7 @@ enum class PlacementPolicy {
 /// Rng stream.
 class BlockPlacer {
  public:
-  BlockPlacer(const net::Topology* topo, Rng rng,
-              double skew_hot_fraction = 0.25);
+  BlockPlacer(const net::Topology* topo, Rng rng);
 
   /// Pick `replication` distinct nodes for one block. `writer`, when given,
   /// anchors the HDFS-default policy's first replica.
@@ -74,7 +73,6 @@ class BlockPlacer {
  private:
   const net::Topology* topo_;
   Rng rng_;
-  double skew_hot_fraction_;
 };
 
 /// Split `total_size` into `block_size` chunks (last one short), place each

@@ -9,9 +9,13 @@
 #include "mrs/common/log.hpp"
 #include "mrs/common/strfmt.hpp"
 #include "mrs/driver/striped.hpp"
+#include "mrs/hetero/unrelated.hpp"
 #include "mrs/mapreduce/observers.hpp"
 #include "mrs/net/distance.hpp"
+#include "mrs/sched/coupling.hpp"
 #include "mrs/sched/fifo.hpp"
+#include "mrs/sched/larts.hpp"
+#include "mrs/sched/mincost.hpp"
 #include "mrs/sim/network_service.hpp"
 #include "mrs/sim/simulation.hpp"
 #include "mrs/telemetry/export.hpp"
@@ -34,9 +38,10 @@ net::Topology make_topology(const ExperimentConfig& cfg) {
   if (cfg.racks == 1) {
     return net::make_single_rack(cfg.nodes, cfg.host_link);
   }
+  MRS_REQUIRE(cfg.nodes % cfg.racks == 0);  // keep slot accounting honest
   net::TreeTopologyConfig tree;
   tree.racks = cfg.racks;
-  tree.hosts_per_rack = (cfg.nodes + cfg.racks - 1) / cfg.racks;
+  tree.hosts_per_rack = cfg.nodes / cfg.racks;
   tree.host_link = cfg.host_link;
   tree.uplink = cfg.rack_uplink;
   return net::make_multi_rack_tree(tree);
@@ -51,19 +56,19 @@ std::unique_ptr<mapreduce::TaskScheduler> make_scheduler(
       return std::make_unique<sched::FairScheduler>(cfg.fair,
                                                     std::move(rng));
     case SchedulerKind::kCoupling:
-      return std::make_unique<sched::CouplingScheduler>(cfg.coupling,
-                                                        std::move(rng));
+      return std::make_unique<sched::CouplingScheduler>(
+          sched::CouplingConfig{}, std::move(rng));
     case SchedulerKind::kLarts:
-      return std::make_unique<sched::LartsScheduler>(cfg.larts);
+      return std::make_unique<sched::LartsScheduler>(sched::LartsConfig{});
     case SchedulerKind::kMinCost:
-      return std::make_unique<sched::MinCostScheduler>(cfg.mincost);
+      return std::make_unique<sched::MinCostScheduler>();
     case SchedulerKind::kPna: {
       core::PnaConfig pna = cfg.pna;
       if (cfg.naive_scheduler_path) pna.incremental_scoring = false;
       return std::make_unique<core::PnaScheduler>(pna, std::move(rng));
     }
     case SchedulerKind::kUnrelated:
-      return std::make_unique<hetero::UnrelatedScheduler>(cfg.unrelated);
+      return std::make_unique<hetero::UnrelatedScheduler>();
   }
   MRS_REQUIRE(false && "unknown scheduler kind");
   return nullptr;

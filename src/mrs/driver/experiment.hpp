@@ -19,15 +19,11 @@
 #include "mrs/control/fault_injector.hpp"
 #include "mrs/core/pna_scheduler.hpp"
 #include "mrs/hetero/node_class.hpp"
-#include "mrs/hetero/unrelated.hpp"
 #include "mrs/mapreduce/engine.hpp"
 #include "mrs/mapreduce/failure_injector.hpp"
 #include "mrs/mapreduce/records.hpp"
 #include "mrs/net/link_condition.hpp"
-#include "mrs/sched/coupling.hpp"
 #include "mrs/sched/fair.hpp"
-#include "mrs/sched/larts.hpp"
-#include "mrs/sched/mincost.hpp"
 #include "mrs/telemetry/registry.hpp"
 #include "mrs/telemetry/sampler.hpp"
 #include "mrs/trace/critical_path.hpp"
@@ -122,13 +118,11 @@ struct ExperimentConfig {
   std::optional<double> emit_nonlinearity_override;
 
   // --- scheduler under test ---
+  /// The Coupling, LARTS, mincost and unrelated baselines run with their
+  /// default configurations.
   SchedulerKind scheduler = SchedulerKind::kPna;
   core::PnaConfig pna;
   sched::FairConfig fair;
-  sched::CouplingConfig coupling;
-  sched::LartsConfig larts;
-  sched::MinCostConfig mincost;
-  hetero::UnrelatedConfig unrelated;
 
   /// Disable every incremental scoring structure: the cluster's free-slot
   /// index falls back to a full node scan per query and the PNA scheduler

@@ -1,9 +1,6 @@
 #include "mrs/driver/result_io.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <vector>
 
 #include "mrs/common/csv.hpp"
 #include "mrs/common/strfmt.hpp"
@@ -24,27 +21,7 @@ std::string locality_code(Locality l) {
   return "?";
 }
 
-std::optional<Locality> parse_locality(const std::string& s) {
-  if (s == "node") return Locality::kNodeLocal;
-  if (s == "rack") return Locality::kRackLocal;
-  if (s == "remote") return Locality::kRemote;
-  return std::nullopt;
-}
-
 std::string kind_code(JobKind k) { return mapreduce::to_string(k); }
-
-std::optional<JobKind> parse_kind(const std::string& s) {
-  for (auto k : {JobKind::kWordcount, JobKind::kTerasort, JobKind::kGrep,
-                 JobKind::kCustom}) {
-    if (s == mapreduce::to_string(k)) return k;
-  }
-  return std::nullopt;
-}
-
-/// True for the record a blank line parses to (tolerated between rows).
-bool blank_record(const std::vector<std::string>& f) {
-  return f.size() == 1 && f[0].empty();
-}
 
 }  // namespace
 
@@ -93,85 +70,6 @@ void save_result(const std::string& directory, const std::string& stem,
                  strf("%.17g", t.network_bytes), strf("%zu", t.attempts)});
     }
   }
-}
-
-std::optional<ExperimentResult> load_result(const std::string& directory,
-                                            const std::string& stem) {
-  const std::string base = directory + "/" + stem;
-  std::ifstream meta_in(base + "_meta.csv");
-  std::ifstream jobs_in(base + "_jobs.csv");
-  std::ifstream tasks_in(base + "_tasks.csv");
-  if (!meta_in || !jobs_in || !tasks_in) return std::nullopt;
-
-  ExperimentResult result;
-  std::vector<std::string> f;
-
-  CsvReader meta_csv(meta_in);
-  if (!meta_csv.row(f)) return std::nullopt;  // header
-  if (!meta_csv.row(f)) return std::nullopt;
-  {
-    if (f.size() != 9) return std::nullopt;
-    result.scheduler_name = f[0];
-    result.completed = f[1] == "1";
-    result.makespan = std::stod(f[2]);
-    result.events_processed = std::stoul(f[3]);
-    result.utilization.map_slot_seconds_busy = std::stod(f[4]);
-    result.utilization.reduce_slot_seconds_busy = std::stod(f[5]);
-    result.utilization.span = std::stod(f[6]);
-    result.utilization.total_map_slots = std::stoul(f[7]);
-    result.utilization.total_reduce_slots = std::stoul(f[8]);
-  }
-
-  CsvReader jobs_csv(jobs_in);
-  if (!jobs_csv.row(f)) return std::nullopt;  // header
-  while (jobs_csv.row(f)) {
-    if (blank_record(f)) continue;
-    // 9 columns = pre-abort cache files (implicitly aborted = 0);
-    // 10 = pre-tenant files (implicitly tenant 0).
-    if (f.size() < 9 || f.size() > 11) return std::nullopt;
-    mapreduce::JobRecord j;
-    j.id = JobId(std::stoul(f[0]));
-    j.name = f[1];
-    const auto kind = parse_kind(f[2]);
-    if (!kind) return std::nullopt;
-    j.kind = *kind;
-    j.map_count = std::stoul(f[3]);
-    j.reduce_count = std::stoul(f[4]);
-    j.input_bytes = std::stod(f[5]);
-    j.shuffle_bytes = std::stod(f[6]);
-    j.submit_time = std::stod(f[7]);
-    j.finish_time = std::stod(f[8]);
-    j.aborted = f.size() >= 10 && f[9] == "1";
-    if (f.size() >= 11) j.tenant = TenantId(std::stoul(f[10]));
-    result.job_records.push_back(std::move(j));
-    result.makespan = std::max(result.makespan,
-                               result.job_records.back().finish_time);
-  }
-
-  CsvReader tasks_csv(tasks_in);
-  if (!tasks_csv.row(f)) return std::nullopt;  // header
-  while (tasks_csv.row(f)) {
-    if (blank_record(f)) continue;
-    if (f.size() != 11) return std::nullopt;
-    mapreduce::TaskRecord t;
-    t.job = JobId(std::stoul(f[0]));
-    const auto kind = parse_kind(f[1]);
-    if (!kind) return std::nullopt;
-    t.kind = *kind;
-    t.is_map = f[2] == "1";
-    t.index = std::stoul(f[3]);
-    t.node = NodeId(std::stoul(f[4]));
-    const auto loc = parse_locality(f[5]);
-    if (!loc) return std::nullopt;
-    t.locality = *loc;
-    t.assigned_at = std::stod(f[6]);
-    t.finished_at = std::stod(f[7]);
-    t.placement_cost = std::stod(f[8]);
-    t.network_bytes = std::stod(f[9]);
-    t.attempts = std::stoul(f[10]);
-    result.task_records.push_back(std::move(t));
-  }
-  return result;
 }
 
 }  // namespace mrs::driver

@@ -1,9 +1,7 @@
-// Persistence for experiment results: task/job records round-trip through
-// CSV files so expensive runs can be cached and post-processed offline
-// (the bench harness reuses one set of paper-scale runs across figures).
+// Persistence for experiment results: task/job records are written as CSV
+// files for offline post-processing (pnats_sim --out).
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "mrs/driver/experiment.hpp"
@@ -14,10 +12,5 @@ namespace mrs::driver {
 /// <stem>_meta.csv, <stem>_jobs.csv, <stem>_tasks.csv.
 void save_result(const std::string& directory, const std::string& stem,
                  const ExperimentResult& result);
-
-/// Load a result previously written by save_result; nullopt when any of
-/// the three files is missing or malformed.
-[[nodiscard]] std::optional<ExperimentResult> load_result(
-    const std::string& directory, const std::string& stem);
 
 }  // namespace mrs::driver

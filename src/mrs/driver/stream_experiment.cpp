@@ -83,11 +83,9 @@ std::vector<StreamResult> run_stream_experiments(
 StreamResult run_stream_experiment(const StreamConfig& cfg,
                                    workload::ArrivalSource& source) {
   MRS_REQUIRE(cfg.warmup >= 0.0 && cfg.warmup < cfg.arrivals.duration);
-  MRS_REQUIRE(cfg.stream_lookahead > 0.0);
   StreamResult result;
   const ExperimentConfig run_cfg = stream_base_config(cfg);
-  result.run =
-      run_experiment_streamed(run_cfg, source, cfg.stream_lookahead);
+  result.run = run_experiment_streamed(run_cfg, source);
   finish_stream_result(cfg, result);
   return result;
 }

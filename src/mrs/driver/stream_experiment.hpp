@@ -34,9 +34,6 @@ struct StreamConfig {
   /// memory-bounded path for production-scale traces. The trace must be
   /// time-sorted on disk. StreamResult::arrivals stays empty.
   bool stream_trace = false;
-  /// How far ahead of the clock streamed arrivals are submitted (see
-  /// run_experiment_streamed).
-  Seconds stream_lookahead = 30.0;
 };
 
 struct StreamResult {

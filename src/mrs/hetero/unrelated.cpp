@@ -3,18 +3,17 @@
 #include <algorithm>
 #include <limits>
 
+#include "mrs/mapreduce/job_policy.hpp"
 #include "mrs/trace/decision.hpp"
 
 namespace mrs::hetero {
 
+using core::kReferenceBandwidth;
 using mapreduce::Engine;
+using mapreduce::JobOrder;
 using mapreduce::JobRun;
 using mapreduce::jobs_for_maps;
 using mapreduce::jobs_for_reduces;
-
-UnrelatedScheduler::UnrelatedScheduler(UnrelatedConfig cfg) : cfg_(cfg) {
-  MRS_REQUIRE(cfg_.reference_bandwidth > 0.0);
-}
 
 void UnrelatedScheduler::set_telemetry(telemetry::Registry* registry) {
   if (registry == nullptr) {
@@ -47,7 +46,7 @@ void UnrelatedScheduler::on_heartbeat(Engine& engine, NodeId node) {
 bool UnrelatedScheduler::try_map(Engine& engine, NodeId node) {
   const double speed = engine.cluster().node(node).speed_factor;
   MRS_ASSERT(speed > 0.0);
-  for (JobRun* job : jobs_for_maps(engine, cfg_.job_order)) {
+  for (JobRun* job : jobs_for_maps(engine, JobOrder::kFair)) {
     const double map_rate = job->spec().map_rate;
     double best_time = std::numeric_limits<double>::max();
     std::size_t best_task = job->map_count();
@@ -57,8 +56,7 @@ bool UnrelatedScheduler::try_map(Engine& engine, NodeId node) {
       // Eq. 1's transfer cost in seconds plus the speed-scaled compute
       // time: the p_ij of the unrelated-machines model.
       const double bytes = job->spec().map_tasks[j].input_size;
-      const double net = engine.map_cost(*job, j, node) /
-                         cfg_.reference_bandwidth;
+      const double net = engine.map_cost(*job, j, node) / kReferenceBandwidth;
       const double compute = bytes / (map_rate * speed);
       const double p_ij = net + compute;
       if (p_ij < best_time) {
@@ -101,8 +99,8 @@ bool UnrelatedScheduler::try_map(Engine& engine, NodeId node) {
 
 bool UnrelatedScheduler::try_reduce(Engine& engine, NodeId node) {
   const double speed = engine.cluster().node(node).speed_factor;
-  for (JobRun* job : jobs_for_reduces(engine, cfg_.job_order)) {
-    if (cfg_.forbid_colocated_reduces && job->has_reduce_on(node)) continue;
+  for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFair)) {
+    if (job->has_reduce_on(node)) continue;
     const auto unassigned = job->unassigned_reduces();
     if (unassigned.empty()) continue;
 
@@ -122,8 +120,7 @@ bool UnrelatedScheduler::try_reduce(Engine& engine, NodeId node) {
     std::uint64_t candidates = 0;
     for (std::size_t f : unassigned) {
       ++candidates;
-      const double net = eval.cost(self_index, f) /
-                         cfg_.reference_bandwidth;
+      const double net = eval.cost(self_index, f) / kReferenceBandwidth;
       const double compute = eval.snapshot().total_for(f) /
                              (reduce_rate * speed);
       const double p_if = net + compute;

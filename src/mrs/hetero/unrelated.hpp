@@ -4,44 +4,31 @@
 // Unrelated Processors") models each (task, machine) pair with its own
 // processing time p_ij and builds assignments from per-pair estimated
 // completion times. Adapted to heartbeat granularity: when node i reports
-// a free slot, the scheduler walks the jobs in policy order and assigns
+// a free slot, the scheduler walks the jobs in fair order and assigns
 // the pending task with the smallest estimated service time *on i*,
 //
-//   map:    p_ij = B_j * h_min(j,i) / reference_bandwidth
+//   map:    p_ij = B_j * h_min(j,i) / kReferenceBandwidth
 //                  + B_j / (map_rate * speed_i)
-//   reduce: p_if = C_r(i,f) / reference_bandwidth
+//   reduce: p_if = C_r(i,f) / kReferenceBandwidth
 //                  + total_f / (reduce_rate * speed_i)
 //
 // i.e. the network transfer term the PNA cost model already computes plus
-// the compute term the executing node's class determines. Deterministic
-// (no probability relaxation) and compute-aware — the adversarial
-// baseline for PNA on heterogeneous clusters.
+// the compute term the executing node's class determines. Algorithm 2's
+// no-colocation rule holds, so reduce spreading matches the other
+// schedulers' constraint set. Deterministic (no probability relaxation)
+// and compute-aware — the adversarial baseline for PNA on heterogeneous
+// clusters.
 #pragma once
 
 #include "mrs/core/cost_model.hpp"
 #include "mrs/mapreduce/engine.hpp"
-#include "mrs/mapreduce/job_policy.hpp"
 #include "mrs/mapreduce/scheduler.hpp"
 
 namespace mrs::hetero {
 
-struct UnrelatedConfig {
-  /// Job-level policy (same default as the other baselines).
-  mapreduce::JobOrder job_order = mapreduce::JobOrder::kFair;
-  /// Converts bytes x hop-distance network costs into seconds so they are
-  /// commensurable with the compute term.
-  BytesPerSec reference_bandwidth = units::Gbps(1);
-  /// Keep Algorithm 2's no-colocation rule so reduce spreading matches
-  /// the other schedulers' constraint set.
-  bool forbid_colocated_reduces = true;
-};
-
 class UnrelatedScheduler final : public mapreduce::TaskScheduler {
  public:
-  explicit UnrelatedScheduler(UnrelatedConfig cfg = {});
-
   [[nodiscard]] const char* name() const override { return "unrelated"; }
-  [[nodiscard]] const UnrelatedConfig& config() const { return cfg_; }
 
   void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
 
@@ -67,7 +54,6 @@ class UnrelatedScheduler final : public mapreduce::TaskScheduler {
     telemetry::Histogram* reduce_est_seconds = nullptr;
   };
 
-  UnrelatedConfig cfg_;
   Metrics metrics_;
   trace::DecisionLog* decisions_ = nullptr;
 };

@@ -6,6 +6,21 @@
 
 namespace mrs::mapreduce {
 
+namespace {
+
+constexpr Seconds kHeartbeatInterval = 3.0;
+/// Assignment budget per heartbeat, for maps and reduces alike (Hadoop
+/// 1.x, mapred.fairscheduler.assignmultiple=false).
+constexpr std::size_t kAssignmentsPerHeartbeat = 1;
+/// Max concurrent shuffle fetch flows per reduce task (Hadoop's
+/// mapred.reduce.parallel.copies).
+constexpr std::size_t kShuffleParallelFetchers = 4;
+/// Only speculate once this fraction of a job's maps has finished (there
+/// must be a duration baseline to compare against).
+constexpr double kSpeculationMinProgress = 0.05;
+
+}  // namespace
+
 Engine::Engine(sim::Simulation* simulation, cluster::Cluster* cluster,
                const dfs::BlockStore* blocks, sim::NetworkService* network,
                const net::DistanceProvider* distance, EngineConfig config,
@@ -18,12 +33,10 @@ Engine::Engine(sim::Simulation* simulation, cluster::Cluster* cluster,
       config_(config),
       rng_(std::move(rng)),
       blacklist_(cluster->node_count(), config.blacklist),
-      heartbeats_(simulation, cluster->node_count(),
-                  config.heartbeat_interval) {
+      heartbeats_(simulation, cluster->node_count(), kHeartbeatInterval) {
   MRS_REQUIRE(simulation_ != nullptr && cluster_ != nullptr &&
               blocks_ != nullptr && network_ != nullptr &&
               distance_ != nullptr);
-  MRS_REQUIRE(config_.shuffle_parallel_fetchers >= 1);
   MRS_REQUIRE(config_.reduce_slowstart >= 0.0 &&
               config_.reduce_slowstart <= 1.0);
   MRS_REQUIRE(config_.fault.straggler_probability >= 0.0 &&
@@ -105,8 +118,8 @@ JobRun& Engine::submit(JobSpec spec, Rng rng) {
   JobRun& job = *jobs_.back();
 
   // Build the per-node/per-rack locality index (schedulers find local
-  // candidates in O(1)) and, when distances are time-invariant, the
-  // per-(task, node) minimum replica distance cache behind map_cost().
+  // candidates in O(1)) and the per-(task, node) minimum replica hop
+  // distance cache behind map_cost().
   auto replica_nodes =
       [this, &job](std::size_t j) -> const std::vector<NodeId>& {
     return blocks_->replicas(job.spec().map_tasks[j].block);
@@ -114,17 +127,10 @@ JobRun& Engine::submit(JobSpec spec, Rng rng) {
   job.build_placement_index(
       replica_nodes, [this](NodeId n) { return topology().rack_of(n); },
       topology().rack_count());
-  if (config_.map_cost_source == EngineConfig::MapCostSource::kHops) {
-    job.build_static_costs(
-        cluster_->node_count(), replica_nodes, [this](NodeId a, NodeId b) {
-          return static_cast<double>(topology().hops(a, b));
-        });
-  } else if (distance_->is_static()) {
-    job.build_static_costs(cluster_->node_count(), replica_nodes,
-                           [this](NodeId a, NodeId b) {
-                             return distance_->distance(a, b, 0.0);
-                           });
-  }
+  job.build_static_costs(
+      cluster_->node_count(), replica_nodes, [this](NodeId a, NodeId b) {
+        return static_cast<double>(topology().hops(a, b));
+      });
 
   job_task_bytes_.push_back(
       {std::vector<Bytes>(job.map_count(), 0.0),
@@ -276,22 +282,16 @@ void Engine::on_heartbeat(NodeId node) {
   if (!cluster_->node_alive(node)) return;  // dead trackers don't report
   telemetry::inc(metrics_.heartbeats);
   telemetry::ScopedTimer timer(metrics_.heartbeat_wall);
-  heartbeat_map_budget_ = config_.maps_per_heartbeat;
-  heartbeat_reduce_budget_ = config_.reduces_per_heartbeat;
+  heartbeat_map_budget_ = kAssignmentsPerHeartbeat;
+  heartbeat_reduce_budget_ = kAssignmentsPerHeartbeat;
   if (config_.fault.speculative_execution) maybe_speculate(node);
   scheduler_->on_heartbeat(*this, node);
 }
 
 double Engine::map_cost(const JobRun& job, std::size_t j, NodeId node) const {
-  const MapTaskSpec& spec = job.spec().map_tasks.at(j);
-  if (job.has_static_costs()) {
-    return spec.input_size * job.static_min_distance(j, node);
-  }
-  double best = std::numeric_limits<double>::max();
-  for (NodeId replica : blocks_->replicas(spec.block)) {
-    best = std::min(best, distance(node, replica));
-  }
-  return spec.input_size * best;
+  MRS_REQUIRE(job.has_static_costs());
+  return job.spec().map_tasks.at(j).input_size *
+         job.static_min_distance(j, node);
 }
 
 Locality Engine::map_locality(const JobRun& job, std::size_t j,
@@ -571,7 +571,7 @@ void Engine::maybe_speculate(NodeId node) {
     std::size_t best_task = 0;
     double best_lag = 0.0;
     for (JobRun* job : active_jobs_) {
-      if (job->map_finished_fraction() < fault.speculation_min_progress) {
+      if (job->map_finished_fraction() < kSpeculationMinProgress) {
         continue;
       }
       const auto& durations = job->map_duration_stats();
@@ -732,7 +732,7 @@ void Engine::pump_reduce_fetchers(JobRun& job, std::size_t f) {
   if (r.phase != ReducePhase::kShuffling) return;
 
   const std::size_t nodes = cluster_->node_count();
-  while (r.active_fetchers < config_.shuffle_parallel_fetchers &&
+  while (r.active_fetchers < kShuffleParallelFetchers &&
          r.pending_maps > 0) {
     // Prefer the local batch (no network), then the first non-empty source.
     std::size_t src = nodes;
@@ -809,13 +809,8 @@ void Engine::finish_reduce_shuffle(JobRun& job, std::size_t f) {
   for (std::size_t j = 0; j < job.map_count(); ++j) {
     total += job.final_partition(j, f);
   }
-  double speed = cluster_->node(r.node).speed_factor;
-  if (config_.fault.reduce_stragglers &&
-      config_.fault.straggler_probability > 0.0 &&
-      rng_.bernoulli(config_.fault.straggler_probability)) {
-    speed /= config_.fault.straggler_slowdown;
-  }
-  const Seconds duration = total / (job.spec().reduce_rate * speed);
+  const Seconds duration =
+      total / (job.spec().reduce_rate * cluster_->node(r.node).speed_factor);
   if (observed()) {
     EngineEvent e = task_event(EventKind::kShuffleDone, job, false, f);
     e.duration = duration;

@@ -39,15 +39,8 @@ struct FaultModelConfig {
   /// (overloaded disk, bad NIC, background daemon...).
   double straggler_probability = 0.0;
   double straggler_slowdown = 4.0;
-  /// Also apply straggler draws to reduce compute. Off by default: reduce
-  /// speculation is not modeled, so an unlucky reduce has no mitigation
-  /// and would dominate every comparison.
-  bool reduce_stragglers = false;
   /// Launch backup copies of lagging map attempts; first finisher wins.
   bool speculative_execution = false;
-  /// Only speculate once this fraction of the job's maps has finished
-  /// (there must be a duration baseline to compare against).
-  double speculation_min_progress = 0.05;
   /// An attempt is lagging when it has been running longer than
   /// slack x the mean completed-map duration of its job.
   double speculation_slack = 2.0;
@@ -58,26 +51,9 @@ struct FaultModelConfig {
 };
 
 struct EngineConfig {
-  Seconds heartbeat_interval = 3.0;
-  /// Max concurrent shuffle fetch flows per reduce task (Hadoop's
-  /// mapred.reduce.parallel.copies).
-  std::size_t shuffle_parallel_fetchers = 4;
   /// Fraction of a job's maps that must finish before its reduces may
   /// launch (Hadoop's slowstart; applies to every scheduler).
   double reduce_slowstart = 0.05;
-  /// Source of the distances inside map placement costs (Eq. 1). Replica
-  /// distances are topological, so hop counts are the natural default and
-  /// enable the per-job static cost cache; kProvider routes them through
-  /// the live distance provider instead (the network-condition variant of
-  /// Sec. II-B-3 applied to the map side too).
-  enum class MapCostSource { kHops, kProvider };
-  MapCostSource map_cost_source = MapCostSource::kHops;
-  /// Hadoop 1.x answers each heartbeat with at most one map and one reduce
-  /// assignment (mapred.fairscheduler.assignmultiple=false). This is what
-  /// makes *skipping* an offer (delay scheduling, a failed probability
-  /// draw) cost real time: the slot stays idle until the next heartbeat.
-  std::size_t maps_per_heartbeat = 1;
-  std::size_t reduces_per_heartbeat = 1;
   FaultModelConfig fault;
   /// Abort a job when any of its tasks loses this many attempts to node
   /// failures (Hadoop's mapred.map.max.attempts); 0 = never abort.
@@ -185,9 +161,13 @@ class Engine {
     return active_jobs_;
   }
 
-  /// Remaining assignment budget for the heartbeat being served. Schedulers
-  /// must stop offering once a budget reaches zero; assign_map /
-  /// assign_reduce enforce it.
+  /// Remaining assignment budget for the heartbeat being served. Hadoop 1.x
+  /// answers each heartbeat with at most one map and one reduce assignment
+  /// (mapred.fairscheduler.assignmultiple=false), so each budget starts at
+  /// one: *skipping* an offer (delay scheduling, a failed probability
+  /// draw) costs real time, the slot stays idle until the next heartbeat.
+  /// Schedulers must stop offering once a budget reaches zero; assign_map
+  /// / assign_reduce enforce it.
   [[nodiscard]] std::size_t map_budget_left() const {
     return heartbeat_map_budget_;
   }
@@ -202,7 +182,9 @@ class Engine {
   }
 
   /// Transmission cost of placing map `j` of `job` on `node` (Eq. 1):
-  /// B_j * min over replica holders l of h_{node,l}.
+  /// B_j * min over replica holders l of h_{node,l}, with h the topology's
+  /// hop counts (replica distances are topological; the per-job static
+  /// cost cache built at submit holds them).
   [[nodiscard]] double map_cost(const JobRun& job, std::size_t j,
                                 NodeId node) const;
 

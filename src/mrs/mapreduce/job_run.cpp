@@ -183,6 +183,7 @@ void JobRun::build_static_costs(
     const std::function<double(NodeId, NodeId)>& dist) {
   static_nodes_ = node_count;
   static_min_dist_.assign(maps_.size() * node_count, 0.0);
+  free_map_sum_valid_ = false;
   static_costs_integral_ = true;
   // Exactness bound for the incremental row sums: with every distance an
   // integer <= 2^20 and <= 2^30 summed terms, partial sums stay below

@@ -215,10 +215,11 @@ class JobRun {
   /// First unassigned map, or map_count().
   [[nodiscard]] std::size_t next_any_map();
 
-  // --- static placement-cost cache (built by the engine at submit when
-  //     the distance provider is time-invariant) ---
+  // --- static placement-cost cache (built by the engine at submit from
+  //     topology hop counts) ---
   /// min_distance(j, k) = min over replica holders l of h_kl; `dist` is
-  /// evaluated once per (task, node) pair at build time.
+  /// evaluated once per (task, node) pair at build time. A later call
+  /// replaces the cache (tests install a custom distance matrix this way).
   void build_static_costs(
       std::size_t node_count,
       const std::function<const std::vector<NodeId>&(std::size_t)>&

@@ -162,28 +162,16 @@ Topology make_single_rack(std::size_t hosts, BytesPerSec host_link) {
 
 Topology make_multi_rack_tree(const TreeTopologyConfig& cfg) {
   MRS_REQUIRE(cfg.racks >= 1 && cfg.hosts_per_rack >= 1);
-  MRS_REQUIRE(cfg.core_switches >= 1);
   TopologyBuilder b;
   b.set_rack_count(cfg.racks);
-  std::vector<SwitchId> cores;
-  for (std::size_t c = 0; c < cfg.core_switches; ++c) {
-    cores.push_back(b.add_switch(strf("core%zu", c)));
-  }
+  const SwitchId core = b.add_switch("core0");
   for (std::size_t r = 0; r < cfg.racks; ++r) {
     const SwitchId tor = b.add_switch(strf("tor%zu", r), RackId(r));
-    // Each ToR uplinks to exactly one core so that shortest paths are
-    // unique; additional cores partition the racks round-robin.
-    b.connect_switches(tor, cores[r % cores.size()], cfg.uplink);
+    b.connect_switches(tor, core, cfg.uplink);
     for (std::size_t i = 0; i < cfg.hosts_per_rack; ++i) {
       const NodeId n =
           b.add_host(strf("node%zu-%zu", r, i), RackId(r));
       b.connect_host_switch(n, tor, cfg.host_link);
-    }
-  }
-  if (cores.size() > 1) {
-    // Chain the cores so the graph stays connected.
-    for (std::size_t c = 1; c < cores.size(); ++c) {
-      b.connect_switches(cores[c - 1], cores[c], cfg.uplink);
     }
   }
   return b.build();
@@ -226,30 +214,6 @@ Topology make_fat_tree(const FatTreeConfig& cfg) {
         const NodeId n =
             b.add_host(strf("node%zu-%zu-%zu", pod, e, hst), RackId(rack));
         b.connect_host_switch(n, edge, cfg.link);
-      }
-    }
-  }
-  return b.build();
-}
-
-Topology make_three_tier(const ThreeTierConfig& cfg) {
-  MRS_REQUIRE(cfg.pods >= 1 && cfg.racks_per_pod >= 1 &&
-              cfg.hosts_per_rack >= 1);
-  TopologyBuilder b;
-  b.set_rack_count(cfg.pods * cfg.racks_per_pod);
-  const SwitchId core = b.add_switch("core0");
-  std::size_t rack = 0;
-  for (std::size_t p = 0; p < cfg.pods; ++p) {
-    const SwitchId agg = b.add_switch(strf("agg%zu", p));
-    b.connect_switches(agg, core, cfg.agg_uplink);
-    for (std::size_t r = 0; r < cfg.racks_per_pod; ++r, ++rack) {
-      const SwitchId tor =
-          b.add_switch(strf("tor%zu-%zu", p, r), RackId(rack));
-      b.connect_switches(tor, agg, cfg.tor_uplink);
-      for (std::size_t i = 0; i < cfg.hosts_per_rack; ++i) {
-        const NodeId n =
-            b.add_host(strf("node%zu-%zu-%zu", p, r, i), RackId(rack));
-        b.connect_host_switch(n, tor, cfg.host_link);
       }
     }
   }

@@ -154,7 +154,6 @@ struct TreeTopologyConfig {
   std::size_t hosts_per_rack = 15;
   BytesPerSec host_link = units::Gbps(1);    ///< host <-> ToR
   BytesPerSec uplink = units::Gbps(10);      ///< ToR <-> core (paper: 10 Gbps)
-  std::size_t core_switches = 1;             ///< >1 adds redundant cores
 };
 
 /// All hosts under one top-of-rack switch (hop distances: 0 or 2).
@@ -164,20 +163,9 @@ struct TreeTopologyConfig {
                                         BytesPerSec host_link =
                                             units::Gbps(1));
 
-/// racks x hosts_per_rack two-level tree: hosts - ToR - core.
+/// racks x hosts_per_rack two-level tree: hosts - ToR - one core switch.
 /// Hop distances: 0 (same host), 2 (same rack), 4 (cross rack).
 [[nodiscard]] Topology make_multi_rack_tree(const TreeTopologyConfig& cfg);
-
-/// Three-level tree: hosts - ToR - aggregation - core, `racks` per pod.
-struct ThreeTierConfig {
-  std::size_t pods = 2;
-  std::size_t racks_per_pod = 2;
-  std::size_t hosts_per_rack = 8;
-  BytesPerSec host_link = units::Gbps(1);
-  BytesPerSec tor_uplink = units::Gbps(10);
-  BytesPerSec agg_uplink = units::Gbps(40);  ///< paper: 40 Gbps to the core
-};
-[[nodiscard]] Topology make_three_tier(const ThreeTierConfig& cfg);
 
 /// k-ary fat-tree (Al-Fares et al.): k pods, each with k/2 edge and k/2
 /// aggregation switches; (k/2)^2 core switches; (k/2)^2 hosts per pod.

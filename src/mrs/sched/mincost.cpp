@@ -82,20 +82,6 @@ bool MinCostScheduler::try_map(Engine& engine, NodeId node) {
       }
     }
     if (best_task == job->map_count()) continue;
-    // A finite budget bounds the acceptable regret relative to the best
-    // achievable cost; with floor == 0 any positive regret is over budget.
-    if (cfg_.max_regret_ratio < 1e9 &&
-        best_regret > cfg_.max_regret_ratio * best_floor) {
-      if (decisions_ != nullptr) {
-        decisions_->record(make_record(
-            engine, /*is_map=*/true, job, best_task, node,
-            job->unassigned_maps().size(), free_nodes.size(),
-            best_regret + best_floor, best_floor,
-            static_cast<int>(engine.map_locality(*job, best_task, node)),
-            DecisionOutcome::kThresholdSkip));
-      }
-      continue;  // another free node is a much better home; leave the slot
-    }
     if (decisions_ != nullptr) {
       decisions_->record(make_record(
           engine, /*is_map=*/true, job, best_task, node,

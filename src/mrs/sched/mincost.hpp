@@ -17,24 +17,16 @@
 
 namespace mrs::sched {
 
-struct MinCostConfig {
-  /// Skip the offer when even the best task's regret exceeds this fraction
-  /// of its best-anywhere cost (>= 0; large = never skip).
-  double max_regret_ratio = 1e9;
-};
-
 class MinCostScheduler final : public mapreduce::TaskScheduler {
  public:
-  explicit MinCostScheduler(MinCostConfig cfg = {}) : cfg_(cfg) {}
-
   [[nodiscard]] const char* name() const override { return "mincost"; }
 
   void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
 
-  /// Records per-offer outcomes (local/regret assignment, regret-ratio
-  /// threshold skip, no candidate) for trace explainability. For this
-  /// deterministic baseline `cost` is the chosen placement's cost here
-  /// and `cost_avg` its best-anywhere floor; `p` stays -1.
+  /// Records per-offer outcomes (local/regret assignment, no candidate)
+  /// for trace explainability. For this deterministic baseline `cost` is
+  /// the chosen placement's cost here and `cost_avg` its best-anywhere
+  /// floor; `p` stays -1.
   void set_decision_log(trace::DecisionLog* log) override {
     decisions_ = log;
   }
@@ -43,7 +35,6 @@ class MinCostScheduler final : public mapreduce::TaskScheduler {
   bool try_map(mapreduce::Engine& engine, NodeId node);
   bool try_reduce(mapreduce::Engine& engine, NodeId node);
 
-  MinCostConfig cfg_;
   trace::DecisionLog* decisions_ = nullptr;
 };
 

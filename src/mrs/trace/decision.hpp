@@ -3,8 +3,8 @@
 //
 // Every terminal outcome of a per-offer scheduling pass is recorded —
 // accepts *and* rejects — so a trace can answer "why is this slot
-// idle": a P_min skip, a failed Bernoulli draw, a regret-threshold
-// skip, or simply no runnable candidate.
+// idle": a P_min skip, a failed Bernoulli draw, or simply no runnable
+// candidate.
 #pragma once
 
 #include <cstddef>
@@ -20,11 +20,10 @@ enum class DecisionOutcome {
   kLocalFastPath,    ///< PNA Algorithm 1 local-replica shortcut (P = 1)
   kPminSkip,         ///< best P fell below P_min; offer declined
   kBernoulliReject,  ///< Bernoulli(P) draw came up reject
-  kThresholdSkip,    ///< mincost regret-ratio threshold declined the node
   kNoCandidate,      ///< no runnable task for this offer
 };
 
-inline constexpr std::size_t kDecisionOutcomeCount = 6;
+inline constexpr std::size_t kDecisionOutcomeCount = 5;
 
 [[nodiscard]] constexpr const char* to_string(DecisionOutcome o) {
   switch (o) {
@@ -32,7 +31,6 @@ inline constexpr std::size_t kDecisionOutcomeCount = 6;
     case DecisionOutcome::kLocalFastPath: return "local-fast-path";
     case DecisionOutcome::kPminSkip: return "pmin-skip";
     case DecisionOutcome::kBernoulliReject: return "bernoulli-reject";
-    case DecisionOutcome::kThresholdSkip: return "threshold-skip";
     case DecisionOutcome::kNoCandidate: return "no-candidate";
   }
   return "unknown";

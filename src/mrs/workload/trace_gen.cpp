@@ -10,6 +10,9 @@ namespace mrs::workload {
 
 namespace {
 
+/// Zipf exponent of the per-job user draw (user 0 heaviest).
+constexpr double kUserSkew = 1.2;
+
 /// Sojourn-weighted mean of the burst chain's rate factor: the chain
 /// spends mean_calm / (mean_calm + mean_burst) of its time at 1x and the
 /// rest at multiplier x. Dividing the base rate by this keeps the
@@ -100,7 +103,7 @@ std::optional<Arrival> ProductionTraceGenerator::next() {
   Arrival a;
   a.time = s.now;
   a.job = draw_mix_job(s.cfg.mix, s.mix_rng);
-  const std::size_t user = s.user_rng.zipf(s.cfg.users, s.cfg.user_skew);
+  const std::size_t user = s.user_rng.zipf(s.cfg.users, kUserSkew);
   a.job.tenant = TenantId(user);
   a.job.job_id = strf("%zu", ++s.yielded);
   a.job.name += strf("@u%zu#%06zu", user, s.yielded);

@@ -51,10 +51,9 @@ struct TraceGenConfig {
   double burst_rate_multiplier = 3.0;
   Seconds mean_calm_sojourn = 1800.0;
   Seconds mean_burst_sojourn = 300.0;
-  /// Synthetic user population; each job's user is drawn Zipf(user_skew)
+  /// Synthetic user population; each job's user is drawn Zipf(1.2)
   /// (user 0 heaviest) and mapped to TenantId(user).
   std::size_t users = 8;
-  double user_skew = 1.2;
   /// Job-mix sampler over the Table II catalog (see JobMixConfig). The
   /// constructor pre-sets the heavy-tail knobs.
   JobMixConfig mix;

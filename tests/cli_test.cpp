@@ -120,6 +120,37 @@ TEST(Cli, MalformedInputExitsTwo) {
   }
 }
 
+TEST(Cli, OutOfRangeNumbersExitTwoNamingTheFlag) {
+  // Each value parses but is outside what the run accepts; the first
+  // flag of each row is the one the message must name.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--nodes", "0"},
+      {"--racks", "0"},
+      {"--replication", "0"},
+      {"--pmin", "1.5"},
+      {"--pmin", "-1"},
+      {"--straggler-p", "2"},
+      {"--repair-jitter", "1.5"},
+      {"--net-repair-jitter", "2", "--link-mtbf", "100"},
+      {"--link-repair", "0", "--link-mtbf", "100"},
+      {"--switch-repair", "-1", "--switch-mtbf", "100"},
+      {"--surge-duration", "0", "--surge", "100"},
+      {"--admission-rate", "0", "--admission", "token-bucket"},
+      {"--probation", "-5", "--blacklist"},
+      {"--blacklist-failures", "0", "--blacklist"},
+      {"--racks", "5"},  // 12 nodes do not split evenly into 5 racks
+  };
+  for (const auto& flags : cases) {
+    std::vector<std::string> args = {"--batch", "grep", "--nodes", "12",
+                                     "--seed", "1", "--quiet"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const Exit e = sim(args);
+    EXPECT_TRUE(e.exited_with(2)) << flags[0] << " " << flags[1] << ": "
+                                  << e.output;
+    EXPECT_NE(e.output.find(flags[0]), std::string::npos) << e.output;
+  }
+}
+
 TEST(Cli, TenantQuotasNeedOnePositiveWeightPerTenant) {
   const std::vector<std::string> stream = {
       "--tenants", "2", "--nodes", "12", "--duration", "600",

@@ -33,13 +33,6 @@ net::DistanceMatrix fig2_matrix() {
   return m;
 }
 
-EngineConfig provider_cost_config() {
-  EngineConfig cfg;
-  // Route map costs through the custom matrix, not topology hops.
-  cfg.map_cost_source = EngineConfig::MapCostSource::kProvider;
-  return cfg;
-}
-
 struct Fig2Harness {
   Fig2Harness()
       : topo(net::make_single_rack(4)),
@@ -47,8 +40,21 @@ struct Fig2Harness {
         clstr(&topo, {}, Rng(1)),
         network(&sim, &topo),
         distance(fig2_matrix()),
-        engine(&sim, &clstr, &store, &network, &distance,
-               provider_cost_config()) {}
+        engine(&sim, &clstr, &store, &network, &distance, EngineConfig{}) {}
+
+  /// Submit `spec` and swap its map-cost cache from topology hops to the
+  /// Fig. 2 matrix. No hop topology can stand in for the matrix: it
+  /// breaks the triangle inequality (d(D3,D2) = 10 > 2 + 4).
+  JobRun& submit(JobSpec spec, Rng rng) {
+    JobRun& job = engine.submit(std::move(spec), std::move(rng));
+    job.build_static_costs(
+        4,
+        [this, &job](std::size_t j) -> const std::vector<NodeId>& {
+          return store.replicas(job.spec().map_tasks[j].block);
+        },
+        [this](NodeId a, NodeId b) { return distance.distance(a, b, 0.0); });
+    return job;
+  }
 
   sim::Simulation sim;
   net::Topology topo;
@@ -69,7 +75,7 @@ TEST(Fig2Example, MapCostsMatchPaper) {
       {h.store.add_block(128.0, {NodeId(0)}), 128.0});
   spec.map_tasks.push_back(
       {h.store.add_block(128.0, {NodeId(1)}), 128.0});
-  JobRun& job = h.engine.submit(std::move(spec), Rng(2));
+  JobRun& job = h.submit(std::move(spec), Rng(2));
 
   // "the transmission cost for M1 [on D3] is 128 x 2 = 256 and the cost
   // for M2 [on D2] is 128 x 0 = 0"

@@ -75,52 +75,6 @@ TEST(PnaScheduler, TooHighPMinStallsReduces) {
   }
 }
 
-TEST(PnaScheduler, ExhaustedJobAdvancesMapWalkWithinHeartbeat) {
-  // assignmultiple-style config (4 maps per heartbeat): the front job has
-  // one map left. Once it is assigned mid-heartbeat, "nothing left to
-  // offer" must advance the walk to the next job — it is not a failed
-  // draw (Algorithm 1 Line 11). The old walk conflated the two and broke
-  // out, idling 3 budgeted slots while job 1 starved until job 0
-  // completed entirely.
-  mapreduce::EngineConfig ecfg;
-  ecfg.maps_per_heartbeat = 4;
-  MiniCluster h(1, {}, ecfg);
-  JobRun& first = h.submit_job(1, 1, 64.0 * units::kMiB, 1.0,
-                               /*replication=*/1);
-  JobRun& second = h.submit_job(3, 1, 64.0 * units::kMiB, 1.0,
-                                /*replication=*/1);
-  PnaScheduler pna(paper_defaults(), Rng(5));
-  h.run(pna);
-  EXPECT_TRUE(h.engine.all_jobs_complete());
-  // Everything fits the first heartbeat (t = 0): 4 free slots, budget 4.
-  EXPECT_DOUBLE_EQ(first.map_state(0).assigned_at, 0.0);
-  for (std::size_t j = 0; j < second.map_count(); ++j) {
-    EXPECT_DOUBLE_EQ(second.map_state(j).assigned_at, 0.0);
-  }
-}
-
-TEST(PnaScheduler, ExhaustedJobAdvancesReduceWalkWithinHeartbeat) {
-  // Reduce-side analog. With the colocation ban off, the exhausted front
-  // job hits the same conflated branch (Algorithm 2 Line 12) in the old
-  // walk; both single-reduce jobs must place in the first heartbeat.
-  mapreduce::EngineConfig ecfg;
-  ecfg.maps_per_heartbeat = 4;
-  ecfg.reduces_per_heartbeat = 2;
-  ecfg.reduce_slowstart = 0.0;
-  MiniCluster h(1, {}, ecfg);
-  JobRun& first = h.submit_job(1, 1, 64.0 * units::kMiB, 1.0,
-                               /*replication=*/1);
-  JobRun& second = h.submit_job(1, 1, 64.0 * units::kMiB, 1.0,
-                                /*replication=*/1);
-  PnaConfig cfg = paper_defaults();
-  cfg.forbid_colocated_reduces = false;
-  PnaScheduler pna(cfg, Rng(6));
-  h.run(pna);
-  EXPECT_TRUE(h.engine.all_jobs_complete());
-  EXPECT_DOUBLE_EQ(first.reduce_state(0).assigned_at, 0.0);
-  EXPECT_DOUBLE_EQ(second.reduce_state(0).assigned_at, 0.0);
-}
-
 TEST(PnaScheduler, ColocationBanHolds) {
   // Track concurrent reduces per node through the run via a wrapper.
   struct Watcher final : mapreduce::TaskScheduler {
@@ -149,16 +103,6 @@ TEST(PnaScheduler, ColocationBanHolds) {
   h.run(w);
   EXPECT_TRUE(h.engine.all_jobs_complete());
   EXPECT_FALSE(w.violated);
-}
-
-TEST(PnaScheduler, ColocationBanCanBeDisabled) {
-  MiniCluster h(2);  // 2 nodes x 2 reduce slots, 6 reduces
-  PnaConfig cfg = paper_defaults();
-  cfg.forbid_colocated_reduces = false;
-  JobRun& job = h.submit_job(4, 6);
-  PnaScheduler pna(cfg, Rng(6));
-  h.run(pna);
-  EXPECT_TRUE(job.complete());
 }
 
 TEST(PnaScheduler, DeterministicGivenSeed) {

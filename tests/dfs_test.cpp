@@ -98,7 +98,7 @@ TEST(BlockPlacer, HdfsThirdReplicaSameRackAsSecond) {
 
 TEST(BlockPlacer, SkewedConcentratesOnHotSubset) {
   const auto topo = make_single_rack(20);
-  BlockPlacer placer(&topo, Rng(6), /*hot_fraction=*/0.25);
+  BlockPlacer placer(&topo, Rng(6));
   int hot_hits = 0, total = 0;
   for (int i = 0; i < 400; ++i) {
     for (NodeId n : placer.place(2, PlacementPolicy::kSkewed)) {

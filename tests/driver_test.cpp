@@ -183,6 +183,15 @@ TEST(Driver, MultiRackTopology) {
   EXPECT_TRUE(any_remote_or_rack);
 }
 
+TEST(Driver, RacksMustDivideNodes) {
+  // Rounding hosts_per_rack up would build a bigger cluster than asked
+  // for (12 nodes in 5 racks would simulate 15).
+  ExperimentConfig cfg = tiny_config(SchedulerKind::kPna);
+  cfg.nodes = 12;
+  cfg.racks = 5;
+  EXPECT_DEATH((void)run_experiment(cfg), "nodes % cfg.racks");
+}
+
 TEST(Driver, DistanceModesAllRun) {
   for (auto mode : {DistanceMode::kHops, DistanceMode::kInverseRate,
                     DistanceMode::kWeightedPerLink, DistanceMode::kLoadAware}) {

@@ -350,24 +350,6 @@ TEST(Speculation, AttemptsRecorded) {
   EXPECT_TRUE(multi_attempt);
 }
 
-TEST(Stragglers, ReduceStragglersSlowCompletion) {
-  // Reduce-side stragglers are off by default; with them on, near-certain
-  // slowdown draws on every reduce must stretch the makespan.
-  auto run_with = [](bool reduce_stragglers) {
-    mapreduce::EngineConfig cfg;
-    cfg.fault.straggler_probability = 0.9;
-    cfg.fault.straggler_slowdown = 8.0;
-    cfg.fault.reduce_stragglers = reduce_stragglers;
-    MiniCluster h(4, {}, cfg);
-    h.submit_job(8, 6);
-    sched::FifoScheduler fifo;
-    h.run(fifo);
-    EXPECT_TRUE(h.engine.all_jobs_complete());
-    return h.engine.job_records().front().completion_time();
-  };
-  EXPECT_GT(run_with(true), run_with(false));
-}
-
 TEST(Speculation, CapZeroDisablesBackups) {
   mapreduce::EngineConfig cfg;
   cfg.fault.straggler_probability = 0.3;

@@ -51,17 +51,6 @@ TEST(Interaction, PnaUnderFailures) {
   EXPECT_TRUE(h.engine.all_jobs_complete());
 }
 
-TEST(Interaction, PnaWalkJobsVariantCompletes) {
-  MiniCluster h(4);
-  h.submit_job(10, 3);
-  h.submit_job(10, 3);
-  core::PnaConfig cfg;
-  cfg.walk_jobs_on_failure = true;
-  core::PnaScheduler pna(cfg, Rng(4));
-  h.run(pna);
-  EXPECT_TRUE(h.engine.all_jobs_complete());
-}
-
 TEST(Interaction, EstimatorSeesStreamingMaps) {
   // A map in the kFetching (streaming) phase reports progress > 0, so the
   // projected estimator must include its output.

@@ -57,19 +57,6 @@ TEST(MultiRack, HopDistances) {
   EXPECT_TRUE(t.same_rack(NodeId(3), NodeId(4)));
 }
 
-TEST(ThreeTier, HopDistances) {
-  ThreeTierConfig cfg;
-  cfg.pods = 2;
-  cfg.racks_per_pod = 2;
-  cfg.hosts_per_rack = 2;
-  const Topology t = make_three_tier(cfg);
-  EXPECT_EQ(t.host_count(), 8u);
-  EXPECT_EQ(t.rack_count(), 4u);
-  EXPECT_EQ(t.hops(NodeId(0), NodeId(1)), 2u);  // same rack
-  EXPECT_EQ(t.hops(NodeId(0), NodeId(2)), 4u);  // same pod, other rack
-  EXPECT_EQ(t.hops(NodeId(0), NodeId(4)), 6u);  // other pod
-}
-
 TEST(Routing, PathsAreContiguousAndShortest) {
   TreeTopologyConfig cfg;
   cfg.racks = 3;

@@ -1,110 +1,76 @@
-// Round-trip tests for experiment-result persistence (driver/result_io).
+// Tests for experiment-result persistence (driver/result_io): the three
+// CSV files save_result writes read back with the repo's CSV reader.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
+#include "mrs/common/csv.hpp"
 #include "mrs/driver/result_io.hpp"
 
 namespace mrs::driver {
 namespace {
 
-class ResultIoTest : public ::testing::Test {
- protected:
-  // Per-test directory: ctest runs each case as its own process in
-  // parallel, so a shared path races one case's teardown against
-  // another's save/load.
-  std::string dir_;
-  void SetUp() override {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("pnats_result_io_") + info->name()))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+namespace fs = std::filesystem;
 
-  static ExperimentResult small_result() {
-    ExperimentConfig cfg;
-    cfg.nodes = 6;
-    cfg.jobs = {{"t1", "Wordcount_tiny", mapreduce::JobKind::kWordcount, 1,
-                 8, 4},
-                {"t2", "Grep_tiny, with comma", mapreduce::JobKind::kGrep, 1,
-                 6, 3}};
-    cfg.scheduler = SchedulerKind::kPna;
-    cfg.seed = 5;
-    return run_experiment(cfg);
-  }
-};
-
-TEST_F(ResultIoTest, RoundTripPreservesEverything) {
-  const ExperimentResult original = small_result();
-  save_result(dir_, "run1", original);
-  const auto loaded = load_result(dir_, "run1");
-  ASSERT_TRUE(loaded.has_value());
-
-  EXPECT_EQ(loaded->scheduler_name, original.scheduler_name);
-  EXPECT_EQ(loaded->completed, original.completed);
-  EXPECT_DOUBLE_EQ(loaded->makespan, original.makespan);
-  EXPECT_EQ(loaded->events_processed, original.events_processed);
-  EXPECT_DOUBLE_EQ(loaded->utilization.map_slot_seconds_busy,
-                   original.utilization.map_slot_seconds_busy);
-  EXPECT_EQ(loaded->utilization.total_map_slots,
-            original.utilization.total_map_slots);
-
-  ASSERT_EQ(loaded->job_records.size(), original.job_records.size());
-  for (std::size_t i = 0; i < original.job_records.size(); ++i) {
-    const auto& a = original.job_records[i];
-    const auto& b = loaded->job_records[i];
-    EXPECT_EQ(a.name, b.name);  // including the name with a comma
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.map_count, b.map_count);
-    EXPECT_EQ(a.reduce_count, b.reduce_count);
-    EXPECT_DOUBLE_EQ(a.input_bytes, b.input_bytes);
-    EXPECT_NEAR(a.shuffle_bytes, b.shuffle_bytes,
-                a.shuffle_bytes * 1e-8 + 1e-6);
-    EXPECT_DOUBLE_EQ(a.finish_time, b.finish_time);
-  }
-
-  ASSERT_EQ(loaded->task_records.size(), original.task_records.size());
-  for (std::size_t i = 0; i < original.task_records.size(); ++i) {
-    const auto& a = original.task_records[i];
-    const auto& b = loaded->task_records[i];
-    EXPECT_EQ(a.job, b.job);
-    EXPECT_EQ(a.is_map, b.is_map);
-    EXPECT_EQ(a.index, b.index);
-    EXPECT_EQ(a.node, b.node);
-    EXPECT_EQ(a.locality, b.locality);
-    EXPECT_DOUBLE_EQ(a.assigned_at, b.assigned_at);
-    EXPECT_DOUBLE_EQ(a.finished_at, b.finished_at);
-    EXPECT_NEAR(a.placement_cost, b.placement_cost,
-                std::abs(a.placement_cost) * 1e-8 + 1e-6);
-    EXPECT_NEAR(a.network_bytes, b.network_bytes,
-                a.network_bytes * 1e-8 + 1e-6);
-  }
+/// Every record of the CSV file at `path`, header first.
+std::vector<std::vector<std::string>> read_csv(const fs::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  CsvReader reader(in);
+  std::vector<std::vector<std::string>> rows;
+  for (std::vector<std::string> f; reader.row(f);) rows.push_back(f);
+  return rows;
 }
 
-TEST_F(ResultIoTest, MissingFilesReturnNullopt) {
-  EXPECT_FALSE(load_result(dir_, "nonexistent").has_value());
-}
+TEST(ResultIoTest, SaveResultWritesThreeCsvs) {
+  ExperimentConfig cfg;
+  cfg.nodes = 6;
+  cfg.jobs = {{"t1", "Wordcount_tiny", mapreduce::JobKind::kWordcount, 1, 8,
+               4},
+              {"t2", "Grep_tiny, with comma", mapreduce::JobKind::kGrep, 1,
+               6, 3}};
+  cfg.seed = 5;
+  const ExperimentResult result = run_experiment(cfg);
+  ASSERT_TRUE(result.completed);
 
-TEST_F(ResultIoTest, PartialFilesReturnNullopt) {
-  const ExperimentResult original = small_result();
-  save_result(dir_, "run2", original);
-  std::filesystem::remove(dir_ + "/run2_tasks.csv");
-  EXPECT_FALSE(load_result(dir_, "run2").has_value());
-}
+  const fs::path dir =
+      fs::temp_directory_path() / "pnats_result_io_save_result";
+  fs::remove_all(dir);
+  save_result(dir.string(), "run", result);
 
-TEST_F(ResultIoTest, OverwriteReplacesContent) {
-  ExperimentResult original = small_result();
-  save_result(dir_, "run3", original);
-  original.scheduler_name = "changed";
-  original.task_records.clear();
-  save_result(dir_, "run3", original);
-  const auto loaded = load_result(dir_, "run3");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->scheduler_name, "changed");
-  EXPECT_TRUE(loaded->task_records.empty());
+  const auto meta = read_csv(dir / "run_meta.csv");
+  ASSERT_EQ(meta.size(), 2u);
+  EXPECT_EQ(meta[0], (std::vector<std::string>{
+                         "scheduler", "completed", "makespan", "events",
+                         "map_busy", "reduce_busy", "span", "map_slots",
+                         "reduce_slots"}));
+  EXPECT_EQ(meta[1][0], result.scheduler_name);
+  EXPECT_EQ(meta[1][1], "1");
+
+  const auto jobs = read_csv(dir / "run_jobs.csv");
+  ASSERT_EQ(jobs.size(), 1 + result.job_records.size());
+  EXPECT_EQ(jobs[0], (std::vector<std::string>{
+                         "id", "name", "kind", "maps", "reduces",
+                         "input_bytes", "shuffle_bytes", "submit", "finish",
+                         "aborted", "tenant"}));
+  bool comma_name = false;
+  for (std::size_t i = 0; i < result.job_records.size(); ++i) {
+    EXPECT_EQ(jobs[i + 1].size(), jobs[0].size());
+    EXPECT_EQ(jobs[i + 1][1], result.job_records[i].name);
+    comma_name = comma_name || jobs[i + 1][1] == "Grep_tiny, with comma";
+  }
+  EXPECT_TRUE(comma_name);
+
+  const auto tasks = read_csv(dir / "run_tasks.csv");
+  ASSERT_EQ(tasks.size(), 1 + result.task_records.size());
+  EXPECT_EQ(tasks[0], (std::vector<std::string>{
+                          "job", "kind", "is_map", "index", "node",
+                          "locality", "assigned", "finished", "cost",
+                          "net_bytes", "attempts"}));
+  fs::remove_all(dir);
 }
 
 }  // namespace

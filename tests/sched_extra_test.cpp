@@ -89,30 +89,6 @@ TEST(MinCost, PrefersLocalTasks) {
   EXPECT_GT(local, job.map_count() / 2);
 }
 
-TEST(MinCost, RegretSkipLeavesSlotFree) {
-  // With a tiny regret budget and a job whose data all lives on node 0,
-  // other nodes decline the offer (the data node is strictly better).
-  MiniCluster h(3);
-  mapreduce::JobSpec spec;
-  spec.name = "pinned";
-  spec.reduce_count = 1;
-  spec.selectivity_jitter = 0.0;
-  spec.task_startup = 0.5;
-  for (int j = 0; j < 4; ++j) {
-    const BlockId b = h.store.add_block(64.0 * units::kMiB, {NodeId(0)});
-    spec.map_tasks.push_back({b, 64.0 * units::kMiB});
-  }
-  JobRun& job = h.engine.submit(std::move(spec), Rng(3));
-  MinCostConfig cfg;
-  cfg.max_regret_ratio = 0.0;  // zero tolerance for regret
-  MinCostScheduler mincost(cfg);
-  h.run(mincost);
-  EXPECT_TRUE(job.complete());
-  for (std::size_t j = 0; j < job.map_count(); ++j) {
-    EXPECT_EQ(job.map_state(j).node, NodeId(0));
-  }
-}
-
 TEST(DriverIntegration, NewSchedulerKindsRun) {
   std::vector<workload::JobDescription> jobs = {
       {"t", "Grep_tiny", mapreduce::JobKind::kGrep, 1, 10, 4}};

@@ -26,7 +26,8 @@
 #      component sweep); TSAN=1 widens this to the full test suite
 # Between 3 and 4 run the admission, tenant, hetero, chaos and
 # trace-replay smokes (the last four include a `bench_paper <study>_quick`
-# row), then the bench_paper smoke: --help lists 26 distinct rows, an
+# row whose CSV must match its reference in tests/golden/bench/ byte for
+# byte), then the bench_paper smoke: --help lists 26 distinct rows, an
 # unknown row exits 2, the two rows that need no simulation write their
 # CSVs, every `bench_paper <row>` the docs name is a listed row, and every
 # build/bench/<binary> the docs name is one the build defines and produced.
@@ -177,8 +178,8 @@ PY
 fi
 echo "==> tenant smoke: quick isolation bench runs"
 ./build/bench/bench_paper tenant_isolation_quick >/dev/null
-test -s bench_out/tenant_isolation_quick.csv
-echo "tenant smoke: bench_out/tenant_isolation_quick.csv written"
+cmp bench_out/tenant_isolation_quick.csv tests/golden/bench/tenant_isolation_quick.csv
+echo "tenant smoke: bench_out/tenant_isolation_quick.csv matches its reference"
 }
 
 step_hetero() {
@@ -206,8 +207,8 @@ PY
 fi
 echo "==> hetero smoke: quick heterogeneity sweep runs"
 ./build/bench/bench_paper hetero_sweep_quick >/dev/null
-test -s bench_out/hetero_sweep_quick.csv
-echo "hetero smoke: bench_out/hetero_sweep_quick.csv written"
+cmp bench_out/hetero_sweep_quick.csv tests/golden/bench/hetero_sweep_quick.csv
+echo "hetero smoke: bench_out/hetero_sweep_quick.csv matches its reference"
 }
 
 step_chaos() {
@@ -232,8 +233,8 @@ test -s "$SMOKE_DIR/chaos.jsonl"
 echo "chaos smoke: stream drained with non-zero stall retries"
 echo "==> chaos smoke: quick degraded-network bench runs"
 ./build/bench/bench_paper degraded_network_quick >/dev/null
-test -s bench_out/degraded_network_quick.csv
-echo "chaos smoke: bench_out/degraded_network_quick.csv written"
+cmp bench_out/degraded_network_quick.csv tests/golden/bench/degraded_network_quick.csv
+echo "chaos smoke: bench_out/degraded_network_quick.csv matches its reference"
 }
 
 step_trace_replay() {
@@ -257,8 +258,8 @@ echo "$TR_OUT" | grep -Eq 'tenant [0-9]+ submitted='
 echo "trace-replay smoke: streamed replay drained with per-tenant summary"
 echo "==> trace-replay smoke: quick trace-replay bench runs"
 ./build/bench/bench_paper trace_replay_quick >/dev/null
-test -s bench_out/trace_replay_quick.csv
-echo "trace-replay smoke: bench_out/trace_replay_quick.csv written"
+cmp bench_out/trace_replay_quick.csv tests/golden/bench/trace_replay_quick.csv
+echo "trace-replay smoke: bench_out/trace_replay_quick.csv matches its reference"
 }
 
 step_bench_paper() {

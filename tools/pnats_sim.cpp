@@ -177,16 +177,46 @@ struct Flag {
 
 Flag section(const char* title) { return {"", "", title, "", nullptr}; }
 
+/// The values a numeric flag accepts: from `lo` to `hi`, each end open or
+/// closed. A value outside is user error (exit 2), not a failed
+/// MRS_REQUIRE deep inside the run.
+struct Range {
+  double lo = -HUGE_VAL;
+  double hi = HUGE_VAL;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  [[nodiscard]] bool contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+  }
+  [[nodiscard]] std::string text() const {
+    if (hi == HUGE_VAL) return strf("%s %g", lo_open ? ">" : ">=", lo);
+    return strf("in %c%g, %g%c", lo_open ? '(' : '[', lo, hi,
+                hi_open ? ')' : ']');
+  }
+};
+
+const Range kAny;
+const Range kPositive{0.0, HUGE_VAL, true};    ///< > 0
+const Range kAtLeastOne{1.0};
+const Range kUnit{0.0, 1.0};                   ///< [0, 1]
+const Range kUnitOpen{0.0, 1.0, false, true};  ///< [0, 1)
+
 template <class T>
-Flag num(const char* name, const char* metavar, const char* help, T& field) {
+Flag num(const char* name, const char* metavar, const char* help, T& field,
+         const Range& range = kAny) {
   std::string dflt;
   if constexpr (std::is_floating_point_v<T>) {
     dflt = strf("%g", field);
   } else {
     dflt = std::to_string(field);
   }
-  return {name, metavar, help, dflt, [name, &field](const std::string& s) {
+  return {name, metavar, help, dflt,
+          [name, &field, range](const std::string& s) {
             field = parse_number<T>(name, s);
+            if (!range.contains(static_cast<double>(field))) {
+              fail(strf("%s: must be %s", name, range.text().c_str()));
+            }
           }};
 }
 
@@ -411,8 +441,9 @@ int run_cli(int argc, char** argv) {
       text("--jobs-file", "CSV",
            "custom jobs (name,kind,maps,reduces); overrides --batch",
            jobs_file),
-      num("--nodes", "N", "cluster size", cfg.nodes),
-      num("--racks", "N", "topology racks", cfg.racks),
+      num("--nodes", "N", "cluster size", cfg.nodes, kAtLeastOne),
+      num("--racks", "N", "topology racks (must divide --nodes)", cfg.racks,
+          kAtLeastOne),
       num("--fat-tree", "K",
           "k-ary fat-tree topology (k even; k^3/4 hosts, overrides "
           "--nodes/--racks; 0 = off)",
@@ -422,13 +453,13 @@ int run_cli(int argc, char** argv) {
       num("--flow-threads", "N", "worker threads for full flow recomputes",
           cfg.flow_solver_threads),
       num("--seed", "N", "root RNG seed", cfg.seed),
-      num("--pmin", "X", "P_min threshold", cfg.pna.p_min),
+      num("--pmin", "X", "P_min threshold", cfg.pna.p_min, kUnitOpen),
       num("--cost-mix", "X",
           "PNA combined cost in [0, 1]: 0 = network bytes*distance only "
           "(the paper), 1 = compute seconds only, between = blend",
-          cfg.pna.cost_mix),
+          cfg.pna.cost_mix, kUnit),
       num("--replication", "N", "DFS replication factor",
-          cfg.workload.replication),
+          cfg.workload.replication, kAtLeastOne),
       choice("--placement", "DFS block placement", cfg.workload.placement,
              kPlacements),
       choice("--distance", "distance matrix the schedulers see",
@@ -440,7 +471,7 @@ int run_cli(int argc, char** argv) {
 
       section("Task and node faults"),
       num("--straggler-p", "X", "per-attempt straggler probability",
-          cfg.engine.fault.straggler_probability),
+          cfg.engine.fault.straggler_probability, kUnit),
       on("--speculation", "enable speculative execution",
          cfg.engine.fault.speculative_execution),
       num("--mtbf", "SECONDS",
@@ -448,7 +479,7 @@ int run_cli(int argc, char** argv) {
           cfg.failures.cluster_mtbf),
       num("--repair-jitter", "X",
           "relative jitter on node repair times, in [0, 1)",
-          cfg.failures.repair_jitter),
+          cfg.failures.repair_jitter, kUnitOpen),
       num("--max-attempts", "N",
           "abort a job when a task loses N attempts to node failures; "
           "0 = never",
@@ -457,32 +488,32 @@ int run_cli(int argc, char** argv) {
          cfg.engine.blacklist.enabled),
       num("--blacklist-failures", "N",
           "failures within the window that list a node",
-          cfg.engine.blacklist.failure_threshold),
+          cfg.engine.blacklist.failure_threshold, kAtLeastOne),
       num("--probation", "S", "post-recovery unschedulable period",
-          cfg.engine.blacklist.probation),
+          cfg.engine.blacklist.probation, kPositive),
 
       section("Network chaos (docs/robustness.md)"),
       num("--link-mtbf", "S", "mean time between single-link cuts; 0 = off",
           cfg.net_faults.link_mtbf),
       num("--link-repair", "S", "link repair time",
-          cfg.net_faults.link_repair_time),
+          cfg.net_faults.link_repair_time, kPositive),
       num("--switch-mtbf", "S",
           "mean time between switch faults cutting every link of a "
           "sampled switch; 0 = off",
           cfg.net_faults.switch_mtbf),
       num("--switch-repair", "S", "switch repair time",
-          cfg.net_faults.switch_repair_time),
+          cfg.net_faults.switch_repair_time, kPositive),
       num("--surge", "S",
           "mean time between background-traffic surges on a rack's "
           "uplinks; 0 = off",
           cfg.net_faults.surge_mtbf),
       num("--surge-duration", "S", "surge episode length",
-          cfg.net_faults.surge_duration),
+          cfg.net_faults.surge_duration, kPositive),
       num("--surge-util", "X", "extra utilization a surge adds",
-          cfg.net_faults.surge_utilization),
+          cfg.net_faults.surge_utilization, kPositive),
       num("--net-repair-jitter", "X",
           "relative jitter on link/switch repairs",
-          cfg.net_faults.repair_jitter),
+          cfg.net_faults.repair_jitter, kUnitOpen),
       num("--stall-timeout", "S",
           "kill and retry transfers stalled at rate 0 for S seconds, with "
           "capped exponential backoff; 0 = off",
@@ -500,7 +531,7 @@ int run_cli(int argc, char** argv) {
           "0 = off",
           cfg.admission.max_queueing_delay),
       num("--admission-rate", "JOBS/H", "token-bucket refill rate",
-          cfg.admission.bucket_rate_per_hour),
+          cfg.admission.bucket_rate_per_hour, kPositive),
       num("--max-deferrals", "N", "deferral budget before a hard reject",
           cfg.admission.deferral.max_deferrals),
 
@@ -634,9 +665,10 @@ int run_cli(int argc, char** argv) {
     // A k-ary fat-tree has exactly k^3/4 hosts; derive the node count so
     // slot accounting matches the topology.
     cfg.nodes = cfg.fat_tree_k * cfg.fat_tree_k * cfg.fat_tree_k / 4;
-  }
-  if (cfg.pna.cost_mix < 0.0 || cfg.pna.cost_mix > 1.0) {
-    fail("--cost-mix must be in [0, 1]");
+  } else if (cfg.nodes % cfg.racks != 0) {
+    // Every rack gets the same number of hosts; rounding up would
+    // simulate more nodes than --nodes asked for.
+    fail("--nodes must be a multiple of --racks");
   }
   auto& classes = cfg.hetero.classes;
   if (classes.empty()) {
