@@ -18,6 +18,7 @@
 #include "mrs/sim/simulation.hpp"
 #include "mrs/trace/decision.hpp"
 #include "mrs/trace/recorder.hpp"
+#include "reference.hpp"
 
 namespace {
 
@@ -129,6 +130,34 @@ void BM_PnaHeartbeat(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PnaHeartbeat)->Iterations(200);
+
+// How fast the host is while a gated benchmark runs: perfbench's reference
+// kernel (a time-ordered heap, std::function callbacks, a hash map and
+// dependent loads over 32 MiB), which shares no code with the simulator.
+// Construct one right before a benchmark's loop; it times the kernel then
+// and again when it goes out of scope, and reports the mean as the
+// benchmark's "reference_s" counter. tools/check_perf.py multiplies items/s
+// by it, so the baseline floor compares items per kernel run, which holds
+// across host speeds, instead of raw throughput.
+class ReferenceClock {
+ public:
+  explicit ReferenceClock(benchmark::State& state)
+      : state_(state), before_s_(kernel().time_s()) {}
+  ~ReferenceClock() {
+    state_.counters["reference_s"] = (before_s_ + kernel().time_s()) / 2.0;
+  }
+  ReferenceClock(const ReferenceClock&) = delete;
+  ReferenceClock& operator=(const ReferenceClock&) = delete;
+
+ private:
+  static perfbench::HostReference& kernel() {
+    static perfbench::HostReference reference;
+    return reference;
+  }
+
+  benchmark::State& state_;
+  double before_s_;
+};
 
 // The incremental-vs-naive scoring case the perf work targets: a 60-node
 // cluster saturated with running work (3 of 4 map slots busy everywhere,
@@ -246,6 +275,7 @@ struct SaturatedCluster {
 void BM_PnaHeartbeatSaturated(benchmark::State& state) {
   SaturatedCluster sc(state.range(0) == 1);
   std::size_t probe = 0;
+  const ReferenceClock clock(state);
   for (auto _ : state) {
     sc.engine.heartbeat_now(NodeId(probe));
     probe = (probe + 1) % SaturatedCluster::kProbes;
@@ -263,6 +293,7 @@ BENCHMARK(BM_PnaHeartbeatSaturated)->Arg(0)->Arg(1);
 void BM_PnaHeartbeatHetero(benchmark::State& state) {
   SaturatedCluster sc(state.range(0) == 1, /*hetero=*/true);
   std::size_t probe = 0;
+  const ReferenceClock clock(state);
   for (auto _ : state) {
     sc.engine.heartbeat_now(NodeId(probe));
     probe = (probe + 1) % SaturatedCluster::kProbes;
@@ -281,6 +312,7 @@ void BM_PnaHeartbeatTraced(benchmark::State& state) {
   SaturatedCluster sc(/*incremental=*/true, /*hetero=*/false,
                       /*traced=*/state.range(0) == 1);
   std::size_t probe = 0;
+  const ReferenceClock clock(state);
   for (auto _ : state) {
     sc.engine.heartbeat_now(NodeId(probe));
     probe = (probe + 1) % SaturatedCluster::kProbes;
@@ -336,6 +368,7 @@ void BM_FlowEventsFatTree1k(benchmark::State& state) {
   // setup would be O(flows^2 * links)), then flip the mode under test.
   for (std::size_t i = 0; i < 384; ++i) start_one();
   fm.set_naive_flow_solver(state.range(0) == 0);
+  const ReferenceClock clock(state);
   for (auto _ : state) {
     const auto next = fm.next_completion();
     now = next->first + 1e-9;

@@ -1,7 +1,6 @@
 #include "mrs/net/flow.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <thread>
 
@@ -18,7 +17,8 @@ FlowModel::FlowModel(const Topology* topo, const LinkConditionModel* cond)
     : topo_(topo), cond_(cond) {
   MRS_REQUIRE(topo_ != nullptr);
   const std::size_t directed_links = topo_->link_count() * 2;
-  link_flow_count_.assign(directed_links, 0);
+  // Hops and region slots store directed indices as 32-bit values.
+  MRS_REQUIRE(directed_links <= std::numeric_limits<std::uint32_t>::max());
   link_flows_.assign(directed_links, {});
   link_rate_sum_.assign(directed_links, 0.0);
   link_seen_.assign(directed_links, 0);
@@ -34,39 +34,34 @@ BytesPerSec FlowModel::capacity_of(std::size_t directed_index) const {
   return topo_->link(link).capacity;
 }
 
-void FlowModel::add_to_links(std::size_t index) {
-  const std::span<const DirectedLink> path = paths_[index];
-  auto& slots = flow_link_slots_[index];
-  slots.resize(path.size());
+void FlowModel::add_to_links(std::size_t index,
+                             std::span<const DirectedLink> path) {
+  auto& hops = hops_[index];
+  hops.reserve(path.size());
   for (std::size_t hop = 0; hop < path.size(); ++hop) {
     const std::size_t d = path[hop].directed_index();
-    slots[hop] = link_flows_[d].size();
+    hops.push_back({static_cast<std::uint32_t>(d),
+                    static_cast<std::uint32_t>(link_flows_[d].size())});
     link_flows_[d].push_back({index, static_cast<std::uint32_t>(hop)});
-    ++link_flow_count_[d];
   }
 }
 
 void FlowModel::remove_from_links(std::size_t index) {
-  const std::span<const DirectedLink> path = paths_[index];
-  auto& slots = flow_link_slots_[index];
-  for (std::size_t hop = 0; hop < path.size(); ++hop) {
-    const std::size_t d = path[hop].directed_index();
-    auto& list = link_flows_[d];
-    const std::size_t s = slots[hop];
-    MRS_ASSERT(s < list.size() && list[s].flow == index);
-    if (s != list.size() - 1) {
-      list[s] = list.back();
-      flow_link_slots_[list[s].flow][list[s].hop] = s;
+  auto& hops = hops_[index];
+  for (const Hop& h : hops) {
+    auto& list = link_flows_[h.link];
+    MRS_ASSERT(h.slot < list.size() && list[h.slot].flow == index);
+    if (h.slot != list.size() - 1) {
+      list[h.slot] = list.back();
+      hops_[list[h.slot].flow][list[h.slot].hop].slot = h.slot;
     }
     list.pop_back();
-    MRS_ASSERT(link_flow_count_[d] > 0);
-    --link_flow_count_[d];
     // A link that just went idle is not on any remaining flow's path, so no
     // region solve will rebuild its aggregate — zero it here.
-    if (link_flow_count_[d] == 0) link_rate_sum_[d] = 0.0;
+    if (list.empty()) link_rate_sum_[h.link] = 0.0;
   }
-  // Reclaim the slot storage: the flow never becomes active again.
-  std::vector<std::size_t>().swap(slots);
+  // Reclaim the hop storage: the flow never becomes active again.
+  std::vector<Hop>().swap(hops);
 }
 
 void FlowModel::deactivate(std::size_t index) {
@@ -100,13 +95,13 @@ FlowId FlowModel::start(NodeId src, NodeId dst, Bytes size, Seconds now,
   const FlowId id(index);
   flows_.push_back(
       {src, dst, size, size, now, 0.0, rate_cap, true, false});
-  paths_.push_back(topo_->path(src, dst));
-  MRS_ASSERT(!paths_.back().empty());
-  flow_link_slots_.emplace_back();
+  const std::span<const DirectedLink> path = topo_->path(src, dst);
+  MRS_ASSERT(!path.empty());
+  hops_.emplace_back();
   flow_seen_.push_back(0);
   active_pos_.push_back(active_list_.size());
   active_list_.push_back(index);
-  add_to_links(index);
+  add_to_links(index, path);
   add_seeds(index);
   if (!deferring_) settle();
   return id;
@@ -182,9 +177,7 @@ FlowModel::DeferredSolves::~DeferredSolves() {
 }
 
 void FlowModel::add_seeds(std::size_t index) {
-  for (const DirectedLink& dl : paths_[index]) {
-    pending_seeds_.push_back(dl.directed_index());
-  }
+  for (const Hop& h : hops_[index]) pending_seeds_.push_back(h.link);
 }
 
 void FlowModel::settle() {
@@ -233,11 +226,10 @@ void FlowModel::solve_full() {
     flow_seen_[i] = visit_epoch_;
     comp.push_back(i);
     bfs_stack_.clear();
-    for (const DirectedLink& dl : paths_[i]) {
-      const std::size_t d = dl.directed_index();
-      if (link_seen_[d] != visit_epoch_) {
-        link_seen_[d] = visit_epoch_;
-        bfs_stack_.push_back(d);
+    for (const Hop& h : hops_[i]) {
+      if (link_seen_[h.link] != visit_epoch_) {
+        link_seen_[h.link] = visit_epoch_;
+        bfs_stack_.push_back(h.link);
       }
     }
     drain_bfs(comp);
@@ -295,11 +287,10 @@ void FlowModel::drain_bfs(std::vector<std::size_t>& out_flows) {
       if (flow_seen_[member.flow] == visit_epoch_) continue;
       flow_seen_[member.flow] = visit_epoch_;
       out_flows.push_back(member.flow);
-      for (const DirectedLink& dl : paths_[member.flow]) {
-        const std::size_t dd = dl.directed_index();
-        if (link_seen_[dd] != visit_epoch_) {
-          link_seen_[dd] = visit_epoch_;
-          bfs_stack_.push_back(dd);
+      for (const Hop& h : hops_[member.flow]) {
+        if (link_seen_[h.link] != visit_epoch_) {
+          link_seen_[h.link] = visit_epoch_;
+          bfs_stack_.push_back(h.link);
         }
       }
     }
@@ -320,7 +311,8 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
   // bottleneck's members freeze in ascending flow order, and bottleneck ties
   // break on the smallest directed index — so solving a component alone
   // yields the very same bits as solving it inside the full network.
-  const std::size_t directed_links = link_flow_count_.size();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t directed_links = link_flows_.size();
   if (ws.link_stamp.size() < directed_links) {
     ws.link_stamp.assign(directed_links, 0);
     ws.link_slot.resize(directed_links);
@@ -332,7 +324,6 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
   ws.flows.assign(region.begin(), region.end());
   ws.frozen.clear();
   ws.by_cap.clear();
-  ws.heap.clear();
   int stall_delta = 0;
 
   // Phase 1: register every link once (reading its effective capacity),
@@ -342,18 +333,17 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
   for (std::size_t slot = 0; slot < ws.flows.size(); ++slot) {
     const std::size_t i = ws.flows[slot];
     bool stalled = false;
-    for (const DirectedLink& dl : paths_[i]) {
-      const std::size_t d = dl.directed_index();
-      if (ws.link_stamp[d] != ws.epoch) {
-        ws.link_stamp[d] = ws.epoch;
-        ws.link_slot[d] = ws.links.size();
-        ws.links.push_back(d);
-        ws.cap.push_back(capacity_of(d));
+    for (const Hop& h : hops_[i]) {
+      if (ws.link_stamp[h.link] != ws.epoch) {
+        ws.link_stamp[h.link] = ws.epoch;
+        ws.link_slot[h.link] = ws.links.size();
+        ws.links.push_back(h.link);
+        ws.cap.push_back(capacity_of(h.link));
         ws.count.push_back(0);
         if (ws.members.size() < ws.links.size()) ws.members.emplace_back();
         ws.members[ws.links.size() - 1].clear();
       }
-      if (ws.cap[ws.link_slot[d]] <= 0.0) stalled = true;
+      if (ws.cap[ws.link_slot[h.link]] <= 0.0) stalled = true;
     }
     FlowInfo& f = flows_[i];
     if (stalled) {
@@ -367,24 +357,33 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
     f.stalled = false;
     ws.frozen.push_back(0);
     ++unfrozen;
-    ws.by_cap.emplace_back(f.rate_cap, slot);
-    for (const DirectedLink& dl : paths_[i]) {
-      const std::size_t ls = ws.link_slot[dl.directed_index()];
+    // Shares are finite (every capacity is), so an uncapped flow can never
+    // reach its cap before its bottleneck.
+    if (f.rate_cap < kInf) ws.by_cap.emplace_back(f.rate_cap, slot);
+    for (const Hop& h : hops_[i]) {
+      const std::size_t ls = ws.link_slot[h.link];
       ++ws.count[ls];
       ws.members[ls].push_back(slot);
     }
   }
   std::sort(ws.by_cap.begin(), ws.by_cap.end());
 
-  const auto cmp = std::greater<>();
+  // The bottleneck key: (share, directed index), compared exactly.
+  const auto key_less = [&ws](std::size_t a, std::size_t b) {
+    return ws.share[a] < ws.share[b] ||
+           (ws.share[a] == ws.share[b] && ws.links[a] < ws.links[b]);
+  };
+  const std::size_t region_links = ws.links.size();
+  const std::size_t blocks = (region_links + kShareBlock - 1) / kShareBlock;
   if (!linear_scan) {
-    for (std::size_t ls = 0; ls < ws.links.size(); ++ls) {
-      if (ws.count[ls] > 0) {
-        ws.heap.emplace_back(
-            ws.cap[ls] / static_cast<double>(ws.count[ls]), ws.links[ls]);
-      }
+    ws.share.resize(region_links);
+    for (std::size_t ls = 0; ls < region_links; ++ls) {
+      ws.share[ls] = ws.count[ls] > 0
+                         ? ws.cap[ls] / static_cast<double>(ws.count[ls])
+                         : kInf;
     }
-    std::make_heap(ws.heap.begin(), ws.heap.end(), cmp);
+    ws.block_min.resize(blocks);
+    ws.block_dirty.assign(blocks, 1);
   }
 
   auto freeze = [&](std::size_t slot, double rate) {
@@ -395,16 +394,24 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
     // can never stall a flow (genuinely cut links are parked above); the
     // unfloored rate is what the link pool hands back.
     flows_[i].rate = std::max(rate, 1.0);
-    for (const DirectedLink& dl : paths_[i]) {
-      const std::size_t ls = ws.link_slot[dl.directed_index()];
+    for (const Hop& h : hops_[i]) {
+      const std::size_t ls = ws.link_slot[h.link];
       ws.cap[ls] = std::max(0.0, ws.cap[ls] - rate);
       --ws.count[ls];
-      if (!linear_scan && ws.count[ls] > 0) {
-        // Lazy heap: push the link's new share; stale entries are skipped
-        // at pop time by re-checking against the current share.
-        ws.heap.emplace_back(
-            ws.cap[ls] / static_cast<double>(ws.count[ls]), ws.links[ls]);
-        std::push_heap(ws.heap.begin(), ws.heap.end(), cmp);
+      if (linear_scan) continue;
+      const double old_share = ws.share[ls];
+      ws.share[ls] = ws.count[ls] > 0
+                         ? ws.cap[ls] / static_cast<double>(ws.count[ls])
+                         : kInf;
+      // Keep the block's cached minimum exact: a slot that now beats it
+      // takes its place; the minimum itself rising forces a rescan.
+      const std::size_t b = ls / kShareBlock;
+      if (ws.block_dirty[b]) continue;
+      const std::size_t m = ws.block_min[b];
+      if (m == ls) {
+        if (ws.share[ls] > old_share) ws.block_dirty[b] = 1;
+      } else if (key_less(ls, m)) {
+        ws.block_min[b] = ls;
       }
     }
   };
@@ -430,17 +437,25 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
       MRS_ASSERT(best_link < directed_links);
       return {best_share, best_link};
     }
-    for (;;) {
-      MRS_ASSERT(!ws.heap.empty());
-      const auto top = ws.heap.front();
-      const std::size_t ls = ws.link_slot[top.second];
-      if (ws.count[ls] > 0 &&
-          ws.cap[ls] / static_cast<double>(ws.count[ls]) == top.first) {
-        return top;  // matches the link's current share: a valid minimum
+    // Rescan the blocks whose cached minimum went stale, then take the
+    // smallest block minimum.
+    std::size_t best = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      if (ws.block_dirty[b]) {
+        const std::size_t begin = b * kShareBlock;
+        const std::size_t end = std::min(begin + kShareBlock, region_links);
+        std::size_t m = begin;
+        for (std::size_t ls = begin + 1; ls < end; ++ls) {
+          if (key_less(ls, m)) m = ls;
+        }
+        ws.block_min[b] = m;
+        ws.block_dirty[b] = 0;
       }
-      std::pop_heap(ws.heap.begin(), ws.heap.end(), cmp);
-      ws.heap.pop_back();
+      if (b == 0 || key_less(ws.block_min[b], best)) best = ws.block_min[b];
     }
+    // Every unfrozen flow keeps a positive count on each of its links.
+    MRS_ASSERT(ws.count[best] > 0);
+    return {ws.share[best], ws.links[best]};
   };
 
   std::size_t cap_ptr = 0;
@@ -485,7 +500,7 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
   // Rebuild the rate aggregates of every region link from the members in
   // ascending flow order (the same canonical sum both solver paths and a
   // from-scratch audit produce).
-  for (std::size_t ls = 0; ls < ws.links.size(); ++ls) {
+  for (std::size_t ls = 0; ls < region_links; ++ls) {
     double sum = 0.0;
     for (const std::size_t slot : ws.members[ls]) {
       sum += flows_[ws.flows[slot]].rate;

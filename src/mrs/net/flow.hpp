@@ -13,15 +13,25 @@
 // flow/link incidence graph. The solver therefore keeps, per directed link,
 // the list of active flows crossing it and the current rate aggregate, and
 // on each event re-derives shares only for the component reachable from the
-// touched links, with a lazy min-heap over (equal share, directed index)
-// replacing the full linear bottleneck scan. The progressive filling itself
-// is canonicalized — capped flows freeze in ascending (cap, flow-index)
-// order, bottleneck members in ascending flow-index order, ties on the
-// bottleneck broken by directed index — which makes a component-local solve
-// bit-identical to the full-network solve, so the retained reference path
+// touched links. The progressive filling itself is canonicalized — capped
+// flows freeze in ascending (cap, flow-index) order, bottleneck members in
+// ascending flow-index order, ties on the bottleneck broken by directed
+// index — which makes a component-local solve bit-identical to the
+// full-network solve, so the retained reference path
 // (`set_naive_flow_solver`) can gate the fast path byte-for-byte, and
 // independent components can even be solved on parallel threads
 // (`set_flow_solver_threads`) without changing a single bit.
+//
+// Bottleneck search. Each filling round needs the region link with the
+// smallest (equal share, directed index) key. The region's link slots are
+// cut into fixed blocks of kShareBlock, and each block caches the slot of
+// its minimum key. A freeze lowers or raises the shares of the links on the
+// frozen flow's path: a lowered share that beats its block's minimum takes
+// its place, and a raised minimum marks the block dirty. The search
+// rescans only the dirty blocks, then the block minima. A region solve
+// touches a few hundred links over a few dozen rounds, where this costs
+// less than a priority queue with one entry per share change, and the
+// blocks keep the search sub-linear on regions of thousands of links.
 //
 // The same property lets a caller batch events: inside a DeferredSolves
 // scope, starts, cancels and completions only queue their links, and the
@@ -174,11 +184,11 @@ class FlowModel {
                : 0.0;
   }
 
-  /// Number of active flows crossing a directed link (maintained
-  /// incrementally; O(1)). This is what a link monitor / path probe sees.
+  /// Number of active flows crossing a directed link (O(1)). This is what
+  /// a link monitor / path probe sees.
   [[nodiscard]] std::size_t flows_on(std::size_t directed_index) const {
-    return directed_index < link_flow_count_.size()
-               ? link_flow_count_[directed_index]
+    return directed_index < link_flows_.size()
+               ? link_flows_[directed_index].size()
                : 0;
   }
 
@@ -189,8 +199,18 @@ class FlowModel {
   /// A flow's membership slot on one directed link (for O(1) swap-removal).
   struct LinkMember {
     std::size_t flow;
-    std::uint32_t hop;  ///< index into the flow's path
+    std::uint32_t hop;  ///< index into the flow's hops
   };
+
+  /// One directed link of an active flow's route, with the flow's position
+  /// in that link's membership list.
+  struct Hop {
+    std::uint32_t link;  ///< directed index
+    std::uint32_t slot;  ///< position in link_flows_[link]
+  };
+
+  /// Region link slots per cached block minimum in the bottleneck search.
+  static constexpr std::size_t kShareBlock = 64;
 
   /// Reusable progressive-filling state for one region (a union of
   /// connected components). Epoch-stamped so activation is O(region), not
@@ -202,18 +222,24 @@ class FlowModel {
     std::vector<std::size_t> links;         ///< region slot -> directed index
     std::vector<double> cap;                ///< residual capacity per slot
     std::vector<std::size_t> count;         ///< unfrozen flows per slot
+    /// cap / count per slot, +inf once no unfrozen flow crosses it.
+    std::vector<double> share;
+    std::vector<std::size_t> block_min;    ///< per block: min-key slot
+    std::vector<char> block_dirty;         ///< per block: block_min stale
     std::vector<std::vector<std::size_t>> members;  ///< flow slots, ascending
     std::vector<std::size_t> flows;         ///< region slot -> flow index
     std::vector<char> frozen;
-    std::vector<std::pair<double, std::size_t>> by_cap;  ///< (cap, flow slot)
-    std::vector<std::pair<double, std::size_t>> heap;  ///< (share, dir index)
+    /// (cap, flow slot) of the finite-cap flows.
+    std::vector<std::pair<double, std::size_t>> by_cap;
   };
 
   [[nodiscard]] BytesPerSec capacity_of(std::size_t directed_index) const;
   /// Mark flow `index` inactive and swap-remove it from the active list and
   /// every per-link membership list.
   void deactivate(std::size_t index);
-  void add_to_links(std::size_t index);
+  /// Fill flow `index`'s hops from `path` and join every link's list.
+  void add_to_links(std::size_t index, std::span<const DirectedLink> path);
+  /// Leave every link's list and free the flow's hops.
   void remove_from_links(std::size_t index);
   /// Queue the directed links of flow `index`'s path for the next solve.
   void add_seeds(std::size_t index);
@@ -228,23 +254,22 @@ class FlowModel {
   void apply_stall_delta(int delta);
   /// Canonical progressive filling over `flows` (ascending flow indices,
   /// forming a union of whole components). `linear_scan` selects the naive
-  /// full-scan bottleneck search instead of the heap. Returns the change in
-  /// the number of stalled flows (for the caller to aggregate; keeps the
-  /// routine write-disjoint across parallel component solves).
+  /// full-scan bottleneck search instead of the blocked one. Returns the
+  /// change in the number of stalled flows (for the caller to aggregate;
+  /// keeps the routine write-disjoint across parallel component solves).
   int solve_region(const std::vector<std::size_t>& flows, Workspace& ws,
                    bool linear_scan);
 
   const Topology* topo_;
   const LinkConditionModel* cond_;
   std::vector<FlowInfo> flows_;
-  std::vector<std::span<const DirectedLink>> paths_;  ///< per flow
+  /// Per flow: its route's hops while active, empty once deactivated.
+  std::vector<std::vector<Hop>> hops_;
   std::vector<FlowId> newly_completed_;
   // Active-flow index: per-event work is O(active), not O(ever created).
   std::vector<std::size_t> active_list_;
   std::vector<std::size_t> active_pos_;  ///< flow index -> slot in list
-  std::vector<std::size_t> link_flow_count_;  ///< active flows per dir link
   std::vector<std::vector<LinkMember>> link_flows_;  ///< per directed link
-  std::vector<std::vector<std::size_t>> flow_link_slots_;  ///< per flow/hop
   std::vector<BytesPerSec> link_rate_sum_;  ///< maintained rate aggregates
   Seconds now_ = 0.0;
   Bytes bytes_delivered_ = 0.0;

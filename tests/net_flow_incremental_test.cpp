@@ -11,7 +11,9 @@
 // closes, with the eager and naive models fed the same events one by one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -32,6 +34,13 @@ struct DifferentialOptions {
   bool with_faults = false;     ///< random link cuts/repairs
   bool with_switch_faults = false;  ///< correlated whole-switch cuts/repairs
   std::size_t max_live = 200;   ///< force drains past this backlog
+  std::size_t min_live = 1;     ///< force starts below this backlog
+  /// When > 1, the fat-tree's pod count: every flow leaves its source's
+  /// pod (hosts are numbered pod by pod).
+  std::size_t pods = 0;
+  /// When > 0, require that the live flows once formed a connected
+  /// component of more than this many directed links.
+  std::size_t min_component_links = 0;
   /// Apply events to model 0 in bursts of 1-8 inside one DeferredSolves
   /// scope; the other models stay eager.
   bool deferred_bursts = false;
@@ -84,6 +93,10 @@ class Differential {
         if (e % 64 == 0) compare_link_loads();
       }
       compare_models();
+      if (opt_.min_component_links > 0) {
+        largest_component_ =
+            std::max(largest_component_, largest_component_links());
+      }
       ASSERT_FALSE(::testing::Test::HasFatalFailure() ||
                    ::testing::Test::HasNonfatalFailure())
           << "solver divergence at event " << e;
@@ -92,6 +105,9 @@ class Differential {
       // The bursts really were coalesced (the eager model runs at least
       // one solve per event; model 2 is the eager incremental one).
       EXPECT_LT(models_[0]->solves(), models_[2]->solves());
+    }
+    if (opt_.min_component_links > 0) {
+      EXPECT_GT(largest_component_, opt_.min_component_links);
     }
   }
 
@@ -117,7 +133,7 @@ class Differential {
 
   void step() {
     const double roll = rng_.uniform(0.0, 1.0);
-    if (live_.empty()) {
+    if (live_.size() < opt_.min_live) {
       start_flow();
     } else if (live_.size() >= opt_.max_live || (roll >= 0.45 && roll < 0.8)) {
       run_to_next_completion();
@@ -140,8 +156,16 @@ class Differential {
       advance_conditions(now_);
     }
     const NodeId src(rng_.index(topo_->host_count()));
-    NodeId dst(rng_.index(topo_->host_count()));
-    if (dst == src) dst = NodeId((src.value() + 1) % topo_->host_count());
+    NodeId dst;
+    if (opt_.pods > 1) {
+      const std::size_t per_pod = topo_->host_count() / opt_.pods;
+      const std::size_t pod =
+          (src.value() / per_pod + 1 + rng_.index(opt_.pods - 1)) % opt_.pods;
+      dst = NodeId(pod * per_pod + rng_.index(per_pod));
+    } else {
+      dst = NodeId(rng_.index(topo_->host_count()));
+      if (dst == src) dst = NodeId((src.value() + 1) % topo_->host_count());
+    }
     const Bytes size = rng_.uniform(0.01, 1.0) * kGb;
     const BytesPerSec cap =
         rng_.bernoulli(0.3) ? rng_.uniform(0.02, 0.6) * kGb : 1e18;
@@ -276,6 +300,32 @@ class Differential {
     }
   }
 
+  /// Directed links in the largest connected component of the live flows'
+  /// routes: the most links one region solve covered at this event.
+  std::size_t largest_component_links() const {
+    std::vector<std::size_t> parent(topo_->link_count() * 2);
+    std::iota(parent.begin(), parent.end(), std::size_t{0});
+    const auto root = [&parent](std::size_t d) {
+      while (parent[d] != d) d = parent[d] = parent[parent[d]];
+      return d;
+    };
+    std::vector<char> used(parent.size(), 0);
+    for (const FlowId id : live_) {
+      const FlowInfo& f = models_[1]->info(id);
+      const auto path = topo_->path(f.src, f.dst);
+      for (const DirectedLink& dl : path) {
+        used[dl.directed_index()] = 1;
+        parent[root(dl.directed_index())] = root(path[0].directed_index());
+      }
+    }
+    std::vector<std::size_t> size(parent.size(), 0);
+    std::size_t largest = 0;
+    for (std::size_t d = 0; d < parent.size(); ++d) {
+      if (used[d]) largest = std::max(largest, ++size[root(d)]);
+    }
+    return largest;
+  }
+
   void compare_link_loads() {
     for (std::size_t d = 0; d < topo_->link_count() * 2; ++d) {
       const BytesPerSec load = models_[0]->directed_link_load(d);
@@ -294,6 +344,7 @@ class Differential {
   std::vector<std::unique_ptr<FlowModel>> models_;
   std::vector<FlowId> live_;
   std::vector<std::size_t> switch_vertices_;
+  std::size_t largest_component_ = 0;
 };
 
 class FlowDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -389,6 +440,21 @@ TEST_P(FlowDifferential, DeferredBurstsFaultsFatTreeK8) {
   opt.with_condition = true;
   opt.with_faults = true;
   opt.deferred_bursts = true;
+  Differential(&topo, GetParam(), opt).run();
+}
+
+TEST_P(FlowDifferential, CrossPodRegionsFatTreeK8) {
+  // Enough concurrent cross-pod flows (six hops each) that region solves
+  // span at least three blocks of the bottleneck search, i.e. more than
+  // 2 * 64 directed links. The harness checks the size: after every event
+  // it measures the largest connected component of the live flows' routes,
+  // which a region solve covers whole, and requires one above 128 links.
+  const Topology topo = make_fat_tree({8, units::Gbps(1)});
+  DifferentialOptions opt;
+  opt.events = 600;
+  opt.pods = 8;
+  opt.min_live = 40;
+  opt.min_component_links = 128;
   Differential(&topo, GetParam(), opt).run();
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "mrs/common/rng.hpp"
@@ -281,6 +282,77 @@ TEST(FlowModelDeathTest, ReadingRatesWhileASolveIsPendingAborts) {
   EXPECT_DEATH((void)fm.next_completion(), "solve_pending");
   EXPECT_DEATH((void)fm.directed_link_load(0), "solve_pending");
   EXPECT_DEATH((void)fm.stalled_count(), "solve_pending");
+}
+
+// Starts `routes` (src, dst host pairs, in order) on an incremental and a
+// naive model and checks that every rate and link load agrees bit for bit;
+// returns the incremental model's rates.
+std::vector<BytesPerSec> rates_matching_naive(
+    const Topology& t, const std::vector<std::pair<int, int>>& routes) {
+  FlowModel fast(&t);
+  FlowModel naive(&t);
+  naive.set_naive_flow_solver(true);
+  std::vector<FlowId> ids;
+  for (const auto& [src, dst] : routes) {
+    ids.push_back(fast.start(NodeId(src), NodeId(dst), 100.0 * kGb, 0.0));
+    naive.start(NodeId(src), NodeId(dst), 100.0 * kGb, 0.0);
+  }
+  std::vector<BytesPerSec> rates;
+  for (const FlowId id : ids) {
+    EXPECT_EQ(fast.info(id).rate, naive.info(id).rate) << id.value();
+    rates.push_back(fast.info(id).rate);
+  }
+  for (std::size_t d = 0; d < t.link_count() * 2; ++d) {
+    EXPECT_EQ(fast.directed_link_load(d), naive.directed_link_load(d)) << d;
+  }
+  return rates;
+}
+
+// Bottleneck ties the search must break exactly like the naive full scan
+// (the FlowDifferential* suites also run under TSan in CI).
+TEST(FlowDifferentialTies, EqualSharesBreakOnDirectedIndex) {
+  // Two links of one region with bit-equal shares: host 5's uplink and
+  // host 2's downlink each carry three flows. Flow 0 crosses both and is
+  // started first, so the region solve registers host 5's uplink first,
+  // although its directed index is the larger one. Which of the two
+  // freezes first decides the bits: the second one's share is then
+  // (C - C/3) / 2, which rounds differently from C/3 at 1 Gbps. The
+  // search must pick the smaller directed index, as the naive full scan
+  // does.
+  const Topology t = make_single_rack(6, units::Gbps(1));
+  const auto route = t.path(NodeId(5), NodeId(2));
+  ASSERT_GT(route.front().directed_index(), route.back().directed_index());
+  const double c = units::Gbps(1);
+  ASSERT_NE((c - c / 3) / 2, c / 3);  // the order of the two is visible
+
+  const auto rates =
+      rates_matching_naive(t, {{5, 2}, {5, 3}, {5, 4}, {0, 2}, {1, 2}});
+  // Host 2's downlink froze first: its flows 3 and 4 got the first share.
+  EXPECT_EQ(rates[3], c / 3);
+  EXPECT_NE(rates[1], c / 3);
+}
+
+TEST(FlowDifferentialTies, EqualSharesAcrossSearchBlocks) {
+  // The same tie with the two links in different blocks of the bottleneck
+  // search: host 79's uplink is registered first, then a zigzag chain of
+  // flows (two per link, share C/2) registers 62 more links, and only then
+  // does a flow from host 79 reach host 0's downlink, the 66th link. Both
+  // links end with three flows (share C/3), and host 0's downlink has the
+  // smaller directed index, so it must freeze first.
+  const Topology t = make_single_rack(80, units::Gbps(1));
+  const auto route = t.path(NodeId(79), NodeId(0));
+  ASSERT_GT(route.front().directed_index(), route.back().directed_index());
+  std::vector<std::pair<int, int>> routes = {{79, 3}, {79, 4}, {5, 4}};
+  for (int x = 5; x < 67; x += 2) {
+    routes.emplace_back(x, x + 1);
+    if (x + 2 < 67) routes.emplace_back(x + 2, x + 1);
+  }
+  routes.insert(routes.end(), {{79, 0}, {1, 0}, {2, 0}});
+
+  const auto rates = rates_matching_naive(t, routes);
+  const double c = units::Gbps(1);
+  EXPECT_EQ(rates[rates.size() - 3], c / 3);  // 79 -> 0
+  EXPECT_NE(rates[0], c / 3);                 // 79 -> 3
 }
 
 // Property sweep: with n equal flows through one bottleneck, each gets 1/n.

@@ -10,8 +10,16 @@ Reads the google-benchmark JSON for each gated benchmark pair
      family's MIN_RATIO multiple of the naive items/sec on the same
      machine, same run (2x for the heartbeat scans, 10x for the
      datacenter-scale flow-solver family);
-  2. machine-local: optimized items/sec must not regress more than 20%
-     below the checked-in baseline.
+  2. baseline floor: optimized throughput, in reference units, must not
+     regress more than 20% below the checked-in baseline.
+
+Reference units: each gated benchmark times perfbench's host reference
+kernel (no simulator code) right before and right after its loop, and
+reports the mean as its "reference_s" counter. Items/sec times that is
+the number of items done in one kernel run. A host twice as slow halves
+the one and doubles the other, so the product can be compared with a
+baseline recorded on another host, or on this one in another speed
+state.
 
 Gated pairs: the homogeneous saturated scan (BM_PnaHeartbeatSaturated),
 the heterogeneous-cluster blended-cost scan (BM_PnaHeartbeatHetero),
@@ -34,8 +42,8 @@ produced without repetitions still work — the median of one value is
 that value.
 
 PNATS_PERF_REGEN=1 (or a missing baseline file) rewrites the baseline
-from the current run instead of comparing — do this once per machine
-and whenever an intentional perf change lands.
+from the current run instead of comparing: do this when an intentional
+perf change lands, or when the reference kernel changes.
 """
 import json
 import os
@@ -56,8 +64,9 @@ PAIRS = {
 SINGLES = ["BM_PnaHeartbeatTraced/0"]
 
 
-def items_per_second(report, name):
-    """Median items/sec across repetitions of `name` (aggregates skipped)."""
+def median_of(report, name, key):
+    """Median of key(entry) across repetitions of `name` (aggregates
+    skipped)."""
     values = []
     for bench in report.get("benchmarks", []):
         if bench.get("name") != name:
@@ -67,11 +76,25 @@ def items_per_second(report, name):
         # carry "aggregate" (and a distinct name, but be strict anyway).
         if bench.get("run_type", "iteration") != "iteration":
             continue
-        if "items_per_second" in bench:
-            values.append(float(bench["items_per_second"]))
+        try:
+            values.append(key(bench))
+        except KeyError as missing:
+            sys.exit(f"check_perf: benchmark '{name}' reports no {missing}")
     if not values:
         sys.exit(f"check_perf: benchmark '{name}' missing from report")
     return statistics.median(values)
+
+
+def items_per_second(report, name):
+    """Median items/sec across repetitions of `name`."""
+    return median_of(report, name, lambda b: float(b["items_per_second"]))
+
+
+def items_per_reference(report, name):
+    """Median items per reference-kernel run across repetitions of `name`
+    (each repetition scaled by its own kernel time)."""
+    return median_of(report, name, lambda b: (
+        float(b["items_per_second"]) * float(b["reference_s"])))
 
 
 def main():
@@ -85,7 +108,8 @@ def main():
     for family, min_ratio in PAIRS.items():
         naive = items_per_second(report, f"{family}/0")
         opt = items_per_second(report, f"{family}/1")
-        measured_floors[f"{family}/1"] = opt
+        measured_floors[f"{family}/1"] = items_per_reference(
+            report, f"{family}/1")
         ratio = opt / naive if naive > 0 else float("inf")
         print(f"check_perf: {family}: naive {naive:,.0f} items/s, "
               f"optimized {opt:,.0f} items/s, ratio {ratio:.1f}x "
@@ -95,13 +119,14 @@ def main():
                      f"{ratio:.2f}x is below the required {min_ratio:.1f}x")
 
     for name in SINGLES:
-        measured_floors[name] = items_per_second(report, name)
-        print(f"check_perf: {name}: {measured_floors[name]:,.0f} items/s")
+        measured_floors[name] = items_per_reference(report, name)
+        print(f"check_perf: {name}: "
+              f"{items_per_second(report, name):,.0f} items/s")
 
     regen = os.environ.get("PNATS_PERF_REGEN", "0") not in ("", "0")
     if regen or not os.path.exists(baseline_path):
         with open(baseline_path, "w") as f:
-            json.dump({name: {"items_per_second": v}
+            json.dump({name: {"items_per_reference": v}
                        for name, v in measured_floors.items()}, f, indent=2)
             f.write("\n")
         print(f"check_perf: baseline written to {baseline_path}")
@@ -113,14 +138,14 @@ def main():
         if name not in baseline:
             sys.exit(f"check_perf: FAIL - '{name}' missing from baseline "
                      f"{baseline_path} (PNATS_PERF_REGEN=1 to add it)")
-        ref = float(baseline[name]["items_per_second"])
+        ref = float(baseline[name]["items_per_reference"])
         floor = ref * (1.0 - MAX_REGRESSION)
-        print(f"check_perf: {name}: baseline {ref:,.0f} items/s, "
-              f"floor {floor:,.0f} items/s")
+        print(f"check_perf: {name}: {measured:,.1f} items per reference "
+              f"run, baseline {ref:,.1f}, floor {floor:,.1f}")
         if measured < floor:
-            sys.exit(f"check_perf: FAIL - {name} {measured:,.0f} items/s "
-                     f"regresses >{MAX_REGRESSION:.0%} below baseline "
-                     f"{ref:,.0f} items/s "
+            sys.exit(f"check_perf: FAIL - {name} {measured:,.1f} items per "
+                     f"reference run regresses >{MAX_REGRESSION:.0%} below "
+                     f"baseline {ref:,.1f} "
                      f"(PNATS_PERF_REGEN=1 to accept a new baseline)")
     print("check_perf: OK")
 

@@ -11,7 +11,8 @@
 #   4. perf smoke: bench_micro_scheduler's gated families must keep the
 #      optimized path ahead of the naive path (2x for the saturated
 #      heartbeat scans, 10x for the 1k-host fat-tree flow solver) and
-#      within 20% of tools/perf_baseline.json (PNATS_PERF_REGEN=1
+#      within 20% of tools/perf_baseline.json, in units of a host
+#      reference kernel timed in the same run (PNATS_PERF_REGEN=1
 #      refreshes it); each family runs 3 repetitions and the gate
 #      compares medians, so one descheduled run cannot flake the gate;
 #      the tracing-disabled heartbeat (BM_PnaHeartbeatTraced/0) is gated
