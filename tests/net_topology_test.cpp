@@ -1,6 +1,8 @@
 // Tests for topology construction, routing and hop distances.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "mrs/net/distance.hpp"
 #include "mrs/net/topology.hpp"
 
@@ -111,6 +113,47 @@ TEST(Routing, DirectedIndexConvention) {
       }
     }
   }
+}
+
+// FNV-1a over every ordered host pair's hop count followed by the directed
+// link indices of its route. Also checks hops() == path().size() per pair.
+std::uint64_t route_digest(const Topology& t) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  std::size_t size_mismatches = 0;
+  for (std::size_t s = 0; s < t.host_count(); ++s) {
+    for (std::size_t d = 0; d < t.host_count(); ++d) {
+      const auto& route = t.path(NodeId(s), NodeId(d));
+      const std::size_t hops = t.hops(NodeId(s), NodeId(d));
+      if (hops != route.size()) ++size_mismatches;
+      mix(hops);
+      for (const DirectedLink& dl : route) mix(dl.directed_index());
+    }
+  }
+  EXPECT_EQ(size_mismatches, 0u);
+  return h;
+}
+
+// Pins every route the three factories produce: the links, their
+// directions and (on the fat-tree) the ECMP choice of aggregation switch
+// and core. Flows, records and digests all follow from these routes.
+TEST(Routing, FactoryRoutesArePinned) {
+  EXPECT_EQ(route_digest(make_single_rack(60)), 0x18d4559700d72865ull);
+  TreeTopologyConfig tree;
+  tree.racks = 4;
+  tree.hosts_per_rack = 15;
+  EXPECT_EQ(route_digest(make_multi_rack_tree(tree)), 0xd104de96245d0725ull);
+  tree.racks = 3;
+  tree.hosts_per_rack = 4;
+  EXPECT_EQ(route_digest(make_multi_rack_tree(tree)), 0x923fb20e15f830e5ull);
+  EXPECT_EQ(route_digest(make_fat_tree({.k = 4})), 0x4e01861743e74b25ull);
+  EXPECT_EQ(route_digest(make_fat_tree({.k = 8})), 0x6e43279b2999a369ull);
+  EXPECT_EQ(route_digest(make_fat_tree({.k = 16})), 0x1abbf5e3ecf3844dull);
 }
 
 TEST(Builder, CustomGraph) {
