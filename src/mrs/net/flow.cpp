@@ -1,6 +1,7 @@
 #include "mrs/net/flow.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <thread>
 
@@ -148,6 +149,14 @@ std::optional<std::pair<Seconds, FlowId>> FlowModel::next_completion() const {
     MRS_ASSERT(f.rate > 0.0);  // every unstalled flow gets a positive share
     const Seconds eta = now_ + f.remaining / f.rate;
     if (!best || eta < best->first) best = {eta, FlowId(i)};
+  }
+  // Progress guarantee: once now_ is large (2^17 s at 1 Gbps), a flow can
+  // need less than half an ulp of now_, and its ETA rounds to now_. An
+  // advance to now_ moves no time, so the completion would re-arm at the
+  // same instant forever. One ulp later the advance integrates more than
+  // the flow's remaining bytes and completes it.
+  if (best && best->first <= now_) {
+    best->first = std::nextafter(now_, std::numeric_limits<Seconds>::max());
   }
   return best;
 }

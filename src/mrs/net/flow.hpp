@@ -96,7 +96,9 @@ class FlowModel {
   void advance_to(Seconds t);
 
   /// Earliest (time, flow) completion under current rates, if any flow is
-  /// both active and not stalled on a cut link. Like every rate reader
+  /// both active and not stalled on a cut link. The time is always after
+  /// now(): an ETA that rounds to now() is returned as the next double, and
+  /// advancing to it completes the flow. Like every rate reader
   /// (info, directed_link_load, stalled_count), requires that no deferred
   /// solve is pending.
   [[nodiscard]] std::optional<std::pair<Seconds, FlowId>> next_completion()

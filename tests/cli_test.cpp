@@ -7,6 +7,7 @@
 // flag the docs put on a pnats_sim command line must be one that
 // `pnats_sim --help` lists.
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,8 +35,9 @@ struct Exit {
 };
 
 /// Run `bin args...`, killing it (SIGALRM) if it outlives `timeout_s`.
+/// A non-zero `address_space` caps the child's virtual memory (bytes).
 Exit run(const char* bin, const std::vector<std::string>& args,
-         unsigned timeout_s = 60) {
+         unsigned timeout_s = 60, rlim_t address_space = 0) {
   int fds[2] = {-1, -1};
   if (pipe(fds) != 0) return {-1, "pipe failed"};
   const pid_t pid = fork();
@@ -48,6 +50,10 @@ Exit run(const char* bin, const std::vector<std::string>& args,
     for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
     argv.push_back(nullptr);
     alarm(timeout_s);  // survives exec: a hung child dies by signal
+    if (address_space > 0) {
+      const rlimit limit{address_space, address_space};
+      setrlimit(RLIMIT_AS, &limit);  // survives exec too
+    }
     execv(bin, argv.data());
     _exit(127);
   }
@@ -61,6 +67,21 @@ Exit run(const char* bin, const std::vector<std::string>& args,
   waitpid(pid, &e.status, 0);
   return e;
 }
+
+// A sanitizer runtime reserves terabytes of shadow address space, so a
+// sanitized child cannot start under an address-space cap.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PNATS_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PNATS_SANITIZED 1
+#endif
+#endif
+#ifdef PNATS_SANITIZED
+constexpr rlim_t kRunawayMemoryCap = 0;
+#else
+constexpr rlim_t kRunawayMemoryCap = rlim_t{2} << 30;  // 2 GiB
+#endif
 
 Exit sim(const std::vector<std::string>& args) {
   return run(PNATS_SIM_BIN, args);
@@ -172,6 +193,18 @@ TEST(Cli, StreamHeaderReportsTheBuiltFatTree) {
   EXPECT_TRUE(e.exited_with(0)) << e.output;
   EXPECT_NE(e.output.find("| 16 nodes x 1 racks |"), std::string::npos)
       << e.output;
+}
+
+TEST(Cli, StreamRunsPastTwoToTheSeventeenSeconds) {
+  // Past 2^17 simulated seconds a flow's last bytes can take less than half
+  // an ulp of the clock. The run must keep moving and drain, not re-arm one
+  // instant until memory runs out (capped at 2 GiB where it can be).
+  const Exit e = run(PNATS_SIM_BIN,
+                     {"--arrivals", "poisson", "--rate", "30", "--job-scale",
+                      "0.05", "--duration", "140000", "--quiet"},
+                     60, kRunawayMemoryCap);
+  EXPECT_TRUE(e.exited_with(0)) << e.output;
+  EXPECT_NE(e.output.find("drained=yes"), std::string::npos) << e.output;
 }
 
 TEST(Cli, PnaAliasSelectsTheProbabilisticScheduler) {

@@ -32,6 +32,25 @@ TEST(FlowModel, CompletionTimeMatchesRate) {
   EXPECT_NEAR(next->first, 10.0, 1e-6);
 }
 
+TEST(FlowModel, FlowShorterThanHalfAnUlpOfNowStillCompletes) {
+  // At now = 2^17 s one ulp of a double is 2^-35 s (2.9e-11 s). A
+  // 1.5e-3-byte flow at 1 Gbps needs 1.2e-11 s, under half an ulp, so
+  // now + 1.2e-11 rounds to now itself. The ETA must still lie after now,
+  // and advancing to it must complete the flow; otherwise the network
+  // service re-arms at the same instant forever.
+  const Topology t = make_single_rack(2, units::Gbps(1));
+  FlowModel fm(&t);
+  const Seconds now = 131072.0;
+  const FlowId id = fm.start(NodeId(0), NodeId(1), 1.5e-3, now);
+  const auto next = fm.next_completion();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_GT(next->first, now);
+  fm.advance_to(next->first);
+  EXPECT_EQ(fm.collect_completed(), std::vector<FlowId>{id});
+  EXPECT_EQ(fm.active_count(), 0u);
+  EXPECT_EQ(fm.bytes_delivered(), 1.5e-3);
+}
+
 TEST(FlowModel, TwoFlowsShareSourceUplink) {
   const Topology t = make_single_rack(4, units::Gbps(1));
   FlowModel fm(&t);
