@@ -7,18 +7,6 @@ namespace mrs::net {
 DistanceMatrix::DistanceMatrix(std::size_t nodes, double fill)
     : nodes_(nodes), values_(nodes * nodes, fill) {}
 
-DistanceMatrix DistanceMatrix::from_hops(const Topology& topo) {
-  const std::size_t n = topo.host_count();
-  DistanceMatrix m(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      m.set(NodeId(a), NodeId(b),
-            static_cast<double>(topo.hops(NodeId(a), NodeId(b))));
-    }
-  }
-  return m;
-}
-
 DistanceMatrix DistanceMatrix::from_inverse_rates(
     const LinkConditionModel& cond) {
   const std::size_t n = cond.topology().host_count();

@@ -2,10 +2,11 @@
 // D_a and D_b, or — in the network-condition variant of Sec. II-B-3 — the
 // inverse of the path transmission rate.
 //
-// DistanceMatrix is a dense snapshot for fast O(1) lookup in the inner
-// scheduling loops; DistanceProvider is the polymorphic source the cost
-// model consumes, so schedulers can run off static hops, a live link
-// monitor, or a custom matrix (the paper's worked example in Fig. 2).
+// DistanceProvider is the polymorphic source the cost model consumes, so
+// schedulers can run off static hops (computed by the topology), a live
+// link monitor, or a custom source (the paper's worked example in Fig. 2).
+// DistanceMatrix is the dense snapshot the rate-based provider rebuilds
+// once per background-traffic resample epoch.
 #pragma once
 
 #include <memory>
@@ -23,9 +24,6 @@ class DistanceMatrix {
  public:
   DistanceMatrix() = default;
   DistanceMatrix(std::size_t nodes, double fill = 0.0);
-
-  /// Hop-count matrix of a topology.
-  static DistanceMatrix from_hops(const Topology& topo);
 
   /// Inverse-transmission-rate matrix at the link monitor's current time
   /// (bottleneck form, Sec. II-B-3).
@@ -68,23 +66,20 @@ class DistanceProvider {
   [[nodiscard]] virtual bool is_static() const { return false; }
 };
 
-/// Static hop-count distances (the paper's default H).
+/// Static hop-count distances (the paper's default H), read from the
+/// topology. `topo` must outlive the provider.
 class HopDistanceProvider final : public DistanceProvider {
  public:
-  explicit HopDistanceProvider(const Topology& topo)
-      : matrix_(DistanceMatrix::from_hops(topo)) {}
-  explicit HopDistanceProvider(DistanceMatrix matrix)
-      : matrix_(std::move(matrix)) {}
+  explicit HopDistanceProvider(const Topology& topo) : topo_(&topo) {}
 
   [[nodiscard]] double distance(NodeId a, NodeId b,
                                 Seconds /*now*/) const override {
-    return matrix_.at(a, b);
+    return static_cast<double>(topo_->hops(a, b));
   }
   [[nodiscard]] bool is_static() const override { return true; }
-  [[nodiscard]] const DistanceMatrix& matrix() const { return matrix_; }
 
  private:
-  DistanceMatrix matrix_;
+  const Topology* topo_;
 };
 
 /// Live network-condition distances (Sec. II-B-3): advances the link

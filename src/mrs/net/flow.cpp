@@ -96,13 +96,13 @@ FlowId FlowModel::start(NodeId src, NodeId dst, Bytes size, Seconds now,
   const FlowId id(index);
   flows_.push_back(
       {src, dst, size, size, now, 0.0, rate_cap, true, false});
-  const std::span<const DirectedLink> path = topo_->path(src, dst);
+  const Route path = topo_->path(src, dst);
   MRS_ASSERT(!path.empty());
   hops_.emplace_back();
   flow_seen_.push_back(0);
   active_pos_.push_back(active_list_.size());
   active_list_.push_back(index);
-  add_to_links(index, path);
+  add_to_links(index, path.links());
   add_seeds(index);
   if (!deferring_) settle();
   return id;

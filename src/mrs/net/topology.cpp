@@ -1,177 +1,124 @@
 #include "mrs/net/topology.hpp"
 
 #include "mrs/common/rng.hpp"
-#include "mrs/common/strfmt.hpp"
-
-#include <algorithm>
-#include <deque>
-#include <limits>
 
 namespace mrs::net {
 
-std::span<const DirectedLink> Topology::path(NodeId src, NodeId dst) const {
-  MRS_REQUIRE(src.value() < hosts_.size());
-  MRS_REQUIRE(dst.value() < hosts_.size());
-  const std::size_t slot = src.value() * host_count() + dst.value();
-  return {route_pool_.data() + route_offsets_[slot],
-          route_offsets_[slot + 1] - route_offsets_[slot]};
-}
-
-void Topology::build_routes() {
-  const std::size_t h = host_count();
-  const std::size_t v = vertex_count();
-  route_offsets_.assign(h * h + 1, 0);
-  route_pool_.clear();
-
-  // BFS from every host over the vertex graph. All equal-cost parents are
-  // kept; path reconstruction picks one per (src, dst) pair with a
-  // deterministic hash — flow-level ECMP. Topologies with unique shortest
-  // paths (trees) are unaffected.
-  std::vector<std::size_t> dist(v);
-  struct Parent {
-    std::size_t vertex;
-    LinkId link;
-  };
-  std::vector<std::vector<Parent>> parents(v);
-  constexpr auto kInf = std::numeric_limits<std::size_t>::max();
-
-  for (std::size_t s = 0; s < h; ++s) {
-    std::fill(dist.begin(), dist.end(), kInf);
-    for (auto& p : parents) p.clear();
-    const std::size_t start = hosts_[s];
-    dist[start] = 0;
-    std::deque<std::size_t> queue{start};
-    while (!queue.empty()) {
-      const std::size_t u = queue.front();
-      queue.pop_front();
-      for (const Adjacency& adj : adjacency_[u]) {
-        if (dist[adj.neighbor] == kInf) {
-          dist[adj.neighbor] = dist[u] + 1;
-          parents[adj.neighbor].push_back({u, adj.link});
-          queue.push_back(adj.neighbor);
-        } else if (dist[adj.neighbor] == dist[u] + 1) {
-          parents[adj.neighbor].push_back({u, adj.link});  // equal-cost
-        }
-      }
+Route Topology::path(NodeId src, NodeId dst) const {
+  const Place& s = place(src);
+  const Place& t = place(dst);
+  Route route;
+  if (src == dst) return route;
+  route.push_back({LinkId(s.link), false});  // host up to its switch
+  if (s.rack != t.rack && half_ == 0) {
+    // Tree: ToR up to the core and down to the other ToR.
+    route.push_back({LinkId(s.rack * rack_links_), false});
+    route.push_back({LinkId(t.rack * rack_links_), true});
+  } else if (s.rack != t.rack) {
+    // Fat-tree: each pod owns 3h^2 consecutive links, the agg-core block
+    // (agg a's link to core column j at a*h + j) and then, per edge switch,
+    // its h edge-agg links and its h host links. All equal-cost choices are
+    // made by one hash of the (src, dst) pair (flow-level ECMP).
+    const std::size_t h = half_;
+    const std::uint64_t pair = splitmix64(
+        (std::uint64_t(src.value()) << 32) ^ std::uint64_t(dst.value()));
+    const std::size_t agg = splitmix64(pair + 1) % h;
+    const auto pod_base = [h](std::size_t pod) { return pod * 3 * h * h; };
+    const auto edge_agg = [&](const Place& p) {
+      const std::size_t edge = p.rack - p.pod * h;
+      return LinkId(pod_base(p.pod) + h * h + edge * 2 * h + agg);
+    };
+    route.push_back({edge_agg(s), false});
+    if (s.pod != t.pod) {
+      const std::size_t core = splitmix64(pair + 2) % h;
+      route.push_back({LinkId(pod_base(s.pod) + agg * h + core), false});
+      route.push_back({LinkId(pod_base(t.pod) + agg * h + core), true});
     }
-    std::vector<DirectedLink> reversed;
-    for (std::size_t t = 0; t < h; ++t) {
-      if (t != s) {
-        const std::size_t target = hosts_[t];
-        MRS_REQUIRE(dist[target] != kInf);  // topology must be connected
-        // Walk back target -> start, hashing the ECMP choice per hop so the
-        // (s, t) pair's path is stable but different pairs spread.
-        const std::uint64_t pair_hash =
-            splitmix64((std::uint64_t(s) << 32) ^ std::uint64_t(t));
-        reversed.clear();
-        std::size_t cur = target;
-        std::size_t hop = 0;
-        while (cur != start) {
-          const auto& options = parents[cur];
-          MRS_ASSERT(!options.empty());
-          const Parent& p =
-              options[splitmix64(pair_hash + hop++) % options.size()];
-          const Link& l = links_[p.link.value()];
-          // Forward direction of travel is parent -> cur.
-          const bool rev = (l.b == p.vertex && l.a == cur);
-          MRS_ASSERT(rev || (l.a == p.vertex && l.b == cur));
-          reversed.push_back(DirectedLink{p.link, rev});
-          cur = p.vertex;
-        }
-        route_pool_.insert(route_pool_.end(), reversed.rbegin(),
-                           reversed.rend());
-      }
-      // Slots are visited in ascending (s, t) order, so recording the pool
-      // size after each one yields the CSR offsets (t == s stays empty).
-      route_offsets_[s * h + t + 1] = route_pool_.size();
-    }
+    route.push_back({edge_agg(t), true});
   }
+  route.push_back({LinkId(t.link), true});  // down to the destination host
+  return route;
 }
 
 void Topology::scale_host_link_capacities(
     std::span<const double> per_host_scale) {
-  MRS_REQUIRE(per_host_scale.size() == hosts_.size());
-  for (std::size_t h = 0; h < hosts_.size(); ++h) {
+  MRS_REQUIRE(per_host_scale.size() == places_.size());
+  for (std::size_t h = 0; h < places_.size(); ++h) {
     const double scale = per_host_scale[h];
     MRS_REQUIRE(scale > 0.0);
     if (scale == 1.0) continue;
-    for (const Adjacency& adj : adjacency_[hosts_[h]]) {
-      links_[adj.link.value()].capacity *= scale;
-    }
+    links_[places_[h].link].capacity *= scale;
   }
 }
 
-NodeId TopologyBuilder::add_host(std::string name, RackId rack) {
-  const NodeId id(topo_.hosts_.size());
-  topo_.hosts_.push_back(topo_.vertices_.size());
-  topo_.vertices_.push_back({VertexKind::kHost, std::move(name), rack});
-  topo_.adjacency_.emplace_back();
-  return id;
-}
+/// The factories' graph construction. Links get ids in creation order,
+/// which path() relies on.
+class TopologyBuilder {
+ public:
+  TopologyBuilder(std::size_t racks, std::size_t half,
+                  std::size_t rack_links) {
+    topo_.rack_count_ = racks;
+    topo_.half_ = half;
+    topo_.rack_links_ = rack_links;
+  }
 
-SwitchId TopologyBuilder::add_switch(std::string name, RackId rack) {
-  const SwitchId id(topo_.switches_.size());
-  topo_.switches_.push_back(topo_.vertices_.size());
-  topo_.vertices_.push_back({VertexKind::kSwitch, std::move(name), rack});
-  topo_.adjacency_.emplace_back();
-  return id;
-}
+  /// Adds a switch and returns its vertex index.
+  std::size_t add_switch(RackId rack = RackId::invalid()) {
+    return add_vertex({VertexKind::kSwitch, rack});
+  }
 
-LinkId TopologyBuilder::connect_host_switch(NodeId host, SwitchId sw,
-                                            BytesPerSec capacity) {
-  MRS_REQUIRE(capacity > 0.0);
-  const std::size_t hv = topo_.hosts_.at(host.value());
-  const std::size_t sv = topo_.switches_.at(sw.value());
-  const LinkId id(topo_.links_.size());
-  topo_.links_.push_back({hv, sv, capacity});
-  topo_.adjacency_[hv].push_back({sv, id});
-  topo_.adjacency_[sv].push_back({hv, id});
-  return id;
-}
+  /// Adds the next host, in `rack` of `pod`, linked to switch vertex `sw`.
+  void add_host(std::size_t sw, std::size_t rack, std::size_t pod,
+                BytesPerSec capacity) {
+    const std::size_t v = add_vertex({VertexKind::kHost, RackId(rack)});
+    const LinkId link = connect(v, sw, capacity);
+    topo_.places_.push_back({static_cast<std::uint32_t>(rack),
+                             static_cast<std::uint32_t>(pod),
+                             static_cast<std::uint32_t>(link.value())});
+  }
 
-LinkId TopologyBuilder::connect_switches(SwitchId a, SwitchId b,
-                                         BytesPerSec capacity) {
-  MRS_REQUIRE(capacity > 0.0);
-  const std::size_t av = topo_.switches_.at(a.value());
-  const std::size_t bv = topo_.switches_.at(b.value());
-  const LinkId id(topo_.links_.size());
-  topo_.links_.push_back({av, bv, capacity});
-  topo_.adjacency_[av].push_back({bv, id});
-  topo_.adjacency_[bv].push_back({av, id});
-  return id;
-}
+  /// Links vertices `a` and `b`; the forward direction is a -> b.
+  LinkId connect(std::size_t a, std::size_t b, BytesPerSec capacity) {
+    MRS_REQUIRE(capacity > 0.0);
+    const LinkId id(topo_.links_.size());
+    topo_.links_.push_back({a, b, capacity});
+    topo_.adjacency_[a].push_back({b, id});
+    topo_.adjacency_[b].push_back({a, id});
+    return id;
+  }
 
-Topology TopologyBuilder::build() {
-  MRS_REQUIRE(!topo_.hosts_.empty());
-  topo_.rack_count_ = rack_count_;
-  topo_.build_routes();
-  return std::move(topo_);
-}
+  [[nodiscard]] Topology build() {
+    MRS_REQUIRE(!topo_.places_.empty());
+    return std::move(topo_);
+  }
+
+ private:
+  std::size_t add_vertex(Vertex vertex) {
+    topo_.vertices_.push_back(vertex);
+    topo_.adjacency_.emplace_back();
+    return topo_.vertices_.size() - 1;
+  }
+
+  Topology topo_;
+};
 
 Topology make_single_rack(std::size_t hosts, BytesPerSec host_link) {
   MRS_REQUIRE(hosts >= 1);
-  TopologyBuilder b;
-  b.set_rack_count(1);
-  const SwitchId tor = b.add_switch("tor0", RackId(0));
-  for (std::size_t i = 0; i < hosts; ++i) {
-    const NodeId n = b.add_host(strf("node%zu", i), RackId(0));
-    b.connect_host_switch(n, tor, host_link);
-  }
+  TopologyBuilder b(1, 0, 0);
+  const std::size_t tor = b.add_switch(RackId(0));
+  for (std::size_t i = 0; i < hosts; ++i) b.add_host(tor, 0, 0, host_link);
   return b.build();
 }
 
 Topology make_multi_rack_tree(const TreeTopologyConfig& cfg) {
   MRS_REQUIRE(cfg.racks >= 1 && cfg.hosts_per_rack >= 1);
-  TopologyBuilder b;
-  b.set_rack_count(cfg.racks);
-  const SwitchId core = b.add_switch("core0");
+  TopologyBuilder b(cfg.racks, 0, 1 + cfg.hosts_per_rack);
+  const std::size_t core = b.add_switch();
   for (std::size_t r = 0; r < cfg.racks; ++r) {
-    const SwitchId tor = b.add_switch(strf("tor%zu", r), RackId(r));
-    b.connect_switches(tor, core, cfg.uplink);
+    const std::size_t tor = b.add_switch(RackId(r));
+    b.connect(tor, core, cfg.uplink);
     for (std::size_t i = 0; i < cfg.hosts_per_rack; ++i) {
-      const NodeId n =
-          b.add_host(strf("node%zu-%zu", r, i), RackId(r));
-      b.connect_host_switch(n, tor, cfg.host_link);
+      b.add_host(tor, r, 0, cfg.host_link);
     }
   }
   return b.build();
@@ -181,39 +128,31 @@ Topology make_fat_tree(const FatTreeConfig& cfg) {
   const std::size_t k = cfg.k;
   MRS_REQUIRE(k >= 2 && k % 2 == 0);
   const std::size_t half = k / 2;
-  TopologyBuilder b;
-  b.set_rack_count(k * half);  // one rack per edge switch
+  TopologyBuilder b(k * half, half, 0);  // one rack per edge switch
 
   // (k/2)^2 core switches, indexed (i, j) with i, j in [0, k/2).
-  std::vector<SwitchId> core(half * half);
-  for (std::size_t i = 0; i < half; ++i) {
-    for (std::size_t j = 0; j < half; ++j) {
-      core[i * half + j] = b.add_switch(strf("core%zu-%zu", i, j));
-    }
-  }
+  std::vector<std::size_t> core(half * half);
+  for (std::size_t& c : core) c = b.add_switch();
 
   std::size_t rack = 0;
   for (std::size_t pod = 0; pod < k; ++pod) {
     // k/2 aggregation switches; agg a connects to cores (a, *).
-    std::vector<SwitchId> agg(half);
+    std::vector<std::size_t> agg(half);
     for (std::size_t a = 0; a < half; ++a) {
-      agg[a] = b.add_switch(strf("agg%zu-%zu", pod, a));
+      agg[a] = b.add_switch();
       for (std::size_t j = 0; j < half; ++j) {
-        b.connect_switches(agg[a], core[a * half + j], cfg.link);
+        b.connect(agg[a], core[a * half + j], cfg.link);
       }
     }
     // k/2 edge switches, each to every aggregation switch in the pod and
     // to k/2 hosts.
     for (std::size_t e = 0; e < half; ++e, ++rack) {
-      const SwitchId edge =
-          b.add_switch(strf("edge%zu-%zu", pod, e), RackId(rack));
+      const std::size_t edge = b.add_switch(RackId(rack));
       for (std::size_t a = 0; a < half; ++a) {
-        b.connect_switches(edge, agg[a], cfg.link);
+        b.connect(edge, agg[a], cfg.link);
       }
       for (std::size_t hst = 0; hst < half; ++hst) {
-        const NodeId n =
-            b.add_host(strf("node%zu-%zu-%zu", pod, e, hst), RackId(rack));
-        b.connect_host_switch(n, edge, cfg.link);
+        b.add_host(edge, rack, pod, cfg.link);
       }
     }
   }

@@ -3,15 +3,20 @@
 // The paper's cost model needs (a) hop distances between data nodes for the
 // distance matrix H (Eq. 1-3) and (b) link capacities for the
 // network-condition variant (Sec. II-B-3) and the flow-level shuffle
-// simulation. Builders cover the shapes the evaluation describes: a single
+// simulation. Factories cover the shapes the evaluation describes: a single
 // rack (the Palmetto allocation the authors got), a multi-rack tree with ToR
 // and core switches, and a k-ary fat-tree for larger studies.
+//
+// Every shape places a host at a (pod, rack, access link) coordinate, and the
+// factories create links in a fixed order. Routes and hop distances are
+// arithmetic on those coordinates, computed on demand: the topology stores
+// O(hosts + links) state and nothing per host pair.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "mrs/common/check.hpp"
@@ -25,7 +30,6 @@ enum class VertexKind { kHost, kSwitch };
 
 struct Vertex {
   VertexKind kind = VertexKind::kHost;
-  std::string name;
   RackId rack = RackId::invalid();  ///< rack for hosts and ToR switches
 };
 
@@ -47,12 +51,47 @@ struct DirectedLink {
   }
 };
 
-/// Immutable network graph. Construct via TopologyBuilder or the named
-/// factory functions below.
+/// A host-to-host route, held by value: at most six directed links (host,
+/// edge, aggregation, core, aggregation, edge, host on a fat-tree).
+class Route {
+ public:
+  static constexpr std::size_t kMaxLinks = 6;
+
+  void push_back(DirectedLink dl) {
+    MRS_ASSERT(size_ < kMaxLinks);
+    links_[size_++] = dl;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const DirectedLink& operator[](std::size_t i) const {
+    MRS_ASSERT(i < size_);
+    return links_[i];
+  }
+  [[nodiscard]] const DirectedLink& front() const { return (*this)[0]; }
+  [[nodiscard]] const DirectedLink& back() const {
+    return (*this)[size_ - 1];
+  }
+  [[nodiscard]] const DirectedLink* begin() const { return links_.data(); }
+  [[nodiscard]] const DirectedLink* end() const {
+    return links_.data() + size_;
+  }
+  /// The links as a span; valid while this route lives.
+  [[nodiscard]] std::span<const DirectedLink> links() const {
+    return {links_.data(), size_};
+  }
+
+ private:
+  std::array<DirectedLink, kMaxLinks> links_;
+  std::size_t size_ = 0;
+};
+
+/// Immutable network graph, built by the factory functions below.
 class Topology {
  public:
-  [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
-  [[nodiscard]] std::size_t switch_count() const { return switches_.size(); }
+  [[nodiscard]] std::size_t host_count() const { return places_.size(); }
+  [[nodiscard]] std::size_t switch_count() const {
+    return vertices_.size() - places_.size();
+  }
   [[nodiscard]] std::size_t vertex_count() const { return vertices_.size(); }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
   [[nodiscard]] std::size_t rack_count() const { return rack_count_; }
@@ -66,16 +105,15 @@ class Topology {
     return links_[id.value()];
   }
 
-  /// Vertex index of host `n`.
+  /// Vertex index of host `n` (the near end of its access link).
   [[nodiscard]] std::size_t host_vertex(NodeId n) const {
-    MRS_REQUIRE(n.value() < hosts_.size());
-    return hosts_[n.value()];
+    return links_[place(n).link].a;
   }
   [[nodiscard]] RackId rack_of(NodeId n) const {
-    return vertex(host_vertex(n)).rack;
+    return RackId(place(n).rack);
   }
   [[nodiscard]] bool same_rack(NodeId a, NodeId b) const {
-    return rack_of(a) == rack_of(b);
+    return place(a).rack == place(b).rack;
   }
 
   /// Adjacent (neighbor vertex, link) pairs of vertex `v`.
@@ -89,17 +127,19 @@ class Topology {
   }
 
   /// Shortest routing path between two hosts as directed links (empty when
-  /// src == dst). Ties are broken deterministically by an ECMP hash, so
-  /// routing is stable across runs. The returned span views the topology's
-  /// route pool and stays valid for the topology's lifetime (routes are
-  /// stored CSR-style — one flat pool plus offsets — so a 1k-host fat-tree's
-  /// ~1M routes don't pay a million small allocations).
-  [[nodiscard]] std::span<const DirectedLink> path(NodeId src,
-                                                   NodeId dst) const;
+  /// src == dst), computed from the hosts' coordinates. On a fat-tree a
+  /// pair's aggregation switch and core are picked by an ECMP hash of the
+  /// pair, so routing is stable across runs while pairs spread.
+  [[nodiscard]] Route path(NodeId src, NodeId dst) const;
 
-  /// Hop count (number of links) on the routing path between two hosts.
+  /// Hop count (number of links) on the routing path between two hosts:
+  /// 0 (same host), 2 (same rack), 4 (same pod; a tree is one pod) or 6.
   [[nodiscard]] std::size_t hops(NodeId src, NodeId dst) const {
-    return path(src, dst).size();
+    const Place& a = place(src);
+    const Place& b = place(dst);
+    if (src == dst) return 0;
+    if (a.rack == b.rack) return 2;
+    return a.pod == b.pod ? 4 : 6;
   }
 
   /// Scale each host's access-link capacity by `per_host_scale[host]`
@@ -111,41 +151,29 @@ class Topology {
   void scale_host_link_capacities(std::span<const double> per_host_scale);
 
  private:
-  friend class TopologyBuilder;
+  friend class TopologyBuilder;  // the factories' helper, in topology.cpp
 
-  void build_routes();
+  /// Where a host sits: its rack (ToR or edge switch), its pod and its
+  /// access link.
+  struct Place {
+    std::uint32_t rack;
+    std::uint32_t pod;
+    std::uint32_t link;
+  };
+  [[nodiscard]] const Place& place(NodeId n) const {
+    MRS_REQUIRE(n.value() < places_.size());
+    return places_[n.value()];
+  }
 
   std::vector<Vertex> vertices_;
   std::vector<Link> links_;
   std::vector<std::vector<Adjacency>> adjacency_;
-  std::vector<std::size_t> hosts_;     ///< host index -> vertex index
-  std::vector<std::size_t> switches_;  ///< switch index -> vertex index
+  std::vector<Place> places_;  ///< host index -> coordinates
   std::size_t rack_count_ = 0;
-  // Precomputed host-to-host routes in CSR layout: route (src, dst) is
-  // route_pool_[route_offsets_[src * H + dst] .. route_offsets_[src * H +
-  // dst + 1]).
-  std::vector<std::size_t> route_offsets_;
-  std::vector<DirectedLink> route_pool_;
-};
-
-/// Incremental topology construction.
-class TopologyBuilder {
- public:
-  NodeId add_host(std::string name, RackId rack);
-  SwitchId add_switch(std::string name,
-                      RackId rack = RackId::invalid());
-  LinkId connect_host_switch(NodeId host, SwitchId sw, BytesPerSec capacity);
-  LinkId connect_switches(SwitchId a, SwitchId b, BytesPerSec capacity);
-
-  void set_rack_count(std::size_t n) { rack_count_ = n; }
-
-  /// Finalizes the graph and computes all host-to-host routes.
-  /// The builder must not be reused afterwards.
-  [[nodiscard]] Topology build();
-
- private:
-  Topology topo_;
-  std::size_t rack_count_ = 0;
+  // Routing parameters (see path()): k/2 on a fat-tree, 0 on a tree; and on
+  // a tree, the links each rack owns (its uplink, then one per host).
+  std::size_t half_ = 0;
+  std::size_t rack_links_ = 0;
 };
 
 /// Parameters for the standard data-center tree shapes.

@@ -3,6 +3,8 @@
 // aggregated reduce-cost evaluator.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "mrs/core/cost_model.hpp"
 #include "mrs/dfs/block_store.hpp"
 #include "mrs/mapreduce/engine.hpp"
@@ -33,6 +35,20 @@ net::DistanceMatrix fig2_matrix() {
   return m;
 }
 
+/// Serves a hand-written matrix as static distances.
+class MatrixDistance final : public net::DistanceProvider {
+ public:
+  explicit MatrixDistance(net::DistanceMatrix m) : m_(std::move(m)) {}
+  [[nodiscard]] double distance(NodeId a, NodeId b,
+                                Seconds /*now*/) const override {
+    return m_.at(a, b);
+  }
+  [[nodiscard]] bool is_static() const override { return true; }
+
+ private:
+  net::DistanceMatrix m_;
+};
+
 struct Fig2Harness {
   Fig2Harness()
       : topo(net::make_single_rack(4)),
@@ -61,7 +77,7 @@ struct Fig2Harness {
   dfs::BlockStore store;
   cluster::Cluster clstr;
   sim::NetworkService network;
-  net::HopDistanceProvider distance;
+  MatrixDistance distance;
   Engine engine;
 };
 

@@ -156,32 +156,29 @@ TEST(Routing, FactoryRoutesArePinned) {
   EXPECT_EQ(route_digest(make_fat_tree({.k = 16})), 0x1abbf5e3ecf3844dull);
 }
 
-TEST(Builder, CustomGraph) {
-  TopologyBuilder b;
-  b.set_rack_count(2);
-  const SwitchId s0 = b.add_switch("s0", RackId(0));
-  const SwitchId s1 = b.add_switch("s1", RackId(1));
-  const NodeId h0 = b.add_host("h0", RackId(0));
-  const NodeId h1 = b.add_host("h1", RackId(1));
-  b.connect_host_switch(h0, s0, units::Gbps(1));
-  b.connect_host_switch(h1, s1, units::Gbps(1));
-  b.connect_switches(s0, s1, units::Gbps(10));
-  const Topology t = b.build();
-  EXPECT_EQ(t.hops(h0, h1), 3u);
-  EXPECT_FALSE(t.same_rack(h0, h1));
-}
-
-TEST(DistanceMatrix, FromHopsMatchesTopology) {
-  TreeTopologyConfig cfg;
-  cfg.racks = 2;
-  cfg.hosts_per_rack = 2;
-  const Topology t = make_multi_rack_tree(cfg);
-  const DistanceMatrix m = DistanceMatrix::from_hops(t);
-  for (std::size_t a = 0; a < t.host_count(); ++a) {
-    for (std::size_t b = 0; b < t.host_count(); ++b) {
-      EXPECT_DOUBLE_EQ(m.at(NodeId(a), NodeId(b)),
-                       double(t.hops(NodeId(a), NodeId(b))));
+TEST(HopDistanceProvider, MatchesTopologyHops) {
+  TreeTopologyConfig tree;
+  tree.racks = 4;
+  tree.hosts_per_rack = 15;
+  const Topology four_by_fifteen = make_multi_rack_tree(tree);
+  tree.racks = 3;
+  tree.hosts_per_rack = 4;
+  const Topology three_by_four = make_multi_rack_tree(tree);
+  const Topology rack = make_single_rack(60);
+  const Topology k4 = make_fat_tree({.k = 4});
+  const Topology k8 = make_fat_tree({.k = 8});
+  const Topology k16 = make_fat_tree({.k = 16});
+  for (const Topology* t :
+       {&rack, &four_by_fifteen, &three_by_four, &k4, &k8, &k16}) {
+    const HopDistanceProvider p(*t);
+    std::size_t mismatches = 0;
+    for (std::size_t a = 0; a < t->host_count(); ++a) {
+      for (std::size_t b = 0; b < t->host_count(); ++b) {
+        const double hops = double(t->hops(NodeId(a), NodeId(b)));
+        if (p.distance(NodeId(a), NodeId(b), 0.0) != hops) ++mismatches;
+      }
     }
+    EXPECT_EQ(mismatches, 0u) << t->host_count() << " hosts";
   }
 }
 
