@@ -28,7 +28,8 @@
 # Between 3 and 4 run the admission, tenant, hetero, chaos and
 # trace-replay smokes (the last four include a `bench_paper <study>_quick`
 # row whose CSV must match its reference in tests/golden/bench/ byte for
-# byte), then the bench_paper smoke: --help lists 26 distinct rows, an
+# byte), the k=32 fat-tree smoke (an 8192-host stream must drain under a
+# peak-RSS bound), then the bench_paper smoke: --help lists 26 distinct rows, an
 # unknown row exits 2, the two rows that need no simulation write their
 # CSVs, every `bench_paper <row>` the docs name is a listed row, and every
 # build/bench/<binary> the docs name is one the build defines and produced.
@@ -263,6 +264,32 @@ cmp bench_out/trace_replay_quick.csv tests/golden/bench/trace_replay_quick.csv
 echo "trace-replay smoke: bench_out/trace_replay_quick.csv matches its reference"
 }
 
+step_fat_tree_k32() {
+echo "==> k=32 fat-tree smoke: 8192 hosts drain in bounded memory"
+# Routes and hop distances are arithmetic on host coordinates, so the
+# topology holds no per-host-pair state (a route table for 8192 hosts
+# would take ~6.9 GB). The peak RSS of a short stream, read through
+# getrusage(RUSAGE_CHILDREN), measured 86.5 MiB on a 4-vCPU Xeon; the
+# 128 MiB bound leaves ~1.5x headroom.
+K32_ARGS=(--fat-tree 32 --arrivals poisson --rate 60 --duration 600
+  --job-scale 0.02 --seed 42 --log-level warn --quiet)
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "${K32_ARGS[@]}" <<'PY'
+import resource, subprocess, sys
+run = subprocess.run(["./build/tools/pnats_sim"] + sys.argv[1:],
+                     capture_output=True, text=True, timeout=120)
+assert run.returncode == 0, run.stdout + run.stderr
+assert "drained=yes" in run.stdout, run.stdout
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mib <= 128, f"peak RSS {peak_mib:.1f} MiB > 128 MiB bound"
+print(f"k=32 smoke: drained, peak RSS {peak_mib:.1f} MiB (bound 128 MiB)")
+PY
+else
+  ./build/tools/pnats_sim "${K32_ARGS[@]}" | grep -q 'drained=yes'
+  echo "k=32 smoke: python3 unavailable, RSS bound skipped"
+fi
+}
+
 step_bench_paper() {
 echo "==> bench_paper smoke: row table, bad row, no-simulation rows, doc names"
 # --help lists one "  <row>  <figure>: <caption>" line per row; the rows
@@ -378,6 +405,7 @@ run_step "tenant smoke" step_tenant
 run_step "hetero smoke" step_hetero
 run_step "chaos smoke" step_chaos
 run_step "trace-replay smoke" step_trace_replay
+run_step "k=32 fat-tree smoke" step_fat_tree_k32
 run_step "bench_paper smoke" step_bench_paper
 run_step "perf smoke" step_perf
 run_step "perfbench smoke" step_perfbench
