@@ -6,6 +6,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mrs/core/cost_model.hpp"
 #include "mrs/core/pna_scheduler.hpp"
@@ -27,9 +29,11 @@ using namespace mrs;
 constexpr double kGb = 1e9 / 8.0;
 
 struct BenchCluster {
-  explicit BenchCluster(std::size_t maps, std::size_t reduces)
-      : topo(net::make_single_rack(60, units::Gbps(1))),
-        store(60),
+  explicit BenchCluster(std::size_t maps, std::size_t reduces,
+                        net::Topology shape = net::make_single_rack(
+                            60, units::Gbps(1)))
+      : topo(std::move(shape)),
+        store(topo.host_count()),
         placer(&topo, Rng(1)),
         clstr(&topo, {}, Rng(2)),
         network(&sim, &topo),
@@ -45,10 +49,12 @@ struct BenchCluster {
       spec.map_tasks.push_back({b, 128.0 * units::kMiB});
     }
     job = &engine.submit(std::move(spec), Rng(3));
-    // Mark half of the maps running/finished so reduce costs have sources.
+    // Mark half of the maps running/finished so reduce costs have sources
+    // (on up to 60 nodes, spread over the topology).
+    const std::size_t spread = topo.host_count() / 60;
     for (std::size_t j = 0; j < maps / 2; ++j) {
       auto& m = job->map_state(j);
-      m.node = NodeId(j % 60);
+      m.node = NodeId((j % 60) * spread);
       m.phase = j % 3 == 0 ? mapreduce::MapPhase::kDone
                            : mapreduce::MapPhase::kComputing;
       m.compute_start = 0.0;
@@ -86,22 +92,6 @@ void BM_IntermediateSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IntermediateSnapshot)->Arg(100)->Arg(500)->Arg(930);
-
-void BM_ReduceCostEvaluator(benchmark::State& state) {
-  BenchCluster bc(930, static_cast<std::size_t>(state.range(0)));
-  const auto candidates = bc.clstr.nodes_with_free_reduce_slots();
-  for (auto _ : state) {
-    core::ReduceCostEvaluator eval(bc.engine, *bc.job,
-                                   core::EstimatorMode::kProjected,
-                                   candidates);
-    double sum = 0.0;
-    for (std::size_t f = 0; f < bc.job->reduce_count(); ++f) {
-      sum += eval.average_cost(f);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_ReduceCostEvaluator)->Arg(50)->Arg(197);
 
 void BM_ProbabilityModel(benchmark::State& state) {
   double c = 1.0;
@@ -158,6 +148,36 @@ class ReferenceClock {
   benchmark::State& state_;
   double before_s_;
 };
+
+// One reduce decision in PNA's call shape (Algorithm 2's scoring): the
+// evaluator refilled for the job's unassigned reduces (half of 197), then
+// per reduce the offered node's Eq. 2 cost and the Eq. 5 average over the
+// free set, on a k=16 fat-tree (1024 hosts, all free) with hop distances.
+// items_per_second == decisions/sec; gated against the baseline floor.
+void BM_ReduceCostEvaluator(benchmark::State& state) {
+  BenchCluster bc(930, 197, net::make_fat_tree({.k = 16}));
+  for (std::size_t f = 0; f < bc.job->reduce_count(); f += 2) {
+    bc.job->reduce_state(f).phase = mapreduce::ReducePhase::kComputing;
+  }
+  const std::vector<std::size_t> unassigned = bc.job->unassigned_reduces();
+  const std::vector<NodeId>& free_nodes =
+      bc.clstr.nodes_with_free_reduce_slots();
+  core::ReduceCostEvaluator eval;
+  std::size_t self = 0;
+  const ReferenceClock clock(state);
+  for (auto _ : state) {
+    eval.reset(bc.engine, *bc.job, core::EstimatorMode::kProjected,
+               free_nodes, unassigned);
+    double sum = 0.0;
+    for (const std::size_t f : unassigned) {
+      sum += eval.cost(self, f) + eval.average_cost(f);
+    }
+    benchmark::DoNotOptimize(sum);
+    self = (self + 97) % free_nodes.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ReduceCostEvaluator);
 
 // The incremental-vs-naive scoring case the perf work targets: a 60-node
 // cluster saturated with running work (3 of 4 map slots busy everywhere,

@@ -237,7 +237,9 @@ bool PnaScheduler::schedule_reduce(Engine& engine, JobRun& job, NodeId node) {
   MRS_ASSERT(self != n_r.end() && *self == node);
   const auto self_index = static_cast<std::size_t>(self - n_r.begin());
 
-  ReduceCostEvaluator eval(engine, job, cfg_.estimator, n_r);
+  const std::vector<std::size_t> unassigned = job.unassigned_reduces();
+  reduce_eval_.reset(engine, job, cfg_.estimator, n_r, unassigned);
+  const ReduceCostEvaluator& eval = reduce_eval_;
 
   const double mix = cfg_.cost_mix;
   double inv_speed_sum = 0.0;
@@ -256,7 +258,7 @@ bool PnaScheduler::schedule_reduce(Engine& engine, JobRun& job, NodeId node) {
   std::uint64_t candidates = 0;
   {
     telemetry::ScopedTimer score_timer(metrics_.score_wall);
-    for (std::size_t f : job.unassigned_reduces()) {
+    for (std::size_t f : unassigned) {
       ++candidates;
       double c_if = eval.cost(self_index, f);    // Line 5 (Eq. 3)
       double c_ave = eval.average_cost(f);       // Line 7

@@ -107,6 +107,8 @@ class PnaScheduler final : public mapreduce::TaskScheduler {
   PnaConfig cfg_;
   Rng rng_;
   Metrics metrics_;
+  /// Reduce-side scratch, refilled at every decision.
+  ReduceCostEvaluator reduce_eval_;
   trace::DecisionLog* decisions_ = nullptr;
   std::size_t map_attempts_ = 0;
   std::size_t map_skips_ = 0;

@@ -1,8 +1,10 @@
 #include "mrs/driver/stream_experiment.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "mrs/common/check.hpp"
+#include "mrs/common/strfmt.hpp"
 #include "mrs/driver/striped.hpp"
 
 namespace mrs::driver {
@@ -57,7 +59,14 @@ StreamResult run_stream_experiment(const StreamConfig& cfg) {
 
   StreamResult result;
   result.arrivals = stream_arrivals(cfg);
-  MRS_REQUIRE(!result.arrivals.empty());
+  if (result.arrivals.empty()) {
+    // A short, slow stream can draw no job at all: a property of the
+    // configuration, reported like any other rejected input.
+    throw std::runtime_error(
+        strf("the arrival stream drew no jobs in %.17g s; raise the rate "
+             "or the duration",
+             cfg.arrivals.duration));
+  }
 
   ExperimentConfig run_cfg = stream_base_config(cfg);
   run_cfg.jobs.reserve(result.arrivals.size());

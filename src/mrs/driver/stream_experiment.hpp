@@ -55,7 +55,8 @@ struct StreamResult {
 
 /// Run one open-loop experiment synchronously. With cfg.stream_trace the
 /// arrivals are pulled incrementally from the trace file; otherwise they
-/// are pre-drawn and buffered.
+/// are pre-drawn and buffered, and a stream that draws no arrival throws
+/// std::runtime_error.
 [[nodiscard]] StreamResult run_stream_experiment(const StreamConfig& cfg);
 
 /// Run several independent open-loop experiments concurrently (the

@@ -105,9 +105,9 @@ bool UnrelatedScheduler::try_reduce(Engine& engine, NodeId node) {
     if (unassigned.empty()) continue;
 
     const auto& free_nodes = engine.cluster().nodes_with_free_reduce_slots();
-    core::ReduceCostEvaluator eval(engine, *job,
-                                   core::EstimatorMode::kProjected,
-                                   free_nodes);
+    reduce_eval_.reset(engine, *job, core::EstimatorMode::kProjected,
+                       free_nodes, unassigned);
+    const core::ReduceCostEvaluator& eval = reduce_eval_;
     const auto self = std::lower_bound(free_nodes.begin(), free_nodes.end(),
                                        node);
     MRS_ASSERT(self != free_nodes.end() && *self == node);

@@ -56,6 +56,7 @@ class UnrelatedScheduler final : public mapreduce::TaskScheduler {
 
   Metrics metrics_;
   trace::DecisionLog* decisions_ = nullptr;
+  core::ReduceCostEvaluator reduce_eval_;  ///< refilled per decision
 };
 
 }  // namespace mrs::hetero

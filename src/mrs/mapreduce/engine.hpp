@@ -155,6 +155,9 @@ class Engine {
   [[nodiscard]] double distance(NodeId a, NodeId b) const {
     return distance_->distance(a, b, now());
   }
+  [[nodiscard]] const net::DistanceProvider& distance_provider() const {
+    return *distance_;
+  }
 
   /// Active (submitted, incomplete) jobs in submission order.
   [[nodiscard]] const std::vector<JobRun*>& active_jobs() const {

@@ -87,14 +87,17 @@ double JobRun::map_progress(std::size_t j, Seconds now) const {
   return 0.0;
 }
 
+double JobRun::emit_ramp(double progress) const {
+  return spec_.emit_nonlinearity == 1.0
+             ? progress
+             : std::pow(progress, spec_.emit_nonlinearity);
+}
+
 Bytes JobRun::current_partition(std::size_t j, std::size_t f,
                                 Seconds now) const {
   const double p = map_progress(j, now);
   if (p <= 0.0) return 0.0;
-  const double ramp = spec_.emit_nonlinearity == 1.0
-                          ? p
-                          : std::pow(p, spec_.emit_nonlinearity);
-  return final_partition(j, f) * ramp;
+  return final_partition(j, f) * emit_ramp(p);
 }
 
 std::vector<std::size_t> JobRun::unassigned_maps() const {

@@ -155,8 +155,13 @@ class JobRun {
     return spec_.map_tasks[j].input_size * map_progress(j, now);
   }
 
+  /// Emission ramp p^alpha at map progress `progress` > 0: the fraction of
+  /// its final output a map has produced (alpha = emit_nonlinearity).
+  [[nodiscard]] double emit_ramp(double progress) const;
+
   /// Heartbeat-visible A_jf: current intermediate bytes of map j for
-  /// reduce f at `now` (ramp p^alpha of the ground truth).
+  /// reduce f at `now` (final_partition(j, f) * emit_ramp(progress), or 0
+  /// before the map makes progress).
   [[nodiscard]] Bytes current_partition(std::size_t j, std::size_t f,
                                         Seconds now) const;
 

@@ -1,5 +1,6 @@
 #include "mrs/net/distance.hpp"
 
+#include <algorithm>
 #include <limits>
 
 namespace mrs::net {
@@ -31,6 +32,48 @@ DistanceMatrix DistanceMatrix::from_weighted_paths(
     }
   }
   return m;
+}
+
+void DistanceProvider::column_sums(std::span<const NodeId> sources,
+                                   std::span<const NodeId> candidates,
+                                   Seconds now, std::span<double> out) const {
+  MRS_REQUIRE(out.size() == sources.size());
+  std::fill(out.begin(), out.end(), 0.0);
+  for (const NodeId c : candidates) {
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      out[s] += distance(sources[s], c, now);
+    }
+  }
+}
+
+void HopDistanceProvider::column_sums(std::span<const NodeId> sources,
+                                      std::span<const NodeId> candidates,
+                                      Seconds /*now*/,
+                                      std::span<double> out) const {
+  MRS_REQUIRE(out.size() == sources.size());
+  if (host_hits_.empty()) {
+    host_hits_.assign(topo_->host_count(), 0);
+    rack_hits_.assign(topo_->rack_count(), 0);
+    pod_hits_.assign(topo_->pod_count(), 0);
+  }
+  for (const NodeId c : candidates) {
+    ++host_hits_[c.value()];
+    ++rack_hits_[topo_->rack_of(c).value()];
+    ++pod_hits_[topo_->pod_of(c)];
+  }
+  const auto all = static_cast<std::int64_t>(candidates.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const NodeId n = sources[s];
+    const std::int64_t near = std::int64_t{pod_hits_[topo_->pod_of(n)]} +
+                              rack_hits_[topo_->rack_of(n).value()] +
+                              host_hits_[n.value()];
+    out[s] = static_cast<double>(6 * all - 2 * near);
+  }
+  for (const NodeId c : candidates) {
+    --host_hits_[c.value()];
+    --rack_hits_[topo_->rack_of(c).value()];
+    --pod_hits_[topo_->pod_of(c)];
+  }
 }
 
 LoadAwareDistanceProvider::LoadAwareDistanceProvider(

@@ -9,7 +9,9 @@
 // once per background-traffic resample epoch.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mrs/common/ids.hpp"
@@ -64,10 +66,20 @@ class DistanceProvider {
   /// True when distances never change over time; consumers may then cache
   /// derived quantities (e.g. per-task minimum replica distances).
   [[nodiscard]] virtual bool is_static() const { return false; }
+  /// Column sums of H over a candidate set, the numerators of the cost
+  /// model's average over free nodes (Eq. 5's C_ave): out[s] = the sum, in
+  /// candidate order from 0.0, of distance(sources[s], c, now) over every
+  /// candidate c. The default runs that loop; an override must return the
+  /// same bits.
+  virtual void column_sums(std::span<const NodeId> sources,
+                           std::span<const NodeId> candidates, Seconds now,
+                           std::span<double> out) const;
 };
 
 /// Static hop-count distances (the paper's default H), read from the
 /// topology. `topo` must outlive the provider.
+///
+/// Not thread-safe (column_sums() keeps tallies between calls).
 class HopDistanceProvider final : public DistanceProvider {
  public:
   explicit HopDistanceProvider(const Topology& topo) : topo_(&topo) {}
@@ -78,8 +90,21 @@ class HopDistanceProvider final : public DistanceProvider {
   }
   [[nodiscard]] bool is_static() const override { return true; }
 
+  /// h(s, c) = 6 - 2[same pod] - 2[same rack] - 2[s == c] (Topology::hops),
+  /// so a column sum is 6|C| - 2|C_pod(s)| - 2|C_rack(s)| - 2|C_host(s)|,
+  /// read from per-pod, per-rack and per-host candidate tallies in
+  /// O(|sources| + |candidates|). Computed in integers: every partial sum
+  /// of the default loop is an integer below 2^53, so the bits are equal.
+  void column_sums(std::span<const NodeId> sources,
+                   std::span<const NodeId> candidates, Seconds now,
+                   std::span<double> out) const override;
+
  private:
   const Topology* topo_;
+  /// Candidates per host, rack and pod; all zero between calls.
+  mutable std::vector<std::uint32_t> host_hits_;
+  mutable std::vector<std::uint32_t> rack_hits_;
+  mutable std::vector<std::uint32_t> pod_hits_;
 };
 
 /// Live network-condition distances (Sec. II-B-3): advances the link

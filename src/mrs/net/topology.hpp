@@ -115,6 +115,11 @@ class Topology {
   [[nodiscard]] bool same_rack(NodeId a, NodeId b) const {
     return place(a).rack == place(b).rack;
   }
+  /// Pod of host `n`: its fat-tree pod, or 0 on a tree (one pod).
+  [[nodiscard]] std::size_t pod_of(NodeId n) const { return place(n).pod; }
+  [[nodiscard]] std::size_t pod_count() const {
+    return half_ == 0 ? 1 : 2 * half_;
+  }
 
   /// Adjacent (neighbor vertex, link) pairs of vertex `v`.
   struct Adjacency {

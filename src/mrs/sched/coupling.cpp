@@ -77,9 +77,10 @@ bool CouplingScheduler::try_reduce(Engine& engine, NodeId node) {
     // paper contrasts its estimator and fine-grained cost against.
     const std::vector<NodeId>& n_r =
         engine.cluster().nodes_with_free_reduce_slots();
-    const core::IntermediateSnapshot snap(*job, engine.now(),
-                                          core::EstimatorMode::kCurrent,
-                                          engine.cluster().node_count());
+    const std::size_t listed[] = {f};
+    snapshot_.rebuild(*job, engine.now(), core::EstimatorMode::kCurrent,
+                      engine.cluster().node_count(), listed);
+    const core::IntermediateSnapshot& snap = snapshot_;
     const auto coarse = [&](NodeId a, NodeId b) {
       if (a == b) return 0.0;
       return engine.topology().same_rack(a, b) ? 2.0 : 4.0;
@@ -88,8 +89,8 @@ bool CouplingScheduler::try_reduce(Engine& engine, NodeId node) {
     double here = 0.0;
     for (const NodeId c : n_r) {
       double cost = 0.0;
-      for (const std::size_t s : snap.source_nodes()) {
-        cost += coarse(NodeId(s), c) * snap.bytes_from(s, f);
+      for (const NodeId s : snap.source_nodes()) {
+        cost += coarse(s, c) * snap.bytes_from(s.value(), f);
       }
       best = std::min(best, cost);
       if (c == node) here = cost;

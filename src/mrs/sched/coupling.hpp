@@ -52,6 +52,7 @@ class CouplingScheduler final : public mapreduce::TaskScheduler {
 
   CouplingConfig cfg_;
   Rng rng_;
+  core::IntermediateSnapshot snapshot_;  ///< refilled per decision
 };
 
 }  // namespace mrs::sched

@@ -44,9 +44,9 @@ bool LartsScheduler::try_reduce(Engine& engine, NodeId node) {
 
     // Current (not projected) intermediate sizes: LARTS predates the
     // paper's Eq. 3 estimation.
-    const core::IntermediateSnapshot snap(*job, engine.now(),
-                                          core::EstimatorMode::kCurrent,
-                                          engine.cluster().node_count());
+    snapshot_.rebuild(*job, engine.now(), core::EstimatorMode::kCurrent,
+                      engine.cluster().node_count(), unassigned);
+    const core::IntermediateSnapshot& snap = snapshot_;
     const auto& free_nodes = engine.cluster().nodes_with_free_reduce_slots();
 
     // Among unassigned reduces, pick the one for which this node hosts the

@@ -34,6 +34,7 @@ class LartsScheduler final : public mapreduce::TaskScheduler {
   bool try_reduce(mapreduce::Engine& engine, NodeId node);
 
   LartsConfig cfg_;
+  core::IntermediateSnapshot snapshot_;  ///< refilled per decision
 };
 
 }  // namespace mrs::sched

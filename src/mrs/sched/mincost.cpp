@@ -109,9 +109,9 @@ bool MinCostScheduler::try_reduce(Engine& engine, NodeId node) {
     if (unassigned.empty()) continue;
 
     const auto& free_nodes = engine.cluster().nodes_with_free_reduce_slots();
-    core::ReduceCostEvaluator eval(engine, *job,
-                                   core::EstimatorMode::kProjected,
-                                   free_nodes);
+    reduce_eval_.reset(engine, *job, core::EstimatorMode::kProjected,
+                       free_nodes, unassigned);
+    const core::ReduceCostEvaluator& eval = reduce_eval_;
     std::size_t self = free_nodes.size();
     for (std::size_t c = 0; c < free_nodes.size(); ++c) {
       if (free_nodes[c] == node) self = c;

@@ -36,6 +36,7 @@ class MinCostScheduler final : public mapreduce::TaskScheduler {
   bool try_reduce(mapreduce::Engine& engine, NodeId node);
 
   trace::DecisionLog* decisions_ = nullptr;
+  core::ReduceCostEvaluator reduce_eval_;  ///< refilled per decision
 };
 
 }  // namespace mrs::sched

@@ -1,6 +1,8 @@
 #include "mrs/sim/simulation.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace mrs::sim {
@@ -11,6 +13,14 @@ namespace {
 // table) of the entries are dead, so the cost amortizes to O(1) per event.
 constexpr std::size_t kHeapSweepMin = 64;
 constexpr std::size_t kCallbackSweepMin = 1024;
+
+[[noreturn]] void livelock(Seconds now) {
+  std::fprintf(stderr,
+               "sim::Simulation: livelock: more than %zu events fired at "
+               "t = %.17g s without the clock moving\n",
+               Simulation::kMaxEventsPerInstant, now);
+  std::abort();
+}
 }  // namespace
 
 EventHandle Simulation::schedule_at(Seconds t, Callback cb) {
@@ -90,7 +100,11 @@ bool Simulation::step() {
   Callback* slot = find(top.seq);
   Callback cb = std::exchange(*slot, nullptr);
   MRS_ASSERT(top.time >= now_);
-  now_ = top.time;
+  if (top.time != now_) {
+    now_ = top.time;
+    fired_at_now_ = 0;
+  }
+  if (++fired_at_now_ > kMaxEventsPerInstant) livelock(now_);
   --live_events_;
   ++processed_;
   cb();

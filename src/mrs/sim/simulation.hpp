@@ -42,6 +42,13 @@ class Simulation {
  public:
   using Callback = std::function<void()>;
 
+  /// Livelock guard: more consecutive events than this at one simulated
+  /// time abort the run with a message naming the time. A callback that
+  /// re-arms itself at the current instant would otherwise grow memory
+  /// until std::bad_alloc; no model schedules anywhere near this many
+  /// simultaneous events.
+  static constexpr std::size_t kMaxEventsPerInstant = std::size_t{1} << 24;
+
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -97,6 +104,7 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::size_t live_events_ = 0;
   std::size_t processed_ = 0;
+  std::size_t fired_at_now_ = 0;  ///< events fired at now_ so far
 
   [[nodiscard]] Callback* find(std::uint64_t seq);
   [[nodiscard]] bool is_live(const Entry& e);

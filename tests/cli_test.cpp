@@ -207,6 +207,16 @@ TEST(Cli, StreamRunsPastTwoToTheSeventeenSeconds) {
   EXPECT_NE(e.output.find("drained=yes"), std::string::npos) << e.output;
 }
 
+TEST(Cli, StreamWithNoArrivalsExitsTwo) {
+  // Ten seconds at the default rate draw no job: a message, not an abort.
+  const Exit e = sim({"--nodes", "12", "--arrivals", "poisson", "--duration",
+                      "10", "--job-scale", "0.02", "--quiet"});
+  EXPECT_TRUE(e.exited_with(2)) << e.output;
+  EXPECT_NE(e.output.find("pnats_sim: the arrival stream drew no jobs"),
+            std::string::npos)
+      << e.output;
+}
+
 TEST(Cli, PnaAliasSelectsTheProbabilisticScheduler) {
   const Exit e = sim({"--scheduler", "pna", "--arrivals", "poisson",
                       "--nodes", "12", "--duration", "600", "--job-scale",

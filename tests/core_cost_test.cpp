@@ -3,6 +3,9 @@
 // aggregated reduce-cost evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "mrs/core/cost_model.hpp"
@@ -11,6 +14,7 @@
 #include "mrs/net/distance.hpp"
 #include "mrs/sim/network_service.hpp"
 #include "mrs/sim/simulation.hpp"
+#include "test_harness.hpp"
 
 namespace mrs::core {
 namespace {
@@ -20,6 +24,7 @@ using mapreduce::EngineConfig;
 using mapreduce::JobRun;
 using mapreduce::JobSpec;
 using mapreduce::MapPhase;
+using mrs::testing::ForwardingDistance;
 
 // The distance matrix of the paper's Fig. 2 example: nodes D1..D4 map to
 // NodeId 0..3. Known entries: d(D3,D1)=2, d(D3,D2)=10, d(D3,D4)=6,
@@ -189,7 +194,7 @@ TEST(IntermediateSnapshot, ProjectedIsExactForLinearEmitters) {
     EXPECT_DOUBLE_EQ(snap.bytes_from(2, f) + snap.bytes_from(3, f),
                      snap.bytes_from(2, f));  // node 3 empty
   }
-  EXPECT_EQ(snap.source_nodes(), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(snap.source_nodes(), (std::vector<NodeId>{NodeId(0), NodeId(1)}));
 }
 
 TEST(IntermediateSnapshot, CurrentUnderestimatesRunningMaps) {
@@ -286,6 +291,205 @@ TEST(ReduceCostEvaluator, ZeroCostOnDataNodeInSingleSourceCase) {
     EXPECT_DOUBLE_EQ(eval.cost(0, f), 0.0);
     EXPECT_GT(eval.cost(1, f), 0.0);
     EXPECT_GT(eval.average_cost(f), 0.0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bit identity of the per-decision shortcuts: a snapshot over a partition
+// list, and hop column sums from tallies instead of the default loop.
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// 40 maps over 10 nodes in every phase and at assorted progress, 12
+/// reduces.
+JobRun mixed_job(double nonlinearity, std::uint64_t seed) {
+  JobSpec spec;
+  spec.name = "mixed";
+  spec.reduce_count = 12;
+  spec.emit_nonlinearity = nonlinearity;
+  spec.partition_skew = 0.8;
+  spec.selectivity_jitter = 0.3;
+  for (std::size_t j = 0; j < 40; ++j) {
+    spec.map_tasks.push_back({BlockId(j), 64.0 + 3.0 * double(j)});
+  }
+  JobRun job(std::move(spec), 10, Rng(seed));
+  Rng draw(seed + 100);
+  for (std::size_t j = 0; j < job.map_count(); ++j) {
+    auto& m = job.map_state(j);
+    m.phase = static_cast<MapPhase>(draw.index(6));
+    m.node = NodeId(draw.index(10));
+    m.compute_start = draw.uniform(0.0, 4.0);
+    m.compute_duration = draw.uniform(0.5, 8.0);
+  }
+  return job;
+}
+
+/// Every other reduce, back to front: columns out of index order.
+std::vector<std::size_t> every_other_reduce(const JobRun& job) {
+  std::vector<std::size_t> listed;
+  for (std::size_t f = 1; f < job.reduce_count(); f += 2) listed.push_back(f);
+  std::reverse(listed.begin(), listed.end());
+  return listed;
+}
+
+TEST(IntermediateSnapshot, PartitionListMatchesFullSnapshotBitwise) {
+  for (const double alpha : {1.0, 1.7}) {
+    for (const auto mode : {EstimatorMode::kProjected,
+                            EstimatorMode::kCurrent,
+                            EstimatorMode::kOracle}) {
+      SCOPED_TRACE(std::string(to_string(mode)) + " alpha " +
+                   std::to_string(alpha));
+      const JobRun job = mixed_job(alpha, 21);
+      const IntermediateSnapshot full(job, 5.0, mode, 10);
+      const auto listed = every_other_reduce(job);
+      const IntermediateSnapshot part(job, 5.0, mode, 10, listed);
+      ASSERT_FALSE(full.source_nodes().empty());
+      EXPECT_EQ(part.source_nodes(), full.source_nodes());
+      for (const std::size_t f : listed) {
+        EXPECT_EQ(bits(part.total_for(f)), bits(full.total_for(f)));
+        for (std::size_t p = 0; p < 10; ++p) {
+          EXPECT_EQ(bits(part.bytes_from(p, f)), bits(full.bytes_from(p, f)))
+              << "node " << p << " reduce " << f;
+        }
+      }
+    }
+  }
+}
+
+TEST(IntermediateSnapshot, RebuildReusesBuffersWithoutLeftovers) {
+  // One snapshot refilled for another job, time and list equals a fresh
+  // one: nothing of the previous build's sources or columns survives.
+  IntermediateSnapshot reused;
+  const JobRun first = mixed_job(1.0, 31);
+  const JobRun second = mixed_job(1.3, 32);
+  reused.rebuild(first, 5.0, EstimatorMode::kProjected, 10,
+                 every_other_reduce(first));
+  const std::vector<std::size_t> listed = {0, 3, 4};
+  reused.rebuild(second, 6.0, EstimatorMode::kCurrent, 10, listed);
+  const IntermediateSnapshot fresh(second, 6.0, EstimatorMode::kCurrent, 10,
+                                   listed);
+  EXPECT_EQ(reused.source_nodes(), fresh.source_nodes());
+  for (const std::size_t f : listed) {
+    EXPECT_EQ(bits(reused.total_for(f)), bits(fresh.total_for(f)));
+    for (std::size_t p = 0; p < 10; ++p) {
+      EXPECT_EQ(bits(reused.bytes_from(p, f)), bits(fresh.bytes_from(p, f)));
+    }
+  }
+}
+
+TEST(IntermediateSnapshotDeathTest, UnlistedPartitionFails) {
+  const JobRun job = mixed_job(1.0, 41);
+  const auto listed = every_other_reduce(job);  // odd reduces only
+  const IntermediateSnapshot part(job, 5.0, EstimatorMode::kProjected, 10,
+                                  listed);
+  EXPECT_DEATH((void)part.bytes_from(0, 2), "column_of_");
+  EXPECT_DEATH((void)part.total_for(4), "column_of_");
+  EXPECT_DEATH((void)part.total_for(job.reduce_count()), "column_of_");
+}
+
+/// A random subset of the hosts, ascending, of about `share` of them.
+std::vector<NodeId> random_hosts(std::size_t hosts, double share, Rng& rng) {
+  std::vector<NodeId> out;
+  for (std::size_t n = 0; n < hosts; ++n) {
+    if (rng.bernoulli(share)) out.push_back(NodeId(n));
+  }
+  return out;
+}
+
+TEST(HopColumnSums, EqualTheDefaultLoopBitwise) {
+  std::vector<net::Topology> shapes;
+  shapes.push_back(net::make_single_rack(60));
+  shapes.push_back(net::make_multi_rack_tree({}));  // 4 x 15
+  shapes.push_back(net::make_multi_rack_tree(
+      {.racks = 3, .hosts_per_rack = 4}));
+  for (const std::size_t k : {4u, 8u, 16u}) {
+    shapes.push_back(net::make_fat_tree({.k = k}));
+  }
+  Rng rng(51);
+  for (const net::Topology& topo : shapes) {
+    const net::HopDistanceProvider hops(topo);
+    const ForwardingDistance forwarded(&hops);
+    for (int trial = 0; trial < 8; ++trial) {
+      const double share = trial == 0 ? 1.0 : rng.uniform(0.05, 0.9);
+      const auto candidates = random_hosts(topo.host_count(), share, rng);
+      auto sources = random_hosts(topo.host_count(), 0.3, rng);
+      sources.push_back(NodeId(topo.host_count() - 1));
+      std::vector<double> fast(sources.size());
+      std::vector<double> loop(sources.size());
+      hops.column_sums(sources, candidates, 0.0, fast);
+      forwarded.column_sums(sources, candidates, 0.0, loop);
+      for (std::size_t s = 0; s < sources.size(); ++s) {
+        ASSERT_EQ(bits(fast[s]), bits(loop[s]))
+            << topo.host_count() << " hosts, trial " << trial << ", source "
+            << sources[s].value();
+      }
+    }
+  }
+}
+
+/// Forwards distance() and reports the distances as time-varying, which
+/// puts ReduceCostEvaluator on its read-everything-up-front path.
+class VaryingDistance final : public net::DistanceProvider {
+ public:
+  explicit VaryingDistance(const net::DistanceProvider* inner)
+      : inner_(inner) {}
+  [[nodiscard]] double distance(NodeId a, NodeId b,
+                                Seconds now) const override {
+    return inner_->distance(a, b, now);
+  }
+
+ private:
+  const net::DistanceProvider* inner_;
+};
+
+TEST(ReduceCostEvaluator, LazyRowsAndColumnSumsMatchTheFullFill) {
+  // k=4 fat-tree: costs from rows fetched on first use and hop column
+  // sums equal the ones from a provider read in full, bit for bit.
+  const net::Topology topo = net::make_fat_tree({.k = 4});
+  sim::Simulation sim;
+  dfs::BlockStore store(topo.host_count());
+  cluster::Cluster clstr(&topo, {}, Rng(1));
+  sim::NetworkService network(&sim, &topo);
+  const net::HopDistanceProvider hops(topo);
+  const ForwardingDistance forwarded(&hops);
+  const VaryingDistance varying(&hops);
+  Engine lazy(&sim, &clstr, &store, &network, &hops, EngineConfig{});
+  Engine looped(&sim, &clstr, &store, &network, &forwarded, EngineConfig{});
+  Engine eager(&sim, &clstr, &store, &network, &varying, EngineConfig{});
+
+  JobSpec spec;
+  spec.name = "evals";
+  spec.reduce_count = 9;
+  for (std::size_t j = 0; j < 30; ++j) {
+    spec.map_tasks.push_back(
+        {store.add_block(64.0, {NodeId(j % topo.host_count())}), 64.0});
+  }
+  JobRun& job = lazy.submit(std::move(spec), Rng(2));
+  Rng draw(3);
+  for (std::size_t j = 0; j < job.map_count(); ++j) {
+    auto& m = job.map_state(j);
+    m.phase = j % 4 == 0 ? MapPhase::kDone : MapPhase::kComputing;
+    m.node = NodeId(draw.index(topo.host_count()));
+    m.compute_start = 0.0;
+    m.compute_duration = draw.uniform(0.5, 4.0);
+  }
+  const std::vector<NodeId> candidates = {NodeId(0), NodeId(3), NodeId(5),
+                                          NodeId(9), NodeId(14)};
+  const std::vector<std::size_t> listed = {8, 2, 5};
+  ReduceCostEvaluator a;
+  ReduceCostEvaluator b;
+  ReduceCostEvaluator c;
+  a.reset(lazy, job, EstimatorMode::kProjected, candidates, listed);
+  b.reset(looped, job, EstimatorMode::kProjected, candidates, listed);
+  c.reset(eager, job, EstimatorMode::kProjected, candidates, listed);
+  for (const std::size_t f : listed) {
+    EXPECT_EQ(bits(a.average_cost(f)), bits(c.average_cost(f)));
+    EXPECT_EQ(bits(b.average_cost(f)), bits(c.average_cost(f)));
+    for (std::size_t k = candidates.size(); k-- > 0;) {
+      EXPECT_EQ(bits(a.cost(k, f)), bits(c.cost(k, f)));
+      EXPECT_EQ(bits(b.cost(k, f)), bits(c.cost(k, f)));
+    }
   }
 }
 

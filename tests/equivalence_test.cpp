@@ -12,8 +12,15 @@
 #include <thread>
 #include <tuple>
 
+#include "mrs/core/pna_scheduler.hpp"
+#include "mrs/dfs/block_store.hpp"
 #include "mrs/driver/experiment.hpp"
 #include "mrs/driver/stream_experiment.hpp"
+#include "mrs/net/distance.hpp"
+#include "mrs/sched/mincost.hpp"
+#include "mrs/sim/network_service.hpp"
+#include "mrs/workload/table2.hpp"
+#include "test_harness.hpp"
 
 namespace mrs::driver {
 namespace {
@@ -503,6 +510,80 @@ TEST(NetworkChaos, FastVsNaiveIdenticalUnderChaos) {
     const auto naive = run_experiment(naive_cfg);
     EXPECT_TRUE(fast.completed) << to_string(kind);
     expect_identical_results(naive, fast);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hop column sums: HopDistanceProvider::column_sums computes the Eq. 5
+// average's distance sums from pod/rack/host tallies. A provider that
+// forwards only distance() and is_static() (as a query-counting wrapper
+// does) leaves the cost model on DistanceProvider's default loop. Whole
+// runs through either must place every task identically.
+// ---------------------------------------------------------------------------
+
+/// The batch of batch_jobs() on `topo`, scheduled by `kind` (PNA or
+/// MinCost), with hop distances served raw or through ForwardingDistance.
+ExperimentResult run_on(const net::Topology& topo, SchedulerKind kind,
+                        bool forward, std::uint64_t seed) {
+  const ExperimentConfig cfg = paper_config(batch_jobs(), kind, seed);
+  const Rng root(seed);
+  dfs::BlockStore store(topo.host_count());
+  dfs::BlockPlacer placer(&topo, root.split("placement"));
+  auto specs = workload::make_batch(cfg.jobs, store, placer, cfg.workload);
+  sim::Simulation simulation;
+  cluster::Cluster cluster(&topo, cfg.node, root.split("cluster"));
+  sim::NetworkService network(&simulation, &topo);
+  const net::HopDistanceProvider hops(topo);
+  const mrs::testing::ForwardingDistance forwarded(&hops);
+  const net::DistanceProvider* distance =
+      forward ? static_cast<const net::DistanceProvider*>(&forwarded)
+              : &hops;
+  mapreduce::Engine engine(&simulation, &cluster, &store, &network, distance,
+                           cfg.engine, root.split("engine"));
+  std::size_t job_index = 0;
+  for (auto& spec : specs) {
+    engine.submit(std::move(spec),
+                  root.split("job" + std::to_string(job_index++)));
+  }
+  std::unique_ptr<mapreduce::TaskScheduler> scheduler;
+  if (kind == SchedulerKind::kPna) {
+    scheduler = std::make_unique<core::PnaScheduler>(
+        cfg.pna, root.split("scheduler"));
+  } else {
+    scheduler = std::make_unique<sched::MinCostScheduler>();
+  }
+  engine.set_scheduler(scheduler.get());
+  engine.start();
+  simulation.run(cfg.max_sim_time);
+
+  ExperimentResult result;
+  result.completed = engine.all_jobs_complete();
+  result.task_records = engine.task_records();
+  result.job_records = engine.job_records();
+  for (const auto& j : result.job_records) {
+    result.makespan = std::max(result.makespan, j.finish_time);
+  }
+  result.events_processed = simulation.processed_count();
+  return result;
+}
+
+TEST(HopColumnSums, WholeRunsMatchTheDefaultLoop) {
+  const net::Topology fat_tree = net::make_fat_tree({.k = 4});
+  const net::Topology tree = net::make_multi_rack_tree(
+      {.racks = 3, .hosts_per_rack = 4});
+  for (const net::Topology* topo : {&fat_tree, &tree}) {
+    for (const SchedulerKind kind :
+         {SchedulerKind::kPna, SchedulerKind::kMinCost}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        SCOPED_TRACE(std::string(to_string(kind)) + " on " +
+                     std::to_string(topo->host_count()) + " hosts, seed " +
+                     std::to_string(seed));
+        const auto raw = run_on(*topo, kind, /*forward=*/false, seed);
+        const auto forwarded = run_on(*topo, kind, /*forward=*/true, seed);
+        EXPECT_TRUE(raw.completed);
+        expect_identical_results(forwarded, raw);
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the discrete-event engine and the network service coupling.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "mrs/net/topology.hpp"
@@ -104,6 +105,34 @@ TEST(Simulation, ReentrantSchedulingChain) {
   s.schedule_at(0.0, chain);
   s.run();
   EXPECT_EQ(count, 1000);
+}
+
+TEST(Simulation, EventsAtOneInstantUpToTheGuardFire) {
+  // Bursts of simultaneous events below the guard run to completion, and
+  // the count restarts once the clock moves.
+  Simulation s;
+  int count = 0;
+  std::function<void()> rearm = [&] {
+    if (++count % 100000 != 0) s.schedule_in(0.0, rearm);
+  };
+  s.schedule_at(1.0, rearm);
+  s.schedule_at(2.0, rearm);
+  s.run();
+  EXPECT_EQ(count, 200000);
+}
+
+TEST(SimulationDeathTest, SelfRearmingCallbackTripsTheLivelockGuard) {
+  // A callback that re-arms itself at one fixed time stops with a message
+  // naming that time once kMaxEventsPerInstant events have fired there.
+  EXPECT_DEATH(
+      {
+        Simulation s;
+        std::function<void()> rearm = [&] { s.schedule_at(7.25, rearm); };
+        s.schedule_at(1.0, [] {});
+        s.schedule_at(7.25, rearm);
+        s.run();
+      },
+      "livelock: more than 16777216 events fired at t = 7.25 s");
 }
 
 TEST(Simulation, CompactionKeepsLiveEvents) {

@@ -12,6 +12,25 @@
 
 namespace mrs::testing {
 
+/// Forwards only distance() and is_static(), as a query-counting wrapper
+/// does, so the cost model takes DistanceProvider's default column_sums()
+/// loop instead of a provider's override.
+class ForwardingDistance final : public net::DistanceProvider {
+ public:
+  explicit ForwardingDistance(const net::DistanceProvider* inner)
+      : inner_(inner) {}
+  [[nodiscard]] double distance(NodeId a, NodeId b,
+                                Seconds now) const override {
+    return inner_->distance(a, b, now);
+  }
+  [[nodiscard]] bool is_static() const override {
+    return inner_->is_static();
+  }
+
+ private:
+  const net::DistanceProvider* inner_;
+};
+
 struct MiniCluster {
   explicit MiniCluster(std::size_t nodes,
                        cluster::NodeConfig node_cfg = {},

@@ -31,7 +31,10 @@ Single benchmarks in SINGLES get only the baseline-floor gate (no /0
 vs /1 ratio requirement): BM_PnaHeartbeatTraced/0 pins the cost of the
 tracing-disabled heartbeat path — its /1 sibling attaches the causal
 tracer and is expected to run at ~1x, so a ratio gate would be
-meaningless there.
+meaningless there. BM_ReduceCostEvaluator pins one PNA reduce decision
+(the unassigned-reduce snapshot, the offered node's cost and the Eq. 5
+average per reduce, hop distances over a 1024-host free set); it has no
+naive twin to compare with.
 
 Flake resistance: run the benchmark binary with
 --benchmark_repetitions=N (N >= 3 recommended). Each repetition emits a
@@ -61,7 +64,7 @@ PAIRS = {
 }
 
 # Individual benchmarks gated only against the checked-in baseline.
-SINGLES = ["BM_PnaHeartbeatTraced/0"]
+SINGLES = ["BM_PnaHeartbeatTraced/0", "BM_ReduceCostEvaluator"]
 
 
 def median_of(report, name, key):

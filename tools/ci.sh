@@ -15,8 +15,9 @@
 #      reference kernel timed in the same run (PNATS_PERF_REGEN=1
 #      refreshes it); each family runs 3 repetitions and the gate
 #      compares medians, so one descheduled run cannot flake the gate;
-#      the tracing-disabled heartbeat (BM_PnaHeartbeatTraced/0) is gated
-#      against the same baseline
+#      the tracing-disabled heartbeat (BM_PnaHeartbeatTraced/0) and one
+#      PNA reduce decision (BM_ReduceCostEvaluator) are gated against the
+#      same baseline
 #   5. perfbench smoke: the benchmark package (perfbench/) builds and
 #      passes its self-test
 #   6. ASan/UBSan build of the test suite (PNATS_SANITIZE=asan), catching
@@ -336,7 +337,7 @@ echo "bench_paper smoke: 26 rows; docs name $(echo "$DOC_ROWS" | wc -l)" \
 step_perf() {
 echo "==> perf smoke: optimized vs naive gated benchmark families"
 ./build/bench/bench_micro_scheduler \
-  --benchmark_filter='BM_PnaHeartbeat(Saturated|Hetero|Traced)|BM_FlowEventsFatTree1k' \
+  --benchmark_filter='BM_PnaHeartbeat(Saturated|Hetero|Traced)|BM_FlowEventsFatTree1k|BM_ReduceCostEvaluator' \
   --benchmark_repetitions=3 \
   --benchmark_format=json >"$SMOKE_DIR/perf.json"
 if command -v python3 >/dev/null 2>&1; then
