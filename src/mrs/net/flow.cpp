@@ -21,8 +21,6 @@ FlowModel::FlowModel(const Topology* topo, const LinkConditionModel* cond)
   // Hops and region slots store directed indices as 32-bit values.
   MRS_REQUIRE(directed_links <= std::numeric_limits<std::uint32_t>::max());
   link_flows_.assign(directed_links, {});
-  link_rate_sum_.assign(directed_links, 0.0);
-  link_seen_.assign(directed_links, 0);
   if (cond_ != nullptr) cond_epoch_seen_ = cond_->resample_epoch();
 }
 
@@ -39,11 +37,11 @@ void FlowModel::add_to_links(std::size_t index,
                              std::span<const DirectedLink> path) {
   auto& hops = hops_[index];
   hops.reserve(path.size());
-  for (std::size_t hop = 0; hop < path.size(); ++hop) {
-    const std::size_t d = path[hop].directed_index();
-    hops.push_back({static_cast<std::uint32_t>(d),
-                    static_cast<std::uint32_t>(link_flows_[d].size())});
-    link_flows_[d].push_back({index, static_cast<std::uint32_t>(hop)});
+  for (const DirectedLink& dl : path) {
+    const std::size_t d = dl.directed_index();
+    hops.push_back({static_cast<std::uint32_t>(d), 0});
+    MRS_ASSERT(link_flows_[d].empty() || link_flows_[d].back() < index);
+    link_flows_[d].push_back(static_cast<std::uint32_t>(index));
   }
 }
 
@@ -51,15 +49,9 @@ void FlowModel::remove_from_links(std::size_t index) {
   auto& hops = hops_[index];
   for (const Hop& h : hops) {
     auto& list = link_flows_[h.link];
-    MRS_ASSERT(h.slot < list.size() && list[h.slot].flow == index);
-    if (h.slot != list.size() - 1) {
-      list[h.slot] = list.back();
-      hops_[list[h.slot].flow][list[h.slot].hop].slot = h.slot;
-    }
-    list.pop_back();
-    // A link that just went idle is not on any remaining flow's path, so no
-    // region solve will rebuild its aggregate — zero it here.
-    if (list.empty()) link_rate_sum_[h.link] = 0.0;
+    const auto it = std::lower_bound(list.begin(), list.end(), index);
+    MRS_ASSERT(it != list.end() && *it == index);
+    list.erase(it);
   }
   // Reclaim the hop storage: the flow never becomes active again.
   std::vector<Hop>().swap(hops);
@@ -93,6 +85,8 @@ FlowId FlowModel::start(NodeId src, NodeId dst, Bytes size, Seconds now,
   MRS_REQUIRE(rate_cap > 0.0);
   advance_to(now);
   const std::size_t index = flows_.size();
+  // Per-link lists store flow indices as 32-bit values.
+  MRS_REQUIRE(index < std::numeric_limits<std::uint32_t>::max());
   const FlowId id(index);
   flows_.push_back(
       {src, dst, size, size, now, 0.0, rate_cap, true, false});
@@ -170,6 +164,18 @@ const FlowInfo& FlowModel::info(FlowId id) const {
   return flows_.at(id.value());
 }
 
+BytesPerSec FlowModel::directed_link_load(std::size_t directed_index) const {
+  MRS_REQUIRE(!solve_pending());
+  if (directed_index >= link_flows_.size()) return 0.0;
+  // Ascending flow order: the canonical sum an audit of the routes makes.
+  // A parked flow's rate is +0.0, which leaves the sum's bits unchanged.
+  BytesPerSec sum = 0.0;
+  for (const std::uint32_t i : link_flows_[directed_index]) {
+    sum += flows_[i].rate;
+  }
+  return sum;
+}
+
 void FlowModel::recompute_rates() {
   pending_seeds_.clear();
   solve_full();
@@ -203,8 +209,8 @@ void FlowModel::settle() {
     solve_full();
   } else {
     ++solves_;
-    collect_region(pending_seeds_);
-    apply_stall_delta(solve_region(region_flows_, ws_, /*linear_scan=*/false));
+    apply_stall_delta(reach_region(pending_seeds_, {}, ++visit_epoch_, ws_));
+    fill_region(ws_, /*linear_scan=*/false);
   }
   pending_seeds_.clear();
 }
@@ -216,55 +222,53 @@ void FlowModel::solve_full() {
   if (naive_) {
     // Reference path: the whole active set as one region, bottlenecks found
     // by scanning every directed link — the pre-incremental solver.
-    naive_flows_.assign(active_list_.begin(), active_list_.end());
-    std::sort(naive_flows_.begin(), naive_flows_.end());
-    apply_stall_delta(solve_region(naive_flows_, ws_, /*linear_scan=*/true));
+    apply_stall_delta(reach_region({}, active_list_, ++visit_epoch_, ws_));
+    fill_region(ws_, /*linear_scan=*/true);
     return;
   }
-  // Partition the active flows into connected components of the flow/link
-  // incidence graph; each solves independently (rates in one component do
-  // not depend on any other), and bit-identically to the one-region solve.
-  ++visit_epoch_;
-  std::size_t used = 0;
+  // Solve each connected component of the flow/link incidence graph on its
+  // own (rates in one component do not depend on any other), bit-identically
+  // to the one-region solve. A flow was reached in this pass iff its stamp
+  // is newer than the epoch the pass started at.
+  const std::uint64_t pass_floor = visit_epoch_;
+  const bool parallel = solver_threads_ > 1;
+  component_seed_.clear();
   for (const std::size_t i : active_list_) {
-    if (flow_seen_[i] == visit_epoch_) continue;
-    if (component_flows_.size() == used) component_flows_.emplace_back();
-    auto& comp = component_flows_[used];
-    ++used;
-    comp.clear();
-    flow_seen_[i] = visit_epoch_;
-    comp.push_back(i);
-    bfs_stack_.clear();
-    for (const Hop& h : hops_[i]) {
-      if (link_seen_[h.link] != visit_epoch_) {
-        link_seen_[h.link] = visit_epoch_;
-        bfs_stack_.push_back(h.link);
-      }
+    if (flow_seen_[i] > pass_floor) continue;
+    const std::size_t seed[] = {i};
+    apply_stall_delta(reach_region({}, seed, ++visit_epoch_, ws_));
+    if (parallel) {
+      component_seed_.push_back(i);
+    } else {
+      fill_region(ws_, /*linear_scan=*/false);
     }
-    drain_bfs(comp);
-    std::sort(comp.begin(), comp.end());
   }
-  const std::size_t workers = std::min(solver_threads_, used);
-  if (workers <= 1) {
-    for (std::size_t u = 0; u < used; ++u) {
-      apply_stall_delta(
-          solve_region(component_flows_[u], ws_, /*linear_scan=*/false));
-    }
+  const std::size_t used = component_seed_.size();
+  if (used == 0) return;
+  // One component: it is still reached in ws_, so no worker is needed.
+  if (used == 1) {
+    fill_region(ws_, /*linear_scan=*/false);
     return;
   }
   // Deterministic parallel sweep: components are disjoint in the flows and
-  // links they write, and each worker has its own workspace, so the result
-  // is bit-identical to the serial loop regardless of scheduling.
+  // links they write, and each worker has its own workspace and its own
+  // flow stamps, so the result is bit-identical to the serial loop
+  // regardless of scheduling. The partition pass above already parked the
+  // stalled flows, so the workers' stall deltas are zero.
+  const std::size_t workers = std::min(solver_threads_, used);
   if (thread_ws_.size() < workers) thread_ws_.resize(workers);
   component_stall_delta_.assign(used, 0);
+  const std::uint64_t epoch_base = visit_epoch_;
+  visit_epoch_ += used;
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (std::size_t t = 0; t < workers; ++t) {
-    threads.emplace_back([this, t, workers, used] {
+    threads.emplace_back([this, t, workers, used, epoch_base] {
       for (std::size_t u = t; u < used; u += workers) {
+        const std::size_t seed[] = {component_seed_[u]};
         component_stall_delta_[u] =
-            solve_region(component_flows_[u], thread_ws_[t],
-                         /*linear_scan=*/false);
+            reach_region({}, seed, epoch_base + 1 + u, thread_ws_[t]);
+        fill_region(thread_ws_[t], /*linear_scan=*/false);
       }
     });
   }
@@ -274,53 +278,14 @@ void FlowModel::solve_full() {
   }
 }
 
-void FlowModel::collect_region(std::span<const std::size_t> seed_links) {
-  ++visit_epoch_;
-  region_flows_.clear();
-  bfs_stack_.clear();
-  for (const std::size_t d : seed_links) {
-    if (link_seen_[d] != visit_epoch_) {
-      link_seen_[d] = visit_epoch_;
-      bfs_stack_.push_back(d);
-    }
-  }
-  drain_bfs(region_flows_);
-  std::sort(region_flows_.begin(), region_flows_.end());
-}
-
-void FlowModel::drain_bfs(std::vector<std::size_t>& out_flows) {
-  while (!bfs_stack_.empty()) {
-    const std::size_t d = bfs_stack_.back();
-    bfs_stack_.pop_back();
-    for (const LinkMember& member : link_flows_[d]) {
-      if (flow_seen_[member.flow] == visit_epoch_) continue;
-      flow_seen_[member.flow] = visit_epoch_;
-      out_flows.push_back(member.flow);
-      for (const Hop& h : hops_[member.flow]) {
-        if (link_seen_[h.link] != visit_epoch_) {
-          link_seen_[h.link] = visit_epoch_;
-          bfs_stack_.push_back(h.link);
-        }
-      }
-    }
-  }
-}
-
 void FlowModel::apply_stall_delta(int delta) {
   stalled_count_ = static_cast<std::size_t>(
       static_cast<std::ptrdiff_t>(stalled_count_) + delta);
 }
 
-int FlowModel::solve_region(const std::vector<std::size_t>& region,
-                            Workspace& ws, bool linear_scan) {
-  // Canonical progressive filling over one region (a union of whole
-  // connected components, flow indices ascending). Determinism contract:
-  // every floating-point operation happens in an order derived purely from
-  // the region's own state — capped freezes ascend by (cap, flow), each
-  // bottleneck's members freeze in ascending flow order, and bottleneck ties
-  // break on the smallest directed index — so solving a component alone
-  // yields the very same bits as solving it inside the full network.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+int FlowModel::reach_region(std::span<const std::size_t> seed_links,
+                            std::span<const std::size_t> seed_flows,
+                            std::uint64_t flow_epoch, Workspace& ws) {
   const std::size_t directed_links = link_flows_.size();
   if (ws.link_stamp.size() < directed_links) {
     ws.link_stamp.assign(directed_links, 0);
@@ -330,52 +295,75 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
   ws.links.clear();
   ws.cap.clear();
   ws.count.clear();
-  ws.flows.assign(region.begin(), region.end());
-  ws.frozen.clear();
   ws.by_cap.clear();
+  ws.unfrozen = 0;
   int stall_delta = 0;
 
-  // Phase 1: register every link once (reading its effective capacity),
-  // park flows that cross a cut link at rate 0, and build per-link member
-  // lists in ascending flow order.
-  std::size_t unfrozen = 0;
-  for (std::size_t slot = 0; slot < ws.flows.size(); ++slot) {
-    const std::size_t i = ws.flows[slot];
+  const auto reach_link = [&ws, this](std::size_t d) {
+    if (ws.link_stamp[d] != ws.epoch) {
+      ws.link_stamp[d] = ws.epoch;
+      ws.link_slot[d] = ws.links.size();
+      ws.links.push_back(d);
+      ws.cap.push_back(capacity_of(d));
+      ws.count.push_back(0);
+    }
+    return ws.link_slot[d];
+  };
+  // Register and count the flow on each of its links; a flow that crosses
+  // a cut link is parked and uncounted.
+  const auto reach_flow = [&](std::size_t i) {
+    if (flow_seen_[i] == flow_epoch) return;
+    flow_seen_[i] = flow_epoch;
     bool stalled = false;
-    for (const Hop& h : hops_[i]) {
-      if (ws.link_stamp[h.link] != ws.epoch) {
-        ws.link_stamp[h.link] = ws.epoch;
-        ws.link_slot[h.link] = ws.links.size();
-        ws.links.push_back(h.link);
-        ws.cap.push_back(capacity_of(h.link));
-        ws.count.push_back(0);
-        if (ws.members.size() < ws.links.size()) ws.members.emplace_back();
-        ws.members[ws.links.size() - 1].clear();
-      }
-      if (ws.cap[ws.link_slot[h.link]] <= 0.0) stalled = true;
+    for (Hop& h : hops_[i]) {
+      h.slot = static_cast<std::uint32_t>(reach_link(h.link));
+      ++ws.count[h.slot];
+      stalled = stalled || ws.cap[h.slot] <= 0.0;
     }
     FlowInfo& f = flows_[i];
+    f.frozen = stalled;
     if (stalled) {
+      for (const Hop& h : hops_[i]) --ws.count[h.slot];
       if (!f.stalled) ++stall_delta;
       f.stalled = true;
       f.rate = 0.0;
-      ws.frozen.push_back(1);
-      continue;
+      return;
     }
     if (f.stalled) --stall_delta;
     f.stalled = false;
-    ws.frozen.push_back(0);
-    ++unfrozen;
+    ++ws.unfrozen;
     // Shares are finite (every capacity is), so an uncapped flow can never
     // reach its cap before its bottleneck.
-    if (f.rate_cap < kInf) ws.by_cap.emplace_back(f.rate_cap, slot);
-    for (const Hop& h : hops_[i]) {
-      const std::size_t ls = ws.link_slot[h.link];
-      ++ws.count[ls];
-      ws.members[ls].push_back(slot);
+    if (f.rate_cap < std::numeric_limits<double>::infinity()) {
+      ws.by_cap.emplace_back(f.rate_cap, i);
     }
+  };
+
+  for (const std::size_t d : seed_links) {
+    if (!link_flows_[d].empty()) reach_link(d);
+  }
+  for (const std::size_t i : seed_flows) reach_flow(i);
+  // The slots form the traversal's queue: each registered link hands on
+  // the flows crossing it, which register their other links.
+  for (std::size_t ls = 0; ls < ws.links.size(); ++ls) {
+    for (const std::uint32_t i : link_flows_[ws.links[ls]]) reach_flow(i);
   }
   std::sort(ws.by_cap.begin(), ws.by_cap.end());
+  return stall_delta;
+}
+
+void FlowModel::fill_region(Workspace& ws, bool linear_scan) {
+  // Canonical progressive filling over one region (a union of whole
+  // connected components). Determinism contract: every floating-point
+  // operation happens in an order derived purely from the region's own
+  // state — capped freezes ascend by (cap, flow), each bottleneck's members
+  // freeze in ascending flow order, and bottleneck ties break on the
+  // smallest directed index — so solving a component alone yields the very
+  // same bits as solving it inside the full network, whatever order the
+  // traversal registered its links in.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t directed_links = link_flows_.size();
+  std::size_t unfrozen = ws.unfrozen;
 
   // The bottleneck key: (share, directed index), compared exactly.
   const auto key_less = [&ws](std::size_t a, std::size_t b) {
@@ -395,16 +383,16 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
     ws.block_dirty.assign(blocks, 1);
   }
 
-  auto freeze = [&](std::size_t slot, double rate) {
-    ws.frozen[slot] = 1;
+  auto freeze = [&](std::size_t i, double rate) {
+    FlowInfo& f = flows_[i];
+    f.frozen = true;
     --unfrozen;
-    const std::size_t i = ws.flows[slot];
     // Floor at 1 B/s so numerical corner cases on positive-capacity links
-    // can never stall a flow (genuinely cut links are parked above); the
-    // unfloored rate is what the link pool hands back.
-    flows_[i].rate = std::max(rate, 1.0);
+    // can never stall a flow (genuinely cut links are parked in
+    // reach_region); the unfloored rate is what the link pool hands back.
+    f.rate = std::max(rate, 1.0);
     for (const Hop& h : hops_[i]) {
-      const std::size_t ls = ws.link_slot[h.link];
+      const std::size_t ls = h.slot;
       ws.cap[ls] = std::max(0.0, ws.cap[ls] - rate);
       --ws.count[ls];
       if (linear_scan) continue;
@@ -426,7 +414,8 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
   };
 
   // Bottleneck = the (share, directed index)-smallest link with unfrozen
-  // flows; both search strategies agree on that key exactly.
+  // flows, as (share, region slot); both search strategies agree on that
+  // key exactly.
   auto find_bottleneck = [&]() -> std::pair<double, std::size_t> {
     if (linear_scan) {
       // Reference path: scan every directed link of the network, like the
@@ -444,7 +433,7 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
         }
       }
       MRS_ASSERT(best_link < directed_links);
-      return {best_share, best_link};
+      return {best_share, ws.link_slot[best_link]};
     }
     // Rescan the blocks whose cached minimum went stale, then take the
     // smallest block minimum.
@@ -464,7 +453,7 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
     }
     // Every unfrozen flow keeps a positive count on each of its links.
     MRS_ASSERT(ws.count[best] > 0);
-    return {ws.share[best], ws.links[best]};
+    return {ws.share[best], best};
   };
 
   std::size_t cap_ptr = 0;
@@ -479,44 +468,31 @@ int FlowModel::solve_region(const std::vector<std::size_t>& region,
     bool any_capped = false;
     while (cap_ptr < ws.by_cap.size() &&
            ws.by_cap[cap_ptr].first <= best_share) {
-      const auto [cap, slot] = ws.by_cap[cap_ptr];
+      const auto [cap, i] = ws.by_cap[cap_ptr];
       ++cap_ptr;
-      if (!ws.frozen[slot]) {
-        freeze(slot, cap);
+      if (!flows_[i].frozen) {
+        freeze(i, cap);
         any_capped = true;
       }
     }
     if (any_capped) continue;  // shares changed; re-derive the bottleneck
 
     // Freeze every unfrozen flow on the bottleneck at its equal share, in
-    // ascending flow order. The last one takes the exact residual capacity
-    // instead of the computed share, so the link's frozen rates sum to its
-    // capacity with no accumulated subtraction drift.
-    const std::size_t bls = ws.link_slot[best.second];
+    // ascending flow order (the link's list). The last one takes the exact
+    // residual capacity instead of the computed share, so the link's frozen
+    // rates sum to its capacity with no accumulated subtraction drift.
+    const std::size_t bls = best.second;
     MRS_ASSERT(ws.count[bls] > 0);
-    const auto& members = ws.members[bls];
+    const auto& members = link_flows_[ws.links[bls]];
     for (std::size_t k = 0; k < members.size() && ws.count[bls] > 0; ++k) {
-      const std::size_t slot = members[k];
-      if (ws.frozen[slot]) continue;
-      const double rate =
-          ws.count[bls] == 1
-              ? std::min(ws.cap[bls], flows_[ws.flows[slot]].rate_cap)
-              : best_share;
-      freeze(slot, rate);
+      const std::size_t i = members[k];
+      if (flows_[i].frozen) continue;
+      const double rate = ws.count[bls] == 1
+                              ? std::min(ws.cap[bls], flows_[i].rate_cap)
+                              : best_share;
+      freeze(i, rate);
     }
   }
-
-  // Rebuild the rate aggregates of every region link from the members in
-  // ascending flow order (the same canonical sum both solver paths and a
-  // from-scratch audit produce).
-  for (std::size_t ls = 0; ls < region_links; ++ls) {
-    double sum = 0.0;
-    for (const std::size_t slot : ws.members[ls]) {
-      sum += flows_[ws.flows[slot]].rate;
-    }
-    link_rate_sum_[ws.links[ls]] = sum;
-  }
-  return stall_delta;
 }
 
 }  // namespace mrs::net

@@ -11,16 +11,19 @@
 // Scaling design. A flow event only perturbs the rates of flows that share a
 // link with it, transitively: the affected *connected component* of the
 // flow/link incidence graph. The solver therefore keeps, per directed link,
-// the list of active flows crossing it and the current rate aggregate, and
-// on each event re-derives shares only for the component reachable from the
-// touched links. The progressive filling itself is canonicalized — capped
-// flows freeze in ascending (cap, flow-index) order, bottleneck members in
-// ascending flow-index order, ties on the bottleneck broken by directed
-// index — which makes a component-local solve bit-identical to the
-// full-network solve, so the retained reference path
-// (`set_naive_flow_solver`) can gate the fast path byte-for-byte, and
-// independent components can even be solved on parallel threads
-// (`set_flow_solver_threads`) without changing a single bit.
+// the list of active flows crossing it, sorted by flow index (a new flow has
+// the largest index, so it appends), and on each event re-derives shares
+// only for the component reachable from the touched links, found and
+// registered in one traversal. The progressive filling itself is
+// canonicalized — capped flows freeze in ascending (cap, flow-index) order,
+// bottleneck members in ascending flow-index order (the link's list as it
+// stands), ties on the bottleneck broken by directed index — which makes a
+// component-local solve bit-identical to the full-network solve, so the
+// retained reference path (`set_naive_flow_solver`) can gate the fast path
+// byte-for-byte, and independent components can even be solved on parallel
+// threads (`set_flow_solver_threads`) without changing a single bit. No
+// per-link rate aggregate is kept: a link's load is summed on demand from
+// its sorted list, in the same canonical order.
 //
 // Bottleneck search. Each filling round needs the region link with the
 // smallest (equal share, directed index) key. The region's link slots are
@@ -70,6 +73,9 @@ struct FlowInfo {
   /// flow is parked at rate 0, makes no progress, and is excluded from
   /// next_completion() until a repair restores capacity.
   bool stalled = false;
+  /// Solver scratch: the flow's rate is fixed for the rest of the current
+  /// progressive filling. Meaningless outside a solve.
+  bool frozen = false;
 };
 
 class FlowModel {
@@ -177,38 +183,32 @@ class FlowModel {
   [[nodiscard]] Seconds now() const { return now_; }
 
   /// Sum of current flow rates crossing a directed link (for tests and
-  /// utilization metrics). O(1): aggregates are maintained by the solver.
+  /// utilization metrics), summed on demand in ascending flow order.
+  /// O(flows on the link).
   [[nodiscard]] BytesPerSec directed_link_load(std::size_t directed_index)
-      const {
-    MRS_REQUIRE(!solve_pending());
-    return directed_index < link_rate_sum_.size()
-               ? link_rate_sum_[directed_index]
-               : 0.0;
-  }
+      const;
 
   /// Number of active flows crossing a directed link (O(1)). This is what
   /// a link monitor / path probe sees.
   [[nodiscard]] std::size_t flows_on(std::size_t directed_index) const {
-    return directed_index < link_flows_.size()
-               ? link_flows_[directed_index].size()
-               : 0;
+    return flows_crossing(directed_index).size();
+  }
+  /// Indices of the active flows crossing a directed link, ascending.
+  [[nodiscard]] std::span<const std::uint32_t> flows_crossing(
+      std::size_t directed_index) const {
+    if (directed_index >= link_flows_.size()) return {};
+    return link_flows_[directed_index];
   }
 
   /// Total bytes delivered by completed flows so far.
   [[nodiscard]] Bytes bytes_delivered() const { return bytes_delivered_; }
 
  private:
-  /// A flow's membership slot on one directed link (for O(1) swap-removal).
-  struct LinkMember {
-    std::size_t flow;
-    std::uint32_t hop;  ///< index into the flow's hops
-  };
-
-  /// One directed link of an active flow's route, with the flow's position
-  /// in that link's membership list.
+  /// One directed link of an active flow's route, with that link's slot in
+  /// the region of the flow's latest solve.
   struct Hop {
     std::uint32_t link;  ///< directed index
-    std::uint32_t slot;  ///< position in link_flows_[link]
+    std::uint32_t slot;  ///< region slot, set when a solve reaches the flow
   };
 
   /// Region link slots per cached block minimum in the bottleneck search.
@@ -228,39 +228,40 @@ class FlowModel {
     std::vector<double> share;
     std::vector<std::size_t> block_min;    ///< per block: min-key slot
     std::vector<char> block_dirty;         ///< per block: block_min stale
-    std::vector<std::vector<std::size_t>> members;  ///< flow slots, ascending
-    std::vector<std::size_t> flows;         ///< region slot -> flow index
-    std::vector<char> frozen;
-    /// (cap, flow slot) of the finite-cap flows.
+    /// (cap, flow index) of the finite-cap flows.
     std::vector<std::pair<double, std::size_t>> by_cap;
+    std::size_t unfrozen = 0;  ///< reached flows not parked on a cut link
   };
 
   [[nodiscard]] BytesPerSec capacity_of(std::size_t directed_index) const;
-  /// Mark flow `index` inactive and swap-remove it from the active list and
-  /// every per-link membership list.
+  /// Mark flow `index` inactive and swap-remove it from the active list;
+  /// erase it from every per-link list.
   void deactivate(std::size_t index);
-  /// Fill flow `index`'s hops from `path` and join every link's list.
+  /// Fill flow `index`'s hops from `path` and append it to every link's
+  /// list (it is the largest index there, so the lists stay sorted).
   void add_to_links(std::size_t index, std::span<const DirectedLink> path);
-  /// Leave every link's list and free the flow's hops.
+  /// Erase the flow from every link's list, in order, and free its hops.
   void remove_from_links(std::size_t index);
   /// Queue the directed links of flow `index`'s path for the next solve.
   void add_seeds(std::size_t index);
   /// Full-network solve (all components; optionally in parallel).
   void solve_full();
-  /// Gather the active flows of every component touching `seed_links` into
-  /// `region_flows_`, sorted ascending.
-  void collect_region(std::span<const std::size_t> seed_links);
-  /// Drain `bfs_stack_` (directed links marked with the current visit
-  /// epoch), appending every newly reached flow to `out_flows`.
-  void drain_bfs(std::vector<std::size_t>& out_flows);
   void apply_stall_delta(int delta);
-  /// Canonical progressive filling over `flows` (ascending flow indices,
-  /// forming a union of whole components). `linear_scan` selects the naive
-  /// full-scan bottleneck search instead of the blocked one. Returns the
-  /// change in the number of stalled flows (for the caller to aggregate;
-  /// keeps the routine write-disjoint across parallel component solves).
-  int solve_region(const std::vector<std::size_t>& flows, Workspace& ws,
-                   bool linear_scan);
+  /// One traversal of the flow/link incidence graph from `seed_links` and
+  /// `seed_flows`: registers every link it reaches once (region slot,
+  /// effective capacity), then the flows on it not yet reached (stamped
+  /// `flow_epoch` in flow_seen_), storing each hop's slot in Hop::slot and
+  /// parking flows that cross a cut link at rate 0. The result is a union
+  /// of whole components. Returns the change in the number of stalled
+  /// flows (for the caller to aggregate; keeps the routine write-disjoint
+  /// across parallel component solves).
+  int reach_region(std::span<const std::size_t> seed_links,
+                   std::span<const std::size_t> seed_flows,
+                   std::uint64_t flow_epoch, Workspace& ws);
+  /// Canonical progressive filling over the region `ws` last reached.
+  /// `linear_scan` selects the naive full-scan bottleneck search instead
+  /// of the blocked one.
+  void fill_region(Workspace& ws, bool linear_scan);
 
   const Topology* topo_;
   const LinkConditionModel* cond_;
@@ -271,8 +272,8 @@ class FlowModel {
   // Active-flow index: per-event work is O(active), not O(ever created).
   std::vector<std::size_t> active_list_;
   std::vector<std::size_t> active_pos_;  ///< flow index -> slot in list
-  std::vector<std::vector<LinkMember>> link_flows_;  ///< per directed link
-  std::vector<BytesPerSec> link_rate_sum_;  ///< maintained rate aggregates
+  /// Per directed link: the active flows crossing it, ascending.
+  std::vector<std::vector<std::uint32_t>> link_flows_;
   Seconds now_ = 0.0;
   Bytes bytes_delivered_ = 0.0;
   bool naive_ = false;
@@ -281,16 +282,13 @@ class FlowModel {
   std::size_t solver_threads_ = 1;
   std::size_t stalled_count_ = 0;
   std::uint64_t cond_epoch_seen_ = 0;
-  // Region-discovery scratch (BFS over the flow/link incidence graph).
+  // Region-discovery stamps: a flow is reached by the traversal stamped
+  // with the epoch its flow_seen_ entry holds.
   std::uint64_t visit_epoch_ = 0;
-  std::vector<std::uint64_t> link_seen_;
   std::vector<std::uint64_t> flow_seen_;
-  std::vector<std::size_t> bfs_stack_;
-  std::vector<std::size_t> region_flows_;
   std::vector<std::size_t> pending_seeds_;  ///< links touched since a solve
-  std::vector<std::size_t> naive_flows_;  ///< sorted active list (reference)
-  // Component partition scratch for full solves.
-  std::vector<std::vector<std::size_t>> component_flows_;
+  // Parallel full solves: one flow of each component, and its stall delta.
+  std::vector<std::size_t> component_seed_;
   std::vector<int> component_stall_delta_;
   Workspace ws_;
   std::vector<Workspace> thread_ws_;

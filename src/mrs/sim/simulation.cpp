@@ -8,11 +8,10 @@
 namespace mrs::sim {
 
 namespace {
-// Sweep thresholds: small queues never pay a compaction pass; large ones
-// pay O(n) only after at least half (heap) / three quarters (callback
-// table) of the entries are dead, so the cost amortizes to O(1) per event.
+// Sweep threshold: small heaps never pay a compaction pass; large ones pay
+// O(n) only after at least half of the entries are dead, so the cost
+// amortizes to O(1) per event.
 constexpr std::size_t kHeapSweepMin = 64;
-constexpr std::size_t kCallbackSweepMin = 1024;
 
 [[noreturn]] void livelock(Seconds now) {
   std::fprintf(stderr,
@@ -27,64 +26,51 @@ EventHandle Simulation::schedule_at(Seconds t, Callback cb) {
   MRS_REQUIRE(t >= now_ - 1e-9);
   MRS_REQUIRE(cb != nullptr);
   const std::uint64_t seq = next_seq_++;
-  callbacks_.push_back(std::move(cb));
-  heap_.push_back({std::max(t, now_), seq});
+  MRS_REQUIRE(seq < (kFree >> kSlotBits));
+  std::uint64_t slot = 0;
+  if (free_slots_.empty()) {
+    MRS_REQUIRE(slots_.size() < kSlotMask);
+    slot = slots_.size();
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t id = (seq << kSlotBits) | slot;
+  slots_[slot] = {std::move(cb), id};
+  heap_.push_back({std::max(t, now_), id});
   std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
   ++live_events_;
-  return EventHandle(seq);
+  return EventHandle(id);
 }
 
-Simulation::Callback* Simulation::find(std::uint64_t seq) {
-  if (seq < base_seq_) return nullptr;
-  const std::uint64_t idx = seq - base_seq_;
-  if (idx >= callbacks_.size()) return nullptr;
-  return &callbacks_[idx];
-}
-
-bool Simulation::is_live(const Entry& e) {
-  Callback* cb = find(e.seq);
-  return cb != nullptr && *cb != nullptr;
+Simulation::Callback Simulation::release(std::uint64_t id) {
+  Slot& s = slots_[id & kSlotMask];
+  s.id = kFree;
+  free_slots_.push_back(static_cast<std::uint32_t>(id & kSlotMask));
+  return std::exchange(s.cb, nullptr);
 }
 
 void Simulation::cancel(EventHandle h) {
-  if (!h.valid()) return;
-  Callback* cb = find(h.seq_);
-  if (cb != nullptr && *cb != nullptr) {
-    *cb = nullptr;
-    --live_events_;
-    ++heap_tombstones_;
-    if (heap_tombstones_ >= kHeapSweepMin &&
-        heap_tombstones_ * 2 >= heap_.size()) {
-      compact_heap();
-    }
+  if (!h.valid() || !is_live(h.id_)) return;
+  (void)release(h.id_);
+  --live_events_;
+  ++heap_tombstones_;
+  if (heap_tombstones_ >= kHeapSweepMin &&
+      heap_tombstones_ * 2 >= heap_.size()) {
+    compact_heap();
   }
 }
 
 void Simulation::compact_heap() {
-  std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
+  std::erase_if(heap_, [this](const Entry& e) { return !is_live(e.id); });
   std::make_heap(heap_.begin(), heap_.end(), EntryGreater{});
   heap_tombstones_ = 0;
 }
 
-void Simulation::compact_callbacks() {
-  // Entries below scan_floor_ are known dead from previous passes, so the
-  // prefix scan resumes there instead of rescanning the whole table.
-  while (scan_floor_ < callbacks_.size() &&
-         callbacks_[scan_floor_] == nullptr) {
-    ++scan_floor_;
-  }
-  if (scan_floor_ > 0 && scan_floor_ * 2 >= callbacks_.size()) {
-    callbacks_.erase(callbacks_.begin(),
-                     callbacks_.begin() +
-                         static_cast<std::ptrdiff_t>(scan_floor_));
-    base_seq_ += scan_floor_;
-    scan_floor_ = 0;
-  }
-}
-
 bool Simulation::settle_top() {
   while (!heap_.empty()) {
-    if (is_live(heap_.front())) return true;
+    if (is_live(heap_.front().id)) return true;
     std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
     heap_.pop_back();
     if (heap_tombstones_ > 0) --heap_tombstones_;
@@ -97,8 +83,8 @@ bool Simulation::step() {
   const Entry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
   heap_.pop_back();
-  Callback* slot = find(top.seq);
-  Callback cb = std::exchange(*slot, nullptr);
+  // Free the slot before the call: the callback may schedule into it.
+  Callback cb = release(top.id);
   MRS_ASSERT(top.time >= now_);
   if (top.time != now_) {
     now_ = top.time;
@@ -108,7 +94,6 @@ bool Simulation::step() {
   --live_events_;
   ++processed_;
   cb();
-  if (callbacks_.size() > kCallbackSweepMin) compact_callbacks();
   return true;
 }
 

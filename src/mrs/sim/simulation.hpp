@@ -2,13 +2,16 @@
 //
 // A single-threaded calendar queue: events are (time, sequence) ordered, so
 // simultaneous events fire in scheduling order and every run is
-// deterministic. Cancellation uses tombstones (lazy deletion), which the
-// network service relies on to invalidate stale flow-completion events.
-// Long streams cancel heavily (every network dispatch reschedules the
-// completion event), so both the heap and the callback table amortize their
-// cleanup: the heap filters dead entries in one O(n) pass once tombstones
-// outnumber live entries, and the callback table drops its fired prefix
-// from a remembered scan floor instead of rescanning from index 0.
+// deterministic. Callbacks live in a pool of slots recycled through a free
+// list, so the pool holds as many slots as events were ever pending at
+// once, however long the run. An event's id packs its sequence number and
+// its slot; the heap entry and the handle carry the id, and the slot is the
+// event's while it stores that id. Cancellation frees the slot at once and
+// leaves the heap entry as a tombstone (lazy deletion), which the network
+// service relies on to invalidate stale flow-completion events. Long
+// streams cancel heavily (every network dispatch reschedules the completion
+// event), so the heap filters dead entries in one O(n) pass once tombstones
+// outnumber live entries.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +30,14 @@ class EventHandle {
  public:
   EventHandle() = default;
 
-  [[nodiscard]] bool valid() const { return seq_ != kInvalid; }
+  [[nodiscard]] bool valid() const { return id_ != kInvalid; }
 
  private:
   friend class Simulation;
-  explicit EventHandle(std::uint64_t seq) : seq_(seq) {}
+  explicit EventHandle(std::uint64_t id) : id_(id) {}
   static constexpr std::uint64_t kInvalid =
       std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t seq_ = kInvalid;
+  std::uint64_t id_ = kInvalid;  ///< see Simulation::kSlotBits
 };
 
 /// The event-driven simulation clock and dispatcher.
@@ -78,14 +81,23 @@ class Simulation {
   /// Heap entries including not-yet-collected tombstones (introspection
   /// for the compaction tests/bench).
   [[nodiscard]] std::size_t queue_size() const { return heap_.size(); }
+  /// Callback slots allocated: the most events ever pending at once.
+  [[nodiscard]] std::size_t callback_slots() const { return slots_.size(); }
 
  private:
+  /// An event id is (seq << kSlotBits) | slot: it orders like the
+  /// sequence number, and it names the callback slot. 40 bits of sequence
+  /// (10^12 events) and 24 of slot (16.7 M events pending at once) keep the
+  /// heap entry and the handle at one word of id.
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
   struct Entry {
     Seconds time;
-    std::uint64_t seq;
+    std::uint64_t id;
     bool operator>(const Entry& other) const {
       if (time != other.time) return time > other.time;
-      return seq > other.seq;
+      return id > other.id;
     }
   };
   struct EntryGreater {
@@ -96,24 +108,29 @@ class Simulation {
   // until popped or swept by compact_heap().
   std::vector<Entry> heap_;
   std::size_t heap_tombstones_ = 0;  ///< cancelled entries still in heap_
-  // seq -> callback; empty function marks a cancelled/fired tombstone.
-  std::vector<Callback> callbacks_;
-  std::uint64_t base_seq_ = 0;   ///< seq of callbacks_[0]
-  std::size_t scan_floor_ = 0;   ///< callbacks_[0, scan_floor_) known dead
+  /// A pending event's callback, or a free slot (id == kFree).
+  struct Slot {
+    Callback cb;
+    std::uint64_t id;
+  };
+  static constexpr std::uint64_t kFree = EventHandle::kInvalid;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_events_ = 0;
   std::size_t processed_ = 0;
   std::size_t fired_at_now_ = 0;  ///< events fired at now_ so far
 
-  [[nodiscard]] Callback* find(std::uint64_t seq);
-  [[nodiscard]] bool is_live(const Entry& e);
+  [[nodiscard]] bool is_live(std::uint64_t id) const {
+    return slots_[id & kSlotMask].id == id;
+  }
+  /// Move the callback out of event `id`'s slot and free the slot.
+  Callback release(std::uint64_t id);
   /// Pop tombstones off the heap top; returns false when the heap empties.
   bool settle_top();
   /// Remove every dead heap entry in one pass and re-heapify.
   void compact_heap();
-  /// Erase the dead callbacks_ prefix (amortized via scan_floor_).
-  void compact_callbacks();
 };
 
 }  // namespace mrs::sim

@@ -9,9 +9,12 @@
 // in bursts inside one FlowModel::DeferredSolves scope (as the network
 // service does per completion dispatch) and compare it, after each scope
 // closes, with the eager and naive models fed the same events one by one.
+// After every event, each model's per-link flow lists must equal a rescan
+// of the live flows' routes, in ascending flow order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -148,6 +151,7 @@ class Differential {
     } else {
       for (auto& fm : models_) fm->recompute_rates();
     }
+    compare_link_lists();
   }
 
   void start_flow() {
@@ -324,6 +328,32 @@ class Differential {
       if (used[d]) largest = std::max(largest, ++size[root(d)]);
     }
     return largest;
+  }
+
+  /// Every directed link's flow list (and flows_on) on every model equals
+  /// a rescan of the live flows' routes in ascending flow order. A flow's
+  /// route is fixed, so the naive model's (never deferred) endpoints stand
+  /// for all three.
+  void compare_link_lists() {
+    std::vector<FlowId> live = live_;
+    std::sort(live.begin(), live.end());
+    std::vector<std::vector<std::uint32_t>> expected(topo_->link_count() * 2);
+    for (const FlowId id : live) {
+      const FlowInfo& f = models_[1]->info(id);
+      for (const DirectedLink& dl : topo_->path(f.src, f.dst)) {
+        expected[dl.directed_index()].push_back(
+            static_cast<std::uint32_t>(id.value()));
+      }
+    }
+    for (std::size_t d = 0; d < expected.size(); ++d) {
+      for (const auto& fm : models_) {
+        const auto list = fm->flows_crossing(d);
+        ASSERT_EQ(fm->flows_on(d), expected[d].size()) << "link " << d;
+        ASSERT_TRUE(std::equal(list.begin(), list.end(), expected[d].begin(),
+                               expected[d].end()))
+            << "link " << d;
+      }
+    }
   }
 
   void compare_link_loads() {

@@ -374,6 +374,46 @@ TEST(FlowDifferentialTies, EqualSharesAcrossSearchBlocks) {
   EXPECT_NE(rates[0], c / 3);                 // 79 -> 3
 }
 
+TEST(FlowDifferentialTies, StalledFlowAddsNoLoadToASharedLink) {
+  // Host 0's uplink carries four flows. The capped fourth makes the running
+  // rates unequal, so their sum's bits depend on the order it is taken in.
+  // Then host 2's link is cut under the second, which was running: it must
+  // park at rate 0, and the uplink's load must equal the naive model's and
+  // an ascending-order audit of the running flows, bit for bit.
+  const Topology t = make_single_rack(5, units::Gbps(1));
+  LinkConditionModel cond(&t, BackgroundTrafficConfig{}, Rng(1));
+  FlowModel fast(&t, &cond);
+  FlowModel naive(&t, &cond);
+  naive.set_naive_flow_solver(true);
+  const double c = units::Gbps(1);
+  std::vector<FlowId> ids;
+  for (const auto& [dst, cap] : std::vector<std::pair<int, double>>{
+           {1, 1e18}, {2, 1e18}, {3, 1e18}, {4, c / 7}}) {
+    ids.push_back(fast.start(NodeId(0), NodeId(dst), 100.0 * kGb, 0.0, cap));
+    naive.start(NodeId(0), NodeId(dst), 100.0 * kGb, 0.0, cap);
+  }
+  ASSERT_GT(fast.info(ids[1]).rate, 0.0);
+  cond.set_link_fault(t.path(NodeId(0), NodeId(2)).back().link, true);
+  fast.recompute_rates();
+  naive.recompute_rates();
+  const std::size_t up0 = t.path(NodeId(0), NodeId(1)).front().directed_index();
+  ASSERT_EQ(fast.flows_on(up0), 4u);
+  ASSERT_TRUE(fast.info(ids[1]).stalled);
+  EXPECT_EQ(fast.info(ids[1]).rate, 0.0);
+  EXPECT_EQ(fast.stalled_count(), 1u);
+
+  double audit = 0.0;
+  for (const FlowId id : ids) {
+    EXPECT_EQ(fast.info(id).rate, naive.info(id).rate) << id.value();
+    if (!fast.info(id).stalled) audit += fast.info(id).rate;
+  }
+  EXPECT_NE(fast.info(ids[0]).rate, fast.info(ids[3]).rate);
+  EXPECT_EQ(fast.directed_link_load(up0), audit);
+  for (std::size_t d = 0; d < t.link_count() * 2; ++d) {
+    EXPECT_EQ(fast.directed_link_load(d), naive.directed_link_load(d)) << d;
+  }
+}
+
 // Property sweep: with n equal flows through one bottleneck, each gets 1/n.
 class FairShareProperty : public ::testing::TestWithParam<std::size_t> {};
 

@@ -1,6 +1,7 @@
 // Tests for the discrete-event engine and the network service coupling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -147,6 +148,39 @@ TEST(Simulation, CompactionKeepsLiveEvents) {
   s.run();
   EXPECT_TRUE(late_fired);
   EXPECT_EQ(s.processed_count(), 5001u);
+}
+
+TEST(Simulation, CallbackSlotsStayBoundedByLiveEvents) {
+  // One far-future event stays pending while 10^5 others fire, in a chain
+  // (two live events at a time) and then in bursts of 100: the callback
+  // pool is recycled, so its size follows the most events pending at
+  // once, not the number ever scheduled.
+  Simulation s;
+  bool late_fired = false;
+  s.schedule_at(1e9, [&] { late_fired = true; });
+  int chained = 0;
+  std::function<void()> chain = [&] {
+    if (++chained < 50000) s.schedule_in(0.001, chain);
+  };
+  s.schedule_at(0.0, chain);
+  s.run(100.0);
+  EXPECT_EQ(chained, 50000);
+  EXPECT_LE(s.callback_slots(), 2u);
+  std::size_t peak_pending = 0;
+  for (int burst = 0; burst < 500; ++burst) {
+    std::vector<EventHandle> handles;
+    for (int i = 0; i < 100; ++i) {
+      handles.push_back(s.schedule_in(1.0 + i, [] {}));
+    }
+    peak_pending = std::max(peak_pending, s.pending_count());
+    s.cancel(handles[0]);  // a cancelled slot is recycled too
+    s.run(s.now() + 1000.0);
+  }
+  EXPECT_EQ(s.processed_count(), 50000u + 500u * 99u);
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_LE(s.callback_slots(), peak_pending);
+  s.run();
+  EXPECT_TRUE(late_fired);
 }
 
 TEST(Simulation, MassCancelSweepsTombstones) {

@@ -37,12 +37,14 @@ average per reduce, hop distances over a 1024-host free set); it has no
 naive twin to compare with.
 
 Flake resistance: run the benchmark binary with
---benchmark_repetitions=N (N >= 3 recommended). Each repetition emits a
+--benchmark_repetitions=N (tools/ci.sh uses 5). Each repetition emits a
 separate "iteration" entry per benchmark name; this script takes the
-MEDIAN across repetitions before applying any gate, so a single
-descheduled repetition cannot fail (or pollute) the gate. Reports
-produced without repetitions still work — the median of one value is
-that value.
+MEDIAN across repetitions before applying any gate, so up to two
+descheduled repetitions of five cannot fail (or pollute) the gate.
+Three repetitions left the heartbeat families spreading about +-15%,
+BM_ReduceCostEvaluator +-13% and the naive side of
+BM_FlowEventsFatTree1k +-30% between runs. Reports produced without
+repetitions still work — the median of one value is that value.
 
 PNATS_PERF_REGEN=1 (or a missing baseline file) rewrites the baseline
 from the current run instead of comparing: do this when an intentional

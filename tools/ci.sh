@@ -13,8 +13,8 @@
 #      heartbeat scans, 10x for the 1k-host fat-tree flow solver) and
 #      within 20% of tools/perf_baseline.json, in units of a host
 #      reference kernel timed in the same run (PNATS_PERF_REGEN=1
-#      refreshes it); each family runs 3 repetitions and the gate
-#      compares medians, so one descheduled run cannot flake the gate;
+#      refreshes it); each family runs 5 repetitions and the gate
+#      compares medians, so two descheduled runs cannot flake the gate;
 #      the tracing-disabled heartbeat (BM_PnaHeartbeatTraced/0) and one
 #      PNA reduce decision (BM_ReduceCostEvaluator) are gated against the
 #      same baseline
@@ -29,8 +29,8 @@
 # Between 3 and 4 run the admission, tenant, hetero, chaos and
 # trace-replay smokes (the last four include a `bench_paper <study>_quick`
 # row whose CSV must match its reference in tests/golden/bench/ byte for
-# byte), the k=32 fat-tree smoke (an 8192-host stream must drain under a
-# peak-RSS bound), then the bench_paper smoke: --help lists 26 distinct rows, an
+# byte), the k=32 fat-tree smoke (8192-host streams of 600 and 1200 s
+# must drain under a peak-RSS bound), then the bench_paper smoke: --help lists 26 distinct rows, an
 # unknown row exits 2, the two rows that need no simulation write their
 # CSVs, every `bench_paper <row>` the docs name is a listed row, and every
 # build/bench/<binary> the docs name is one the build defines and produced.
@@ -269,10 +269,14 @@ step_fat_tree_k32() {
 echo "==> k=32 fat-tree smoke: 8192 hosts drain in bounded memory"
 # Routes and hop distances are arithmetic on host coordinates, so the
 # topology holds no per-host-pair state (a route table for 8192 hosts
-# would take ~6.9 GB). The peak RSS of a short stream, read through
-# getrusage(RUSAGE_CHILDREN), measured 86.5 MiB on a 4-vCPU Xeon; the
-# 128 MiB bound leaves ~1.5x headroom.
-K32_ARGS=(--fat-tree 32 --arrivals poisson --rate 60 --duration 600
+# would take ~6.9 GB), and the event loop recycles its callback slots, so
+# memory follows the events pending at once, not the stream's length. The
+# peak RSS of each stream, read through getrusage(RUSAGE_CHILDREN) in its
+# own python process, measured 23 MiB (D=600) and 30 MiB (D=1200) on a
+# 4-vCPU Xeon; a callback table that kept every slot after a long-lived
+# early event took 87 and 159 MiB.
+for duration in 600 1200; do
+K32_ARGS=(--fat-tree 32 --arrivals poisson --rate 60 --duration "$duration"
   --job-scale 0.02 --seed 42 --log-level warn --quiet)
 if command -v python3 >/dev/null 2>&1; then
   python3 - "${K32_ARGS[@]}" <<'PY'
@@ -283,12 +287,15 @@ assert run.returncode == 0, run.stdout + run.stderr
 assert "drained=yes" in run.stdout, run.stdout
 peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 assert peak_mib <= 128, f"peak RSS {peak_mib:.1f} MiB > 128 MiB bound"
-print(f"k=32 smoke: drained, peak RSS {peak_mib:.1f} MiB (bound 128 MiB)")
+duration = sys.argv[sys.argv.index("--duration") + 1]
+print(f"k=32 smoke (D={duration}): drained, peak RSS {peak_mib:.1f} MiB "
+      "(bound 128 MiB)")
 PY
 else
   ./build/tools/pnats_sim "${K32_ARGS[@]}" | grep -q 'drained=yes'
-  echo "k=32 smoke: python3 unavailable, RSS bound skipped"
+  echo "k=32 smoke (D=$duration): python3 unavailable, RSS bound skipped"
 fi
+done
 }
 
 step_bench_paper() {
@@ -338,7 +345,7 @@ step_perf() {
 echo "==> perf smoke: optimized vs naive gated benchmark families"
 ./build/bench/bench_micro_scheduler \
   --benchmark_filter='BM_PnaHeartbeat(Saturated|Hetero|Traced)|BM_FlowEventsFatTree1k|BM_ReduceCostEvaluator' \
-  --benchmark_repetitions=3 \
+  --benchmark_repetitions=5 \
   --benchmark_format=json >"$SMOKE_DIR/perf.json"
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/check_perf.py "$SMOKE_DIR/perf.json" tools/perf_baseline.json
