@@ -37,7 +37,8 @@ EventHandle Simulation::schedule_at(Seconds t, Callback cb) {
     free_slots_.pop_back();
   }
   const std::uint64_t id = (seq << kSlotBits) | slot;
-  slots_[slot] = {std::move(cb), id};
+  slots_[slot].cb = std::move(cb);
+  slots_[slot].id = id;
   heap_.push_back({std::max(t, now_), id});
   std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
   ++live_events_;
