@@ -1,11 +1,13 @@
-// Golden outputs: four small streamed runs whose observability outputs
-// must stay byte-identical to the files checked in under tests/golden/.
+// Golden outputs: small streamed runs whose observability outputs must
+// stay byte-identical to the files checked in under tests/golden/.
 //
-// Together the runs exercise every engine lifecycle event: job activation,
+// Four PNA runs together exercise every engine lifecycle event: job activation,
 // deferral, rejection, abort and completion; map/reduce assignment
 // (including speculative backups), readiness, shuffle completion, kills and
 // finishes; stall timeouts and retries; node failure, recovery, blacklisting
-// and release. Each run is checked on four outputs:
+// and release. One more run per baseline scheduler (FIFO, Fair, Coupling,
+// LARTS, MinCost, Unrelated) pins that scheduler's placements and, where
+// it logs them, its decision records. Each run is checked on four outputs:
 //   <case>.trace.csv      the CSV execution trace
 //   <case>.causal.jsonl   the causal span/decision/blame JSONL
 //   <case>.perfetto.json  the Chrome trace, without the host wall-clock
@@ -141,6 +143,45 @@ TEST(Golden, Hetero) {
   slow.cpu_speed = 0.5;
   cfg.base.hetero.classes = {fast, slow};
   check_case("hetero", cfg);
+}
+
+// One small three-rack stream per baseline scheduler, so a change that
+// moves only one baseline's placements or decision records shows in that
+// scheduler's own files.
+StreamConfig baseline_case(SchedulerKind scheduler) {
+  StreamConfig cfg = base_case(12, 900.0, 60.0, 5);
+  cfg.base.scheduler = scheduler;
+  cfg.base.racks = 3;
+  return cfg;
+}
+
+TEST(Golden, Fifo) { check_case("fifo", baseline_case(SchedulerKind::kFifo)); }
+
+TEST(Golden, Fair) { check_case("fair", baseline_case(SchedulerKind::kFair)); }
+
+TEST(Golden, Coupling) {
+  check_case("coupling", baseline_case(SchedulerKind::kCoupling));
+}
+
+TEST(Golden, Larts) {
+  check_case("larts", baseline_case(SchedulerKind::kLarts));
+}
+
+TEST(Golden, MinCost) {
+  check_case("mincost", baseline_case(SchedulerKind::kMinCost));
+}
+
+// Unrelated machines on two node classes, so its compute term differs
+// between the offered nodes.
+TEST(Golden, Unrelated) {
+  StreamConfig cfg = baseline_case(SchedulerKind::kUnrelated);
+  hetero::NodeClass fast, slow;
+  fast.name = "fast";
+  fast.cpu_speed = 2.0;
+  slow.name = "slow";
+  slow.cpu_speed = 0.5;
+  cfg.base.hetero.classes = {fast, slow};
+  check_case("unrelated", cfg);
 }
 
 }  // namespace
