@@ -1,8 +1,10 @@
 // Implementing your own task scheduler against the public API.
 //
-// The engine calls TaskScheduler::on_heartbeat whenever a node reports free
-// slots; the scheduler inspects jobs/cluster through the Engine facade and
-// commits placements with assign_map / assign_reduce. This example builds a
+// On every heartbeat the engine offers the node's free map slot to
+// TaskScheduler::offer_map and its free reduce slot to offer_reduce (at
+// most one of each per heartbeat); the scheduler inspects jobs/cluster
+// through the Engine facade and commits at most one placement per offer
+// with assign_map / assign_reduce. This example builds a
 // "power of two choices" scheduler: for each slot it samples two candidate
 // tasks and takes the one with the lower transmission cost — a classic
 // load-balancing trick the paper's related work alludes to — and races it
@@ -24,26 +26,15 @@ class PowerOfTwoScheduler final : public mapreduce::TaskScheduler {
 
   const char* name() const override { return "power-of-two"; }
 
-  void on_heartbeat(mapreduce::Engine& engine, NodeId node) override {
-    while (engine.map_budget_left() > 0 &&
-           engine.cluster().node(node).free_map_slots() > 0) {
-      if (!try_map(engine, node)) break;
-    }
-    while (engine.reduce_budget_left() > 0 &&
-           engine.cluster().node(node).free_reduce_slots() > 0) {
-      if (!try_reduce(engine, node)) break;
-    }
-  }
-
  private:
-  bool try_map(mapreduce::Engine& engine, NodeId node) {
+  void offer_map(mapreduce::Engine& engine, NodeId node) override {
     for (auto* job :
          mapreduce::jobs_for_maps(engine, mapreduce::JobOrder::kFair)) {
       // Local task? Take it (cost 0 cannot be beaten).
       const std::size_t local = job->next_local_map(node);
       if (local < job->map_count()) {
         engine.assign_map(*job, local, node);
-        return true;
+        return;
       }
       // Otherwise sample two candidates and take the cheaper (Eq. 1).
       const auto unassigned = job->unassigned_maps();
@@ -55,12 +46,11 @@ class PowerOfTwoScheduler final : public mapreduce::TaskScheduler {
                                    ? a
                                    : b;
       engine.assign_map(*job, pick, node);
-      return true;
+      return;
     }
-    return false;
   }
 
-  bool try_reduce(mapreduce::Engine& engine, NodeId node) {
+  void offer_reduce(mapreduce::Engine& engine, NodeId node) override {
     for (auto* job :
          mapreduce::jobs_for_reduces(engine, mapreduce::JobOrder::kFair)) {
       if (job->has_reduce_on(node)) continue;
@@ -74,9 +64,8 @@ class PowerOfTwoScheduler final : public mapreduce::TaskScheduler {
       const std::size_t b = unassigned[rng_.index(unassigned.size())];
       const std::size_t pick = eval.cost(0, a) <= eval.cost(0, b) ? a : b;
       engine.assign_reduce(*job, pick, node);
-      return true;
+      return;
     }
-    return false;
   }
 
   Rng rng_;

@@ -140,6 +140,13 @@ void ReduceCostEvaluator::reset(const mapreduce::Engine& engine,
   have_colsum_ = true;
 }
 
+std::size_t ReduceCostEvaluator::index_of(NodeId node) const {
+  const auto it =
+      std::lower_bound(candidates_.begin(), candidates_.end(), node);
+  MRS_ASSERT(it != candidates_.end() && *it == node);
+  return static_cast<std::size_t>(it - candidates_.begin());
+}
+
 const double* ReduceCostEvaluator::row(std::size_t c) const {
   MRS_ASSERT(c < candidates_.size());
   if (row_at_[c] == kNoRow) {

@@ -161,6 +161,9 @@ class ReduceCostEvaluator {
   [[nodiscard]] const std::vector<NodeId>& candidates() const {
     return candidates_;
   }
+  /// Index of `node` among the candidates, which must hold it in
+  /// ascending order (as the cluster's free-slot sets are).
+  [[nodiscard]] std::size_t index_of(NodeId node) const;
   [[nodiscard]] const IntermediateSnapshot& snapshot() const {
     return snapshot_;
   }

@@ -1,10 +1,8 @@
 #include "mrs/core/pna_scheduler.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "mrs/mapreduce/job_policy.hpp"
-#include "mrs/trace/decision.hpp"
 
 namespace mrs::core {
 
@@ -46,30 +44,13 @@ void PnaScheduler::set_telemetry(telemetry::Registry* registry) {
   metrics_.score_wall = &r.timer("pna.score_wall");
 }
 
-void PnaScheduler::on_heartbeat(Engine& engine, NodeId node) {
-  // One map and one reduce offer per heartbeat (the engine's budget of
-  // one each), made to the first job in fair order (Hadoop's default job
-  // policy). A failed draw or P_min skip ends the offer: Algorithm 1
-  // Line 11 and Algorithm 2 Line 12 return. Speculation may already have
-  // spent the map budget.
-  if (engine.map_budget_left() > 0 &&
-      engine.cluster().node(node).free_map_slots() > 0) {
-    const auto jobs = jobs_for_maps(engine, JobOrder::kFair);
-    if (!jobs.empty()) schedule_map(engine, *jobs.front(), node);
-  }
-  // Algorithm 2, Line 1: never run two reduce tasks of one job on a node,
-  // so the offer goes to the first job without a reduce here.
-  if (engine.cluster().node(node).free_reduce_slots() > 0) {
-    for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFair)) {
-      if (job->has_reduce_on(node)) continue;
-      schedule_reduce(engine, *job, node);
-      break;
-    }
-  }
-}
-
-bool PnaScheduler::schedule_map(Engine& engine, JobRun& job, NodeId node) {
-  ++map_attempts_;
+void PnaScheduler::offer_map(Engine& engine, NodeId node) {
+  // The offer goes to the first job in fair order (Hadoop's default job
+  // policy). A failed draw or P_min skip ends it: Algorithm 1 Line 11
+  // returns.
+  const auto jobs = jobs_for_maps(engine, JobOrder::kFair);
+  if (jobs.empty()) return;
+  JobRun& job = *jobs.front();
   telemetry::inc(metrics_.map_attempts);
 
   // Fast path: a task with a local replica has cost 0 and therefore P = 1,
@@ -83,19 +64,15 @@ bool PnaScheduler::schedule_map(Engine& engine, JobRun& job, NodeId node) {
       telemetry::inc(metrics_.map_local_fastpath);
       engine.assign_map(job, local, node);
       if (decisions_ != nullptr) {
-        trace::PlacementDecisionRecord rec;
-        rec.time = engine.now();
-        rec.is_map = true;
+        auto rec = offer_record(engine, /*is_map=*/true, node);
         rec.job = job.id();
         rec.task = local;
-        rec.node = node;
-        rec.free_nodes = engine.cluster().nodes_with_free_map_slots().size();
         rec.p = 1.0;
         rec.locality = static_cast<int>(job.map_state(local).locality);
         rec.outcome = DecisionOutcome::kLocalFastPath;
         decisions_->record(rec);
       }
-      return true;
+      return;
     }
   }
 
@@ -175,15 +152,12 @@ bool PnaScheduler::schedule_map(Engine& engine, JobRun& job, NodeId node) {
                  candidates * (incremental ? 2 : 1 + n_m.size()));
   // Decision records are pure observation: fields are filled from values
   // the scan already computed, and the Bernoulli draw below is untouched.
-  const auto record_map = [&](DecisionOutcome outcome, int locality) {
-    trace::PlacementDecisionRecord rec;
-    rec.time = engine.now();
-    rec.is_map = true;
+  const auto record = [&](DecisionOutcome outcome, int locality) {
+    if (decisions_ == nullptr) return;
+    auto rec = offer_record(engine, /*is_map=*/true, node);
     rec.job = job.id();
-    rec.task = best_task < job.map_count() ? best_task : SIZE_MAX;
-    rec.node = node;
+    if (best_task < job.map_count()) rec.task = best_task;
     rec.candidates = candidates;
-    rec.free_nodes = n_m.size();
     rec.cost = best_c;
     rec.cost_avg = best_c_ave;
     rec.p = best_p;
@@ -192,54 +166,50 @@ bool PnaScheduler::schedule_map(Engine& engine, JobRun& job, NodeId node) {
     decisions_->record(rec);
   };
   if (best_task == job.map_count()) {  // no unassigned task
-    if (decisions_ != nullptr) {
-      record_map(DecisionOutcome::kNoCandidate, -1);
-    }
-    return false;
+    record(DecisionOutcome::kNoCandidate, -1);
+    return;
   }
 
   telemetry::observe(metrics_.map_p, best_p);
   if (best_p < cfg_.p_min) {  // Lines 10-12: too costly, skip this node
-    ++map_skips_;
     telemetry::inc(metrics_.map_pmin_skips);
-    if (decisions_ != nullptr) {
-      record_map(DecisionOutcome::kPminSkip,
-                 static_cast<int>(engine.map_locality(job, best_task, node)));
-    }
-    return false;
+    record(DecisionOutcome::kPminSkip,
+           static_cast<int>(engine.map_locality(job, best_task, node)));
+    return;
   }
   if (!rng_.bernoulli(best_p)) {  // Lines 13-16
-    ++map_skips_;
     telemetry::inc(metrics_.map_bernoulli_rejects);
-    if (decisions_ != nullptr) {
-      record_map(DecisionOutcome::kBernoulliReject,
-                 static_cast<int>(engine.map_locality(job, best_task, node)));
-    }
-    return false;
+    record(DecisionOutcome::kBernoulliReject,
+           static_cast<int>(engine.map_locality(job, best_task, node)));
+    return;
   }
   engine.assign_map(job, best_task, node);
-  if (decisions_ != nullptr) {
-    record_map(DecisionOutcome::kAssigned,
-               static_cast<int>(job.map_state(best_task).locality));
-  }
-  return true;
+  record(DecisionOutcome::kAssigned,
+         static_cast<int>(job.map_state(best_task).locality));
 }
 
-bool PnaScheduler::schedule_reduce(Engine& engine, JobRun& job, NodeId node) {
-  ++reduce_attempts_;
+void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
+  // Algorithm 2, Line 1: never run two reduce tasks of one job on a node,
+  // so the offer goes to the first job in fair order without a reduce
+  // here. A failed draw or P_min skip ends it (Line 12 returns).
+  JobRun* first = nullptr;
+  for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFair)) {
+    if (!job->has_reduce_on(node)) {
+      first = job;
+      break;
+    }
+  }
+  if (first == nullptr) return;
+  JobRun& job = *first;
   telemetry::inc(metrics_.reduce_attempts);
 
   const std::vector<NodeId>& n_r =
       engine.cluster().nodes_with_free_reduce_slots();
   MRS_ASSERT(!n_r.empty());
-  // The free index is sorted ascending, so self lookup is a binary search.
-  const auto self = std::lower_bound(n_r.begin(), n_r.end(), node);
-  MRS_ASSERT(self != n_r.end() && *self == node);
-  const auto self_index = static_cast<std::size_t>(self - n_r.begin());
-
   const std::vector<std::size_t> unassigned = job.unassigned_reduces();
   reduce_eval_.reset(engine, job, cfg_.estimator, n_r, unassigned);
   const ReduceCostEvaluator& eval = reduce_eval_;
+  const std::size_t self = eval.index_of(node);
 
   const double mix = cfg_.cost_mix;
   double inv_speed_sum = 0.0;
@@ -260,7 +230,7 @@ bool PnaScheduler::schedule_reduce(Engine& engine, JobRun& job, NodeId node) {
     telemetry::ScopedTimer score_timer(metrics_.score_wall);
     for (std::size_t f : unassigned) {
       ++candidates;
-      double c_if = eval.cost(self_index, f);    // Line 5 (Eq. 3)
+      double c_if = eval.cost(self, f);          // Line 5 (Eq. 3)
       double c_ave = eval.average_cost(f);       // Line 7
       if (mix > 0.0) {
         // Same blend as the map side: shuffle transfer seconds plus the
@@ -286,15 +256,12 @@ bool PnaScheduler::schedule_reduce(Engine& engine, JobRun& job, NodeId node) {
   // Per candidate: C_if at this node plus the average over all nodes with
   // a free reduce slot (Eq. 3 evaluated once per node by the evaluator).
   telemetry::inc(metrics_.reduce_cost_evals, candidates * (1 + n_r.size()));
-  const auto record_reduce = [&](DecisionOutcome outcome, int locality) {
-    trace::PlacementDecisionRecord rec;
-    rec.time = engine.now();
-    rec.is_map = false;
+  const auto record = [&](DecisionOutcome outcome, int locality) {
+    if (decisions_ == nullptr) return;
+    auto rec = offer_record(engine, /*is_map=*/false, node);
     rec.job = job.id();
-    rec.task = best_task < job.reduce_count() ? best_task : SIZE_MAX;
-    rec.node = node;
+    if (best_task < job.reduce_count()) rec.task = best_task;
     rec.candidates = candidates;
-    rec.free_nodes = n_r.size();
     rec.cost = best_c;
     rec.cost_avg = best_c_ave;
     rec.p = best_p;
@@ -303,34 +270,24 @@ bool PnaScheduler::schedule_reduce(Engine& engine, JobRun& job, NodeId node) {
     decisions_->record(rec);
   };
   if (best_task == job.reduce_count()) {
-    if (decisions_ != nullptr) {
-      record_reduce(DecisionOutcome::kNoCandidate, -1);
-    }
-    return false;
+    record(DecisionOutcome::kNoCandidate, -1);
+    return;
   }
 
   telemetry::observe(metrics_.reduce_p, best_p);
   if (best_p < cfg_.p_min) {  // Lines 11-13
-    ++reduce_skips_;
     telemetry::inc(metrics_.reduce_pmin_skips);
-    if (decisions_ != nullptr) record_reduce(DecisionOutcome::kPminSkip, -1);
-    return false;
+    record(DecisionOutcome::kPminSkip, -1);
+    return;
   }
   if (!rng_.bernoulli(best_p)) {  // Lines 14-17
-    ++reduce_skips_;
     telemetry::inc(metrics_.reduce_bernoulli_rejects);
-    if (decisions_ != nullptr) {
-      record_reduce(DecisionOutcome::kBernoulliReject, -1);
-    }
-    return false;
+    record(DecisionOutcome::kBernoulliReject, -1);
+    return;
   }
   engine.assign_reduce(job, best_task, node);
-  if (decisions_ != nullptr) {
-    record_reduce(
-        DecisionOutcome::kAssigned,
-        static_cast<int>(job.reduce_state(best_task).locality));
-  }
-  return true;
+  record(DecisionOutcome::kAssigned,
+         static_cast<int>(job.reduce_state(best_task).locality));
 }
 
 }  // namespace mrs::core

@@ -54,8 +54,6 @@ class PnaScheduler final : public mapreduce::TaskScheduler {
   [[nodiscard]] const char* name() const override { return "probabilistic"; }
   [[nodiscard]] const PnaConfig& config() const { return cfg_; }
 
-  void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
-
   /// Registers the scheduler's decision metrics: candidate-scan and
   /// cost-evaluation counters, the histogram of chosen P, and the P_min /
   /// Bernoulli skip counters (introspection of Algorithm 1/2 outcomes).
@@ -69,21 +67,12 @@ class PnaScheduler final : public mapreduce::TaskScheduler {
     decisions_ = log;
   }
 
-  // --- statistics (for tests and the micro bench) ---
-  [[nodiscard]] std::size_t map_attempts() const { return map_attempts_; }
-  [[nodiscard]] std::size_t map_skips() const { return map_skips_; }
-  [[nodiscard]] std::size_t reduce_attempts() const {
-    return reduce_attempts_;
-  }
-  [[nodiscard]] std::size_t reduce_skips() const { return reduce_skips_; }
-
  private:
-  /// Algorithm 1 on `node` for `job`; true if a map task was assigned.
-  bool schedule_map(mapreduce::Engine& engine, mapreduce::JobRun& job,
-                    NodeId node);
-  /// Algorithm 2 on `node` for `job`; true if a reduce task was assigned.
-  bool schedule_reduce(mapreduce::Engine& engine, mapreduce::JobRun& job,
-                       NodeId node);
+  /// Algorithm 1 for the first job in fair order.
+  void offer_map(mapreduce::Engine& engine, NodeId node) override;
+  /// Algorithm 2 for the first job in fair order without a reduce on
+  /// `node`.
+  void offer_reduce(mapreduce::Engine& engine, NodeId node) override;
 
   /// Possibly-null cached metric pointers (telemetry::inc/observe
   /// tolerate null, so the uninstrumented hot path costs one branch).
@@ -110,10 +99,6 @@ class PnaScheduler final : public mapreduce::TaskScheduler {
   /// Reduce-side scratch, refilled at every decision.
   ReduceCostEvaluator reduce_eval_;
   trace::DecisionLog* decisions_ = nullptr;
-  std::size_t map_attempts_ = 0;
-  std::size_t map_skips_ = 0;
-  std::size_t reduce_attempts_ = 0;
-  std::size_t reduce_skips_ = 0;
 };
 
 }  // namespace mrs::core

@@ -1,10 +1,8 @@
 #include "mrs/hetero/unrelated.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "mrs/mapreduce/job_policy.hpp"
-#include "mrs/trace/decision.hpp"
 
 namespace mrs::hetero {
 
@@ -32,18 +30,7 @@ void UnrelatedScheduler::set_telemetry(telemetry::Registry* registry) {
       &r.histogram("unrelated.reduce.est_seconds", 0.0, 600.0, 24);
 }
 
-void UnrelatedScheduler::on_heartbeat(Engine& engine, NodeId node) {
-  while (engine.map_budget_left() > 0 &&
-         engine.cluster().node(node).free_map_slots() > 0) {
-    if (!try_map(engine, node)) break;
-  }
-  while (engine.reduce_budget_left() > 0 &&
-         engine.cluster().node(node).free_reduce_slots() > 0) {
-    if (!try_reduce(engine, node)) break;
-  }
-}
-
-bool UnrelatedScheduler::try_map(Engine& engine, NodeId node) {
+void UnrelatedScheduler::offer_map(Engine& engine, NodeId node) {
   const double speed = engine.cluster().node(node).speed_factor;
   MRS_ASSERT(speed > 0.0);
   for (JobRun* job : jobs_for_maps(engine, JobOrder::kFair)) {
@@ -69,14 +56,10 @@ bool UnrelatedScheduler::try_map(Engine& engine, NodeId node) {
     telemetry::inc(metrics_.map_assignments);
     telemetry::observe(metrics_.map_est_seconds, best_time);
     if (decisions_ != nullptr) {
-      trace::PlacementDecisionRecord rec;
-      rec.time = engine.now();
-      rec.is_map = true;
+      auto rec = offer_record(engine, /*is_map=*/true, node);
       rec.job = job->id();
       rec.task = best_task;
-      rec.node = node;
       rec.candidates = candidates;
-      rec.free_nodes = engine.cluster().nodes_with_free_map_slots().size();
       rec.cost = best_time;
       rec.locality =
           static_cast<int>(engine.map_locality(*job, best_task, node));
@@ -84,35 +67,25 @@ bool UnrelatedScheduler::try_map(Engine& engine, NodeId node) {
       decisions_->record(rec);
     }
     engine.assign_map(*job, best_task, node);
-    return true;
+    return;
   }
   if (decisions_ != nullptr) {
-    trace::PlacementDecisionRecord rec;
-    rec.time = engine.now();
-    rec.is_map = true;
-    rec.node = node;
-    rec.free_nodes = engine.cluster().nodes_with_free_map_slots().size();
-    decisions_->record(rec);  // outcome defaults to kNoCandidate
+    decisions_->record(offer_record(engine, /*is_map=*/true, node));
   }
-  return false;
 }
 
-bool UnrelatedScheduler::try_reduce(Engine& engine, NodeId node) {
+void UnrelatedScheduler::offer_reduce(Engine& engine, NodeId node) {
   const double speed = engine.cluster().node(node).speed_factor;
   for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFair)) {
     if (job->has_reduce_on(node)) continue;
     const auto unassigned = job->unassigned_reduces();
     if (unassigned.empty()) continue;
 
-    const auto& free_nodes = engine.cluster().nodes_with_free_reduce_slots();
     reduce_eval_.reset(engine, *job, core::EstimatorMode::kProjected,
-                       free_nodes, unassigned);
+                       engine.cluster().nodes_with_free_reduce_slots(),
+                       unassigned);
     const core::ReduceCostEvaluator& eval = reduce_eval_;
-    const auto self = std::lower_bound(free_nodes.begin(), free_nodes.end(),
-                                       node);
-    MRS_ASSERT(self != free_nodes.end() && *self == node);
-    const auto self_index = static_cast<std::size_t>(self -
-                                                     free_nodes.begin());
+    const std::size_t self = eval.index_of(node);
 
     const double reduce_rate = job->spec().reduce_rate;
     double best_time = std::numeric_limits<double>::max();
@@ -120,7 +93,7 @@ bool UnrelatedScheduler::try_reduce(Engine& engine, NodeId node) {
     std::uint64_t candidates = 0;
     for (std::size_t f : unassigned) {
       ++candidates;
-      const double net = eval.cost(self_index, f) / kReferenceBandwidth;
+      const double net = eval.cost(self, f) / kReferenceBandwidth;
       const double compute = eval.snapshot().total_for(f) /
                              (reduce_rate * speed);
       const double p_if = net + compute;
@@ -134,30 +107,20 @@ bool UnrelatedScheduler::try_reduce(Engine& engine, NodeId node) {
     telemetry::inc(metrics_.reduce_assignments);
     telemetry::observe(metrics_.reduce_est_seconds, best_time);
     if (decisions_ != nullptr) {
-      trace::PlacementDecisionRecord rec;
-      rec.time = engine.now();
-      rec.is_map = false;
+      auto rec = offer_record(engine, /*is_map=*/false, node);
       rec.job = job->id();
       rec.task = best_task;
-      rec.node = node;
       rec.candidates = candidates;
-      rec.free_nodes = free_nodes.size();
       rec.cost = best_time;
       rec.outcome = trace::DecisionOutcome::kAssigned;
       decisions_->record(rec);
     }
     engine.assign_reduce(*job, best_task, node);
-    return true;
+    return;
   }
   if (decisions_ != nullptr) {
-    trace::PlacementDecisionRecord rec;
-    rec.time = engine.now();
-    rec.is_map = false;
-    rec.node = node;
-    rec.free_nodes = engine.cluster().nodes_with_free_reduce_slots().size();
-    decisions_->record(rec);  // outcome defaults to kNoCandidate
+    decisions_->record(offer_record(engine, /*is_map=*/false, node));
   }
-  return false;
 }
 
 }  // namespace mrs::hetero

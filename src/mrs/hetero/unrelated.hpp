@@ -30,8 +30,6 @@ class UnrelatedScheduler final : public mapreduce::TaskScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "unrelated"; }
 
-  void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
-
   void set_telemetry(telemetry::Registry* registry) override;
 
   /// Records per-offer outcomes for trace explainability. `cost` is the
@@ -42,8 +40,8 @@ class UnrelatedScheduler final : public mapreduce::TaskScheduler {
   }
 
  private:
-  bool try_map(mapreduce::Engine& engine, NodeId node);
-  bool try_reduce(mapreduce::Engine& engine, NodeId node);
+  void offer_map(mapreduce::Engine& engine, NodeId node) override;
+  void offer_reduce(mapreduce::Engine& engine, NodeId node) override;
 
   struct Metrics {
     telemetry::Counter* map_assignments = nullptr;

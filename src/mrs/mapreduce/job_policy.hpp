@@ -34,4 +34,8 @@ enum class JobOrder {
 [[nodiscard]] std::vector<JobRun*> jobs_for_reduces(
     const Engine& engine, JobOrder order);
 
+/// Greedy locality-first map placement: assign the best-placed map
+/// (JobRun::next_map_for) of the first job in `order` to `node`.
+void assign_locality_first_map(Engine& engine, NodeId node, JobOrder order);
+
 }  // namespace mrs::mapreduce

@@ -179,6 +179,14 @@ std::size_t JobRun::next_any_map() {
   return any_cursor_ < maps_.size() ? any_cursor_ : maps_.size();
 }
 
+MapPick JobRun::next_map_for(NodeId node, RackId rack) {
+  std::size_t task = next_local_map(node);
+  if (task < maps_.size()) return {task, 0};
+  task = next_rack_map(rack);
+  if (task < maps_.size()) return {task, 1};
+  return {next_any_map(), 2};
+}
+
 void JobRun::build_static_costs(
     std::size_t node_count,
     const std::function<const std::vector<NodeId>&(std::size_t)>&

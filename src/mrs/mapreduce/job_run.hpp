@@ -24,6 +24,12 @@
 
 namespace mrs::mapreduce {
 
+/// A map chosen by JobRun::next_map_for and its rung on the ladder.
+struct MapPick {
+  std::size_t task;
+  int rank;  ///< 0 node-local, 1 rack-local, 2 any
+};
+
 enum class MapPhase {
   kUnassigned,
   kStartup,
@@ -219,6 +225,10 @@ class JobRun {
   [[nodiscard]] std::size_t next_rack_map(RackId rack);
   /// First unassigned map, or map_count().
   [[nodiscard]] std::size_t next_any_map();
+  /// The locality ladder: the first unassigned map local to `node` (rank
+  /// 0), else local to its `rack` (rank 1), else any (rank 2). `task` is
+  /// map_count() when no map is unassigned.
+  [[nodiscard]] MapPick next_map_for(NodeId node, RackId rack);
 
   // --- static placement-cost cache (built by the engine at submit from
   //     topology hop counts) ---

@@ -14,24 +14,13 @@ using mapreduce::Locality;
 using mapreduce::jobs_for_maps;
 using mapreduce::jobs_for_reduces;
 
-void CouplingScheduler::on_heartbeat(Engine& engine, NodeId node) {
-  while (engine.map_budget_left() > 0 &&
-         engine.cluster().node(node).free_map_slots() > 0) {
-    if (!try_map(engine, node)) break;
-  }
-  while (engine.reduce_budget_left() > 0 &&
-         engine.cluster().node(node).free_reduce_slots() > 0) {
-    if (!try_reduce(engine, node)) break;
-  }
-}
-
-bool CouplingScheduler::try_map(Engine& engine, NodeId node) {
+void CouplingScheduler::offer_map(Engine& engine, NodeId node) {
   for (JobRun* job : jobs_for_maps(engine, JobOrder::kFair)) {
     // Prefer a node-local task when one exists (always accepted) ...
     const std::size_t pick = job->next_local_map(node);
     if (pick < job->map_count()) {
       engine.assign_map(*job, pick, node);
-      return true;
+      return;
     }
     // ... otherwise randomly pick one and accept it with the coarse
     // locality-class probability.
@@ -44,11 +33,10 @@ bool CouplingScheduler::try_map(Engine& engine, NodeId node) {
                          : cfg_.remote_probability;
     if (rng_.bernoulli(p)) {
       engine.assign_map(*job, j, node);
-      return true;
+      return;
     }
     // Rejected: leave the slot for the next heartbeat / next job.
   }
-  return false;
 }
 
 std::size_t CouplingScheduler::reduce_quota(const JobRun& job) const {
@@ -59,7 +47,7 @@ std::size_t CouplingScheduler::reduce_quota(const JobRun& job) const {
       std::ceil(progress * static_cast<double>(job.reduce_count())));
 }
 
-bool CouplingScheduler::try_reduce(Engine& engine, NodeId node) {
+void CouplingScheduler::offer_reduce(Engine& engine, NodeId node) {
   for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFair)) {
     if (job->has_reduce_on(node)) continue;  // no co-located reduces
     const std::size_t launched = job->reduce_count() -
@@ -99,11 +87,10 @@ bool CouplingScheduler::try_reduce(Engine& engine, NodeId node) {
     const bool central_enough = here <= best * cfg_.centrality_tolerance;
     if (central_enough || state.postpone_count >= cfg_.max_postpones) {
       engine.assign_reduce(*job, f, node);
-      return true;
+      return;
     }
     ++state.postpone_count;  // wait for a more central slot
   }
-  return false;
 }
 
 }  // namespace mrs::sched

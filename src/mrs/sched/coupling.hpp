@@ -40,11 +40,9 @@ class CouplingScheduler final : public mapreduce::TaskScheduler {
 
   [[nodiscard]] const char* name() const override { return "coupling"; }
 
-  void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
-
  private:
-  bool try_map(mapreduce::Engine& engine, NodeId node);
-  bool try_reduce(mapreduce::Engine& engine, NodeId node);
+  void offer_map(mapreduce::Engine& engine, NodeId node) override;
+  void offer_reduce(mapreduce::Engine& engine, NodeId node) override;
 
   /// Reduce tasks a job may have launched so far under progress coupling.
   [[nodiscard]] std::size_t reduce_quota(

@@ -8,18 +8,7 @@ using mapreduce::Engine;
 using mapreduce::jobs_for_maps;
 using mapreduce::jobs_for_reduces;
 using mapreduce::JobRun;
-using mapreduce::Locality;
-
-void FairScheduler::on_heartbeat(Engine& engine, NodeId node) {
-  while (engine.map_budget_left() > 0 &&
-         engine.cluster().node(node).free_map_slots() > 0) {
-    if (!try_map(engine, node)) break;
-  }
-  while (engine.reduce_budget_left() > 0 &&
-         engine.cluster().node(node).free_reduce_slots() > 0) {
-    if (!try_reduce(engine, node)) break;
-  }
-}
+using mapreduce::MapPick;
 
 void FairScheduler::on_job_finished(Engine& /*engine*/, JobId job) {
   if (delay_.erase(job.value()) > 0) telemetry::inc(evictions_);
@@ -61,34 +50,26 @@ void FairScheduler::count_tenant_assignment(TenantId tenant, bool is_map) {
   telemetry::inc(it->second);
 }
 
-bool FairScheduler::try_map(Engine& engine, NodeId node) {
+void FairScheduler::offer_map(Engine& engine, NodeId node) {
   const Seconds now = engine.now();
+  const RackId rack = engine.topology().rack_of(node);
   for (JobRun* job : jobs_for_maps(engine, cfg_.job_order)) {
     DelayState& ds = delay_[job->id().value()];
 
     // Best locality rank this node can offer the job.
-    int best_rank = 0;
-    std::size_t best_task = job->next_local_map(node);
-    if (best_task == job->map_count()) {
-      best_rank = 1;
-      best_task = job->next_rack_map(engine.topology().rack_of(node));
-    }
-    if (best_task == job->map_count()) {
-      best_rank = 2;
-      best_task = job->next_any_map();
-    }
-    if (best_task == job->map_count()) continue;
+    const MapPick pick = job->next_map_for(node, rack);
+    if (pick.task == job->map_count()) continue;
 
-    if (best_rank <= ds.level) {
-      engine.assign_map(*job, best_task, node);
+    if (pick.rank <= ds.level) {
+      engine.assign_map(*job, pick.task, node);
       count_tenant_assignment(job->spec().tenant, /*is_map=*/true);
-      if (best_rank == 0) {
+      if (pick.rank == 0) {
         // Launching locally resets the job's delay state (Delay
         // Scheduling's "reset wait when a local task launches").
         ds.level = 0;
         ds.wait_start = -1.0;
       }
-      return true;
+      return;
     }
 
     // Skip: the node can't serve the job at its current locality level.
@@ -96,19 +77,17 @@ bool FairScheduler::try_map(Engine& engine, NodeId node) {
     note_skip(ds, now, cfg_);
     for (int l = before; l < ds.level; ++l) telemetry::inc(escalations_);
   }
-  return false;
 }
 
-bool FairScheduler::try_reduce(Engine& engine, NodeId node) {
+void FairScheduler::offer_reduce(Engine& engine, NodeId node) {
   for (JobRun* job : jobs_for_reduces(engine, cfg_.job_order)) {
     const auto unassigned = job->unassigned_reduces();
     if (unassigned.empty()) continue;
     const std::size_t pick = unassigned[rng_.index(unassigned.size())];
     engine.assign_reduce(*job, pick, node);
     count_tenant_assignment(job->spec().tenant, /*is_map=*/false);
-    return true;
+    return;
   }
-  return false;
 }
 
 }  // namespace mrs::sched

@@ -42,8 +42,6 @@ class FairScheduler final : public mapreduce::TaskScheduler {
 
   [[nodiscard]] const char* name() const override { return "fair"; }
 
-  void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
-
   /// Evict the finished job's delay state: open-loop streams would
   /// otherwise grow `delay_` by one entry per job forever, and a recycled
   /// JobId value would inherit a stale escalation level.
@@ -65,8 +63,8 @@ class FairScheduler final : public mapreduce::TaskScheduler {
   }
 
  private:
-  bool try_map(mapreduce::Engine& engine, NodeId node);
-  bool try_reduce(mapreduce::Engine& engine, NodeId node);
+  void offer_map(mapreduce::Engine& engine, NodeId node) override;
+  void offer_reduce(mapreduce::Engine& engine, NodeId node) override;
   void count_tenant_assignment(TenantId tenant, bool is_map);
 
   FairConfig cfg_;

@@ -6,48 +6,19 @@ namespace mrs::sched {
 
 using mapreduce::Engine;
 using mapreduce::JobOrder;
-using mapreduce::jobs_for_maps;
-using mapreduce::jobs_for_reduces;
 using mapreduce::JobRun;
-using mapreduce::Locality;
 
-void FifoScheduler::on_heartbeat(Engine& engine, NodeId node) {
-  while (engine.map_budget_left() > 0 &&
-         engine.cluster().node(node).free_map_slots() > 0) {
-    if (!try_map(engine, node)) break;
-  }
-  while (engine.reduce_budget_left() > 0 &&
-         engine.cluster().node(node).free_reduce_slots() > 0) {
-    if (!try_reduce(engine, node)) break;
-  }
+void FifoScheduler::offer_map(Engine& engine, NodeId node) {
+  mapreduce::assign_locality_first_map(engine, node, JobOrder::kFifo);
 }
 
-bool FifoScheduler::try_map(Engine& engine, NodeId node) {
-  for (JobRun* job : jobs_for_maps(engine, JobOrder::kFifo)) {
-    // Best locality class available for this node within this job.
-    std::size_t pick = job->next_local_map(node);
-    if (pick == job->map_count()) {
-      pick = job->next_rack_map(engine.topology().rack_of(node));
-    }
-    if (pick == job->map_count()) {
-      pick = job->next_any_map();
-    }
-    if (pick < job->map_count()) {
-      engine.assign_map(*job, pick, node);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FifoScheduler::try_reduce(Engine& engine, NodeId node) {
-  for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFifo)) {
+void FifoScheduler::offer_reduce(Engine& engine, NodeId node) {
+  for (JobRun* job : mapreduce::jobs_for_reduces(engine, JobOrder::kFifo)) {
     const auto unassigned = job->unassigned_reduces();
     if (unassigned.empty()) continue;
     engine.assign_reduce(*job, unassigned.front(), node);
-    return true;
+    return;
   }
-  return false;
 }
 
 }  // namespace mrs::sched

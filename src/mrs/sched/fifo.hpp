@@ -15,11 +15,9 @@ class FifoScheduler final : public mapreduce::TaskScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "fifo"; }
 
-  void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
-
  private:
-  bool try_map(mapreduce::Engine& engine, NodeId node);
-  bool try_reduce(mapreduce::Engine& engine, NodeId node);
+  void offer_map(mapreduce::Engine& engine, NodeId node) override;
+  void offer_reduce(mapreduce::Engine& engine, NodeId node) override;
 };
 
 }  // namespace mrs::sched

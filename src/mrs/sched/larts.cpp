@@ -7,37 +7,13 @@ namespace mrs::sched {
 using mapreduce::Engine;
 using mapreduce::JobOrder;
 using mapreduce::JobRun;
-using mapreduce::jobs_for_maps;
-using mapreduce::jobs_for_reduces;
 
-void LartsScheduler::on_heartbeat(Engine& engine, NodeId node) {
-  while (engine.map_budget_left() > 0 &&
-         engine.cluster().node(node).free_map_slots() > 0) {
-    if (!try_map(engine, node)) break;
-  }
-  while (engine.reduce_budget_left() > 0 &&
-         engine.cluster().node(node).free_reduce_slots() > 0) {
-    if (!try_reduce(engine, node)) break;
-  }
+void LartsScheduler::offer_map(Engine& engine, NodeId node) {
+  mapreduce::assign_locality_first_map(engine, node, JobOrder::kFair);
 }
 
-bool LartsScheduler::try_map(Engine& engine, NodeId node) {
-  for (JobRun* job : jobs_for_maps(engine, JobOrder::kFair)) {
-    std::size_t pick = job->next_local_map(node);
-    if (pick == job->map_count()) {
-      pick = job->next_rack_map(engine.topology().rack_of(node));
-    }
-    if (pick == job->map_count()) pick = job->next_any_map();
-    if (pick < job->map_count()) {
-      engine.assign_map(*job, pick, node);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool LartsScheduler::try_reduce(Engine& engine, NodeId node) {
-  for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFair)) {
+void LartsScheduler::offer_reduce(Engine& engine, NodeId node) {
+  for (JobRun* job : mapreduce::jobs_for_reduces(engine, JobOrder::kFair)) {
     if (job->has_reduce_on(node)) continue;
     const auto unassigned = job->unassigned_reduces();
     if (unassigned.empty()) continue;
@@ -72,11 +48,10 @@ bool LartsScheduler::try_reduce(Engine& engine, NodeId node) {
         best_free <= 0.0 || best_here >= cfg_.share_tolerance * best_free;
     if (close_enough || state.postpone_count >= cfg_.max_postpones) {
       engine.assign_reduce(*job, best_task, node);
-      return true;
+      return;
     }
     ++state.postpone_count;
   }
-  return false;
 }
 
 }  // namespace mrs::sched

@@ -27,11 +27,9 @@ class LartsScheduler final : public mapreduce::TaskScheduler {
 
   [[nodiscard]] const char* name() const override { return "larts"; }
 
-  void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
-
  private:
-  bool try_map(mapreduce::Engine& engine, NodeId node);
-  bool try_reduce(mapreduce::Engine& engine, NodeId node);
+  void offer_map(mapreduce::Engine& engine, NodeId node) override;
+  void offer_reduce(mapreduce::Engine& engine, NodeId node) override;
 
   LartsConfig cfg_;
   core::IntermediateSnapshot snapshot_;  ///< refilled per decision

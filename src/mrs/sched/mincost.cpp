@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "mrs/mapreduce/job_policy.hpp"
-#include "mrs/trace/decision.hpp"
 
 namespace mrs::sched {
 
@@ -14,55 +13,21 @@ using mapreduce::jobs_for_maps;
 using mapreduce::jobs_for_reduces;
 using trace::DecisionOutcome;
 
-namespace {
-
-trace::PlacementDecisionRecord make_record(
-    Engine& engine, bool is_map, const JobRun* job, std::size_t task,
-    NodeId node, std::size_t candidates, std::size_t free_nodes, double cost,
-    double floor, int locality, DecisionOutcome outcome) {
-  trace::PlacementDecisionRecord rec;
-  rec.time = engine.now();
-  rec.is_map = is_map;
-  rec.job = job != nullptr ? job->id() : JobId::invalid();
-  rec.task = task;
-  rec.node = node;
-  rec.candidates = candidates;
-  rec.free_nodes = free_nodes;
-  rec.cost = cost;
-  rec.cost_avg = floor;
-  rec.locality = locality;
-  rec.outcome = outcome;
-  return rec;
-}
-
-}  // namespace
-
-void MinCostScheduler::on_heartbeat(Engine& engine, NodeId node) {
-  while (engine.map_budget_left() > 0 &&
-         engine.cluster().node(node).free_map_slots() > 0) {
-    if (!try_map(engine, node)) break;
-  }
-  while (engine.reduce_budget_left() > 0 &&
-         engine.cluster().node(node).free_reduce_slots() > 0) {
-    if (!try_reduce(engine, node)) break;
-  }
-}
-
-bool MinCostScheduler::try_map(Engine& engine, NodeId node) {
+void MinCostScheduler::offer_map(Engine& engine, NodeId node) {
   for (JobRun* job : jobs_for_maps(engine, JobOrder::kFair)) {
     // Local task: zero cost, zero regret — always optimal here.
     const std::size_t local = job->next_local_map(node);
     if (local < job->map_count()) {
       engine.assign_map(*job, local, node);
       if (decisions_ != nullptr) {
-        decisions_->record(make_record(
-            engine, /*is_map=*/true, job, local, node, /*candidates=*/0,
-            engine.cluster().nodes_with_free_map_slots().size(),
-            /*cost=*/0.0, /*floor=*/0.0,
-            static_cast<int>(job->map_state(local).locality),
-            DecisionOutcome::kLocalFastPath));
+        auto rec = offer_record(engine, /*is_map=*/true, node);
+        rec.job = job->id();
+        rec.task = local;
+        rec.locality = static_cast<int>(job->map_state(local).locality);
+        rec.outcome = DecisionOutcome::kLocalFastPath;
+        decisions_->record(rec);
       }
-      return true;
+      return;
     }
     const auto& free_nodes = engine.cluster().nodes_with_free_map_slots();
     double best_regret = std::numeric_limits<double>::max();
@@ -83,26 +48,26 @@ bool MinCostScheduler::try_map(Engine& engine, NodeId node) {
     }
     if (best_task == job->map_count()) continue;
     if (decisions_ != nullptr) {
-      decisions_->record(make_record(
-          engine, /*is_map=*/true, job, best_task, node,
-          job->unassigned_maps().size(), free_nodes.size(),
-          best_regret + best_floor, best_floor,
-          static_cast<int>(engine.map_locality(*job, best_task, node)),
-          DecisionOutcome::kAssigned));
+      auto rec = offer_record(engine, /*is_map=*/true, node);
+      rec.job = job->id();
+      rec.task = best_task;
+      rec.candidates = job->unassigned_maps().size();
+      rec.cost = best_regret + best_floor;
+      rec.cost_avg = best_floor;
+      rec.locality =
+          static_cast<int>(engine.map_locality(*job, best_task, node));
+      rec.outcome = DecisionOutcome::kAssigned;
+      decisions_->record(rec);
     }
     engine.assign_map(*job, best_task, node);
-    return true;
+    return;
   }
   if (decisions_ != nullptr) {
-    decisions_->record(make_record(
-        engine, /*is_map=*/true, nullptr, SIZE_MAX, node, 0,
-        engine.cluster().nodes_with_free_map_slots().size(), 0.0, 0.0, -1,
-        DecisionOutcome::kNoCandidate));
+    decisions_->record(offer_record(engine, /*is_map=*/true, node));
   }
-  return false;
 }
 
-bool MinCostScheduler::try_reduce(Engine& engine, NodeId node) {
+void MinCostScheduler::offer_reduce(Engine& engine, NodeId node) {
   for (JobRun* job : jobs_for_reduces(engine, JobOrder::kFair)) {
     if (job->has_reduce_on(node)) continue;
     const auto unassigned = job->unassigned_reduces();
@@ -112,11 +77,7 @@ bool MinCostScheduler::try_reduce(Engine& engine, NodeId node) {
     reduce_eval_.reset(engine, *job, core::EstimatorMode::kProjected,
                        free_nodes, unassigned);
     const core::ReduceCostEvaluator& eval = reduce_eval_;
-    std::size_t self = free_nodes.size();
-    for (std::size_t c = 0; c < free_nodes.size(); ++c) {
-      if (free_nodes[c] == node) self = c;
-    }
-    MRS_ASSERT(self < free_nodes.size());
+    const std::size_t self = eval.index_of(node);
 
     double best_regret = std::numeric_limits<double>::max();
     std::size_t best_task = job->reduce_count();
@@ -134,21 +95,20 @@ bool MinCostScheduler::try_reduce(Engine& engine, NodeId node) {
     }
     if (best_task == job->reduce_count()) continue;
     if (decisions_ != nullptr) {
-      decisions_->record(make_record(
-          engine, /*is_map=*/false, job, best_task, node, unassigned.size(),
-          free_nodes.size(), best_regret, 0.0, -1,
-          DecisionOutcome::kAssigned));
+      auto rec = offer_record(engine, /*is_map=*/false, node);
+      rec.job = job->id();
+      rec.task = best_task;
+      rec.candidates = unassigned.size();
+      rec.cost = best_regret;
+      rec.outcome = DecisionOutcome::kAssigned;
+      decisions_->record(rec);
     }
     engine.assign_reduce(*job, best_task, node);
-    return true;
+    return;
   }
   if (decisions_ != nullptr) {
-    decisions_->record(make_record(
-        engine, /*is_map=*/false, nullptr, SIZE_MAX, node, 0,
-        engine.cluster().nodes_with_free_reduce_slots().size(), 0.0, 0.0, -1,
-        DecisionOutcome::kNoCandidate));
+    decisions_->record(offer_record(engine, /*is_map=*/false, node));
   }
-  return false;
 }
 
 }  // namespace mrs::sched

@@ -21,8 +21,6 @@ class MinCostScheduler final : public mapreduce::TaskScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "mincost"; }
 
-  void on_heartbeat(mapreduce::Engine& engine, NodeId node) override;
-
   /// Records per-offer outcomes (local/regret assignment, no candidate)
   /// for trace explainability. For this deterministic baseline `cost` is
   /// the chosen placement's cost here and `cost_avg` its best-anywhere
@@ -32,8 +30,8 @@ class MinCostScheduler final : public mapreduce::TaskScheduler {
   }
 
  private:
-  bool try_map(mapreduce::Engine& engine, NodeId node);
-  bool try_reduce(mapreduce::Engine& engine, NodeId node);
+  void offer_map(mapreduce::Engine& engine, NodeId node) override;
+  void offer_reduce(mapreduce::Engine& engine, NodeId node) override;
 
   trace::DecisionLog* decisions_ = nullptr;
   core::ReduceCostEvaluator reduce_eval_;  ///< refilled per decision

@@ -1,6 +1,8 @@
 // Tests for the probabilistic network-aware scheduler (Algorithms 1 & 2).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mrs/core/pna_scheduler.hpp"
 #include "test_harness.hpp"
 
@@ -17,15 +19,31 @@ PnaConfig paper_defaults() {
   return cfg;
 }
 
+/// The scheduler's `pna.*` counters, read after a run.
+struct PnaCounters {
+  explicit PnaCounters(PnaScheduler& pna) { pna.set_telemetry(&registry); }
+
+  [[nodiscard]] std::uint64_t get(const std::string& name) const {
+    return registry.snapshot().counter("pna." + name);
+  }
+  /// Offers of `kind` ("map" or "reduce") declined by P_min or the draw.
+  [[nodiscard]] std::uint64_t skips(const std::string& kind) const {
+    return get(kind + ".pmin_skips") + get(kind + ".bernoulli_rejects");
+  }
+
+  telemetry::Registry registry;
+};
+
 TEST(PnaScheduler, CompletesSingleJob) {
   MiniCluster h(4);
   JobRun& job = h.submit_job(8, 3);
   PnaScheduler pna(paper_defaults(), Rng(1));
+  const PnaCounters counters(pna);
   h.run(pna);
   EXPECT_TRUE(h.engine.all_jobs_complete());
   EXPECT_TRUE(job.complete());
-  EXPECT_GT(pna.map_attempts(), 0u);
-  EXPECT_GT(pna.reduce_attempts(), 0u);
+  EXPECT_GT(counters.get("map.attempts"), 0u);
+  EXPECT_GT(counters.get("reduce.attempts"), 0u);
 }
 
 TEST(PnaScheduler, CompletesMultiJobBatch) {
@@ -46,11 +64,13 @@ TEST(PnaScheduler, LocalFastPathAlwaysTaken) {
   JobRun& job = h.submit_job(9, 2, 64.0 * units::kMiB, 1.0,
                              /*replication=*/3);
   PnaScheduler pna(paper_defaults(), Rng(3));
+  const PnaCounters counters(pna);
   h.run(pna);
   for (std::size_t j = 0; j < job.map_count(); ++j) {
     EXPECT_EQ(job.map_state(j).locality, Locality::kNodeLocal);
   }
-  EXPECT_EQ(pna.map_skips(), 0u);
+  EXPECT_EQ(counters.get("map.local_fastpath"), job.map_count());
+  EXPECT_EQ(counters.skips("map"), 0u);
 }
 
 TEST(PnaScheduler, TooHighPMinStallsReduces) {
@@ -64,11 +84,12 @@ TEST(PnaScheduler, TooHighPMinStallsReduces) {
   cfg.p_min = 0.75;
   JobRun& job = h.submit_job(12, 2);
   PnaScheduler pna(cfg, Rng(4));
+  const PnaCounters counters(pna);
   h.run(pna, /*max_time=*/2000.0);
   EXPECT_FALSE(h.engine.all_jobs_complete());
   EXPECT_EQ(job.maps_finished(), job.map_count());  // maps still complete
   EXPECT_EQ(job.reduces_finished(), 0u);            // reduces starve
-  EXPECT_GT(pna.reduce_skips(), 0u);
+  EXPECT_GT(counters.skips("reduce"), 0u);
   // Whatever maps were placed, the threshold kept them node-local.
   for (std::size_t j = 0; j < job.map_count(); ++j) {
     EXPECT_EQ(job.map_state(j).locality, Locality::kNodeLocal);
@@ -140,10 +161,13 @@ TEST(PnaScheduler, GreedyModelNeverSkips) {
   cfg.p_min = 0.0;
   h.submit_job(12, 4);
   PnaScheduler pna(cfg, Rng(7));
+  const PnaCounters counters(pna);
   h.run(pna);
   EXPECT_TRUE(h.engine.all_jobs_complete());
-  EXPECT_EQ(pna.map_skips(), 0u);
-  EXPECT_EQ(pna.reduce_skips(), 0u);
+  EXPECT_GT(counters.get("map.attempts"), 0u);
+  EXPECT_GT(counters.get("reduce.attempts"), 0u);
+  EXPECT_EQ(counters.skips("map"), 0u);
+  EXPECT_EQ(counters.skips("reduce"), 0u);
 }
 
 TEST(PnaScheduler, EstimatorModesAllComplete) {

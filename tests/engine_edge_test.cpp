@@ -114,20 +114,19 @@ TEST(WeightedFair, HeavierJobGetsMoreConcurrency) {
         light_running_sum += double(light_job->maps_running());
         ++samples;
       }
-      while (e.map_budget_left() > 0 &&
-             e.cluster().node(node).free_map_slots() > 0) {
-        auto jobs = jobs_for_maps(e, JobOrder::kWeightedFair);
-        if (jobs.empty()) break;
-        const std::size_t j = jobs.front()->next_any_map();
-        if (j == jobs.front()->map_count()) break;
-        e.assign_map(*jobs.front(), j, node);
-      }
+      TaskScheduler::on_heartbeat(e, node);
+    }
+    void offer_map(Engine& e, NodeId node) override {
+      auto jobs = jobs_for_maps(e, JobOrder::kWeightedFair);
+      if (jobs.empty()) return;
+      const std::size_t j = jobs.front()->next_any_map();
+      if (j < jobs.front()->map_count()) e.assign_map(*jobs.front(), j, node);
+    }
+    void offer_reduce(Engine& e, NodeId node) override {
       auto rjobs = jobs_for_reduces(e, JobOrder::kWeightedFair);
-      if (!rjobs.empty() && e.reduce_budget_left() > 0 &&
-          e.cluster().node(node).free_reduce_slots() > 0) {
-        const auto un = rjobs.front()->unassigned_reduces();
-        if (!un.empty()) e.assign_reduce(*rjobs.front(), un.front(), node);
-      }
+      if (rjobs.empty()) return;
+      const auto un = rjobs.front()->unassigned_reduces();
+      if (!un.empty()) e.assign_reduce(*rjobs.front(), un.front(), node);
     }
   } sched;
   sched.heavy_job = &heavy;

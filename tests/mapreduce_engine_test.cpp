@@ -188,26 +188,26 @@ TEST(Engine, StaggeredSubmissionTimes) {
 TEST(Engine, HeartbeatBudgetEnforced) {
   // A scheduler that tries to over-assign must trip the budget check; we
   // verify the engine exposes a correct countdown instead of crashing by
-  // assigning exactly the budget.
+  // assigning exactly the budget, and that each offer comes with a budget
+  // of one.
   struct GreedyOne final : TaskScheduler {
     const char* name() const override { return "greedy1"; }
-    void on_heartbeat(Engine& e, NodeId node) override {
-      EXPECT_LE(e.map_budget_left(), 1u);
+    void offer_map(Engine& e, NodeId node) override {
+      EXPECT_EQ(e.map_budget_left(), 1u);
       auto jobs = jobs_for_maps(e, JobOrder::kFifo);
-      if (!jobs.empty() && e.map_budget_left() > 0 &&
-          e.cluster().node(node).free_map_slots() > 0) {
-        const std::size_t j = jobs[0]->next_any_map();
-        if (j < jobs[0]->map_count()) {
-          e.assign_map(*jobs[0], j, node);
-          EXPECT_EQ(e.map_budget_left(), 0u);
-        }
+      if (jobs.empty()) return;
+      const std::size_t j = jobs[0]->next_any_map();
+      if (j < jobs[0]->map_count()) {
+        e.assign_map(*jobs[0], j, node);
+        EXPECT_EQ(e.map_budget_left(), 0u);
       }
+    }
+    void offer_reduce(Engine& e, NodeId node) override {
+      EXPECT_EQ(e.reduce_budget_left(), 1u);
       auto rjobs = jobs_for_reduces(e, JobOrder::kFifo);
-      if (!rjobs.empty() && e.reduce_budget_left() > 0 &&
-          e.cluster().node(node).free_reduce_slots() > 0) {
-        const auto un = rjobs[0]->unassigned_reduces();
-        if (!un.empty()) e.assign_reduce(*rjobs[0], un.front(), node);
-      }
+      if (rjobs.empty()) return;
+      const auto un = rjobs[0]->unassigned_reduces();
+      if (!un.empty()) e.assign_reduce(*rjobs[0], un.front(), node);
     }
   };
   Harness h(3);
@@ -222,27 +222,22 @@ TEST(Engine, RemoteMapMovesBytes) {
   struct RemoteOnly final : TaskScheduler {
     const dfs::BlockStore* store;
     const char* name() const override { return "remote"; }
-    void on_heartbeat(Engine& e, NodeId node) override {
+    void offer_map(Engine& e, NodeId node) override {
       auto jobs = jobs_for_maps(e, JobOrder::kFifo);
-      if (jobs.empty()) {
-        auto rjobs = jobs_for_reduces(e, JobOrder::kFifo);
-        if (!rjobs.empty() && e.reduce_budget_left() > 0 &&
-            e.cluster().node(node).free_reduce_slots() > 0) {
-          const auto un = rjobs[0]->unassigned_reduces();
-          if (!un.empty()) e.assign_reduce(*rjobs[0], un.front(), node);
-        }
-        return;
-      }
-      if (e.map_budget_left() == 0 ||
-          e.cluster().node(node).free_map_slots() == 0) {
-        return;
-      }
+      if (jobs.empty()) return;
       for (std::size_t j : jobs[0]->unassigned_maps()) {
         if (!store->is_replica(node, jobs[0]->spec().map_tasks[j].block)) {
           e.assign_map(*jobs[0], j, node);
           return;
         }
       }
+    }
+    void offer_reduce(Engine& e, NodeId node) override {
+      if (!jobs_for_maps(e, JobOrder::kFifo).empty()) return;
+      auto rjobs = jobs_for_reduces(e, JobOrder::kFifo);
+      if (rjobs.empty()) return;
+      const auto un = rjobs[0]->unassigned_reduces();
+      if (!un.empty()) e.assign_reduce(*rjobs[0], un.front(), node);
     }
   };
   Harness h(6);
