@@ -19,6 +19,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -170,6 +171,16 @@ TEST(Cli, OutOfRangeNumbersExitTwoNamingTheFlag) {
                                   << e.output;
     EXPECT_NE(e.output.find(flags[0]), std::string::npos) << e.output;
   }
+}
+
+TEST(Cli, FlowThreadsAboveTheHardwareThreadsExitTwo) {
+  // Rejected while parsing, so no solver thread is ever started.
+  const std::string too_many =
+      std::to_string(std::max(1u, std::thread::hardware_concurrency()) + 1);
+  const Exit e = sim({"--batch", "grep", "--nodes", "12", "--seed", "1",
+                      "--quiet", "--flow-threads", too_many});
+  EXPECT_TRUE(e.exited_with(2)) << e.output;
+  EXPECT_NE(e.output.find("--flow-threads"), std::string::npos) << e.output;
 }
 
 TEST(Cli, TenantQuotasNeedOnePositiveWeightPerTenant) {

@@ -14,6 +14,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -432,6 +433,10 @@ int run_cli(int argc, char** argv) {
                                  const std::string& s) {
     return lookup(flag, kTenantProcesses, s);
   };
+  // Every full flow solve starts up to this many threads: more than the
+  // host runs at once only costs thread start-ups.
+  const Range solver_threads{
+      0.0, double(std::max(1u, std::thread::hardware_concurrency()))};
 
   const std::vector<Flag> flags = {
       section("Workload, cluster and scheduler"),
@@ -450,8 +455,10 @@ int run_cli(int argc, char** argv) {
           cfg.fat_tree_k),
       on("--naive-flow-solver", "reference full-scan max-min flow solver",
          cfg.naive_flow_solver),
-      num("--flow-threads", "N", "worker threads for full flow recomputes",
-          cfg.flow_solver_threads),
+      num("--flow-threads", "N",
+          "worker threads for full flow recomputes (at most the host's "
+          "hardware threads)",
+          cfg.flow_solver_threads, solver_threads),
       num("--seed", "N", "root RNG seed", cfg.seed),
       num("--pmin", "X", "P_min threshold", cfg.pna.p_min, kUnitOpen),
       num("--cost-mix", "X",
