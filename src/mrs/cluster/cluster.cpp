@@ -113,15 +113,6 @@ void Cluster::note_reduce_toggle(NodeId id, bool now_free) {
   } else {
     index_erase(free_reduce_index_, id);
   }
-  ++free_reduce_version_;
-  if (reduce_journal_.size() >= kJournalCap) {
-    const std::size_t drop = reduce_journal_.size() / 2;
-    reduce_journal_.erase(reduce_journal_.begin(),
-                          reduce_journal_.begin() +
-                              static_cast<std::ptrdiff_t>(drop));
-    reduce_journal_base_ += drop;
-  }
-  reduce_journal_.push_back({id, now_free});
 }
 
 void Cluster::occupy_map_slot(NodeId id) {
@@ -199,12 +190,6 @@ void Cluster::set_node_schedulable(NodeId id, bool schedulable) {
   }
 }
 
-std::size_t Cluster::alive_node_count() const {
-  std::size_t count = 0;
-  for (const auto& n : nodes_) count += n.alive ? 1 : 0;
-  return count;
-}
-
 const std::vector<NodeId>& Cluster::nodes_with_free_map_slots() const {
   if (naive_free_scan_) {
     scan_cache_.clear();
@@ -234,15 +219,6 @@ std::optional<std::span<const SlotToggle>> Cluster::free_map_toggles_since(
   const std::size_t first = since - map_journal_base_;
   return std::span<const SlotToggle>(map_journal_.data() + first,
                                      map_journal_.size() - first);
-}
-
-std::optional<std::span<const SlotToggle>> Cluster::free_reduce_toggles_since(
-    std::uint64_t since) const {
-  MRS_REQUIRE(since <= free_reduce_version_);
-  if (since < reduce_journal_base_) return std::nullopt;
-  const std::size_t first = since - reduce_journal_base_;
-  return std::span<const SlotToggle>(reduce_journal_.data() + first,
-                                     reduce_journal_.size() - first);
 }
 
 }  // namespace mrs::cluster

@@ -109,14 +109,10 @@ class Cluster {
   /// first).
   void set_node_alive(NodeId id, bool alive);
   [[nodiscard]] bool node_alive(NodeId id) const { return node(id).alive; }
-  [[nodiscard]] std::size_t alive_node_count() const;
 
   /// Blacklist probation: withhold/reinstate an alive node's free slots
   /// without touching its running tasks or occupancy.
   void set_node_schedulable(NodeId id, bool schedulable);
-  [[nodiscard]] bool node_schedulable(NodeId id) const {
-    return node(id).schedulable;
-  }
 
   /// Nodes that currently have at least one free map/reduce slot — the
   /// N_m / N_r sets of Algorithms 1 and 2, ascending by node id. The
@@ -126,22 +122,18 @@ class Cluster {
   [[nodiscard]] const std::vector<NodeId>& nodes_with_free_reduce_slots()
       const;
 
-  /// Monotonic version of the free-map / free-reduce sets; bumped on every
-  /// membership change. Consumers cache aggregates keyed by this.
+  /// Monotonic version of the free-map set; bumped on every membership
+  /// change. Consumers cache aggregates keyed by this.
   [[nodiscard]] std::uint64_t free_map_version() const {
     return free_map_version_;
   }
-  [[nodiscard]] std::uint64_t free_reduce_version() const {
-    return free_reduce_version_;
-  }
 
-  /// Membership toggles from version `since` (exclusive) to the current
-  /// version, oldest first. nullopt when `since` predates the retained
-  /// journal window — the consumer must rebuild from the full set.
+  /// Membership toggles of the free-map set from version `since`
+  /// (exclusive) to the current version, oldest first. nullopt when
+  /// `since` predates the retained journal window — the consumer must
+  /// rebuild from the full set.
   [[nodiscard]] std::optional<std::span<const SlotToggle>>
   free_map_toggles_since(std::uint64_t since) const;
-  [[nodiscard]] std::optional<std::span<const SlotToggle>>
-  free_reduce_toggles_since(std::uint64_t since) const;
 
   /// Equivalence/debug mode: recompute the free lists by a full O(nodes)
   /// scan on every call (the pre-index behavior) instead of returning the
@@ -195,18 +187,16 @@ class Cluster {
   std::size_t busy_reduce_total_ = 0;
 
   // Incremental free-slot index (sorted ascending, matching the scan
-  // order of the naive implementation) + version + toggle journal.
+  // order of the naive implementation); the map side also keeps a
+  // version and a toggle journal for PNA's incremental row sums.
   std::vector<NodeId> free_map_index_;
   std::vector<NodeId> free_reduce_index_;
   std::uint64_t free_map_version_ = 0;
-  std::uint64_t free_reduce_version_ = 0;
   // map_journal_[i] is the toggle from version map_journal_base_ + i to
   // map_journal_base_ + i + 1; trimmed when it outgrows kJournalCap.
   static constexpr std::size_t kJournalCap = 4096;
   std::vector<SlotToggle> map_journal_;
-  std::vector<SlotToggle> reduce_journal_;
   std::uint64_t map_journal_base_ = 0;
-  std::uint64_t reduce_journal_base_ = 0;
 
   bool naive_free_scan_ = false;
   mutable std::vector<NodeId> scan_cache_;  ///< naive-mode scratch

@@ -1,10 +1,9 @@
 #include "mrs/common/csv.hpp"
 
-#include "mrs/common/strfmt.hpp"
-#include <sstream>
 #include <stdexcept>
 
 #include "mrs/common/check.hpp"
+#include "mrs/common/strfmt.hpp"
 
 namespace mrs {
 
@@ -86,14 +85,6 @@ bool CsvReader::row(std::vector<std::string>& fields) {
   if (!any) return false;  // exhausted (or final trailing newline)
   fields.push_back(std::move(field));
   return true;
-}
-
-std::vector<std::string> CsvReader::split_line(const std::string& line) {
-  std::istringstream in(line);
-  CsvReader reader(in);
-  std::vector<std::string> fields;
-  if (!reader.row(fields)) fields.clear();
-  return fields;
 }
 
 }  // namespace mrs

@@ -54,10 +54,6 @@ class CsvReader {
   /// Returns false once the input is exhausted.
   bool row(std::vector<std::string>& fields);
 
-  /// Convenience: parse one complete record held in a string.
-  [[nodiscard]] static std::vector<std::string> split_line(
-      const std::string& line);
-
  private:
   std::istream* in_;
 };

@@ -22,15 +22,6 @@ void emit(LogLevel level, std::string_view msg);
 inline void set_log_level(LogLevel level) { log_detail::level_ref() = level; }
 inline LogLevel log_level() { return log_detail::level_ref(); }
 
-MRS_PRINTF_LIKE(2, 3)
-inline void log_at(LogLevel level, const char* fmt, ...) {
-  if (level < log_detail::level_ref()) return;
-  std::va_list args;
-  va_start(args, fmt);
-  log_detail::emit(level, vstrf(fmt, args));
-  va_end(args);
-}
-
 #define MRS_LOG_FWD(name, level)                        \
   MRS_PRINTF_LIKE(1, 2)                                 \
   inline void name(const char* fmt, ...) {              \

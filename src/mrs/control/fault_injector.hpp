@@ -77,7 +77,6 @@ class NetworkFaultInjector {
   [[nodiscard]] std::size_t links_cut() const { return links_cut_; }
   [[nodiscard]] std::size_t switch_events() const { return switch_events_; }
   [[nodiscard]] std::size_t surge_episodes() const { return surge_episodes_; }
-  [[nodiscard]] std::size_t active_surges() const { return active_surges_; }
 
  private:
   void fire_link_cut();

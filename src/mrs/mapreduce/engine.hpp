@@ -122,8 +122,6 @@ class Engine {
   /// finished, stops heartbeats exactly as the last completion would.
   void close_stream();
 
-  [[nodiscard]] bool stream_open() const { return stream_open_; }
-
   /// True once every submitted job has been resolved: completed, rejected
   /// at admission, or aborted — and no stream can submit more.
   [[nodiscard]] bool all_jobs_complete() const {

@@ -72,9 +72,6 @@ class LinkConditionModel {
   /// and epoch-bumping, so cached distance matrices and the flow model see
   /// the change.
   void add_link_surge(LinkId link, double delta);
-  [[nodiscard]] double link_surge(LinkId link) const {
-    return surge_.at(link.value());
-  }
   [[nodiscard]] std::size_t surged_link_count() const { return surged_count_; }
 
   /// Uncongested-equivalent transmission rate of the src->dst path: the

@@ -138,11 +138,6 @@ TEST(Cluster, FreeSlotVersionAndJournal) {
   const auto none = c.free_map_toggles_since(c.free_map_version());
   ASSERT_TRUE(none.has_value());
   EXPECT_TRUE(none->empty());
-
-  // Reduce-side version is independent of map churn.
-  EXPECT_EQ(c.free_reduce_version(), 0u);
-  c.occupy_reduce_slot(NodeId(3));
-  EXPECT_EQ(c.free_reduce_version(), 1u);
 }
 
 TEST(Cluster, JournalTrimForcesRebuild) {
