@@ -10,7 +10,11 @@
 // service does per completion dispatch) and compare it, after each scope
 // closes, with the eager and naive models fed the same events one by one.
 // After every event, each model's per-link flow lists must equal a rescan
-// of the live flows' routes, in ascending flow order.
+// of the live flows' routes, in ascending flow order. Because all three
+// models share the region traversal and the filling, agreement alone would
+// pass a defect in that shared code; so after every event whose rates are
+// current, the incremental model is also checked against the max-min
+// conditions themselves (testing::expect_max_min_fair).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +29,7 @@
 #include "mrs/net/flow.hpp"
 #include "mrs/net/link_condition.hpp"
 #include "mrs/net/topology.hpp"
+#include "flow_checks.hpp"
 
 namespace mrs::net {
 namespace {
@@ -78,6 +83,7 @@ class Differential {
     }
     models_[1]->set_naive_flow_solver(true);
     models_[2]->set_flow_solver_threads(4);
+    if (conds_[0]) epoch_ = conds_[0]->resample_epoch();
     if (opt_.deferred_bursts && conds_[0]) {
       // As the network service does: a capacity change inside a burst
       // first settles what the burst deferred.
@@ -96,6 +102,7 @@ class Differential {
         if (e % 64 == 0) compare_link_loads();
       }
       compare_models();
+      check_max_min();
       if (opt_.min_component_links > 0) {
         largest_component_ =
             std::max(largest_component_, largest_component_links());
@@ -112,6 +119,10 @@ class Differential {
     if (opt_.min_component_links > 0) {
       EXPECT_GT(largest_component_, opt_.min_component_links);
     }
+    // Stale rates skip the check (a backlog of flows parked on cut links
+    // can idle through several resamples without a solve); a quarter of
+    // the events must still be checked.
+    EXPECT_GT(max_min_checks_, opt_.events / 4);
   }
 
  private:
@@ -119,6 +130,28 @@ class Differential {
     for (auto& cond : conds_) {
       if (cond) cond->advance_to(t);
     }
+    note_condition_change();
+  }
+
+  /// After any change to the condition models: a capacity change leaves
+  /// model 0's rates stale until its next solve (the first solve after an
+  /// epoch change is a full one).
+  void note_condition_change() {
+    if (conds_[0] && conds_[0]->resample_epoch() != epoch_) {
+      epoch_ = conds_[0]->resample_epoch();
+      solves_at_change_ = models_[0]->solves();
+      stale_ = true;
+    }
+  }
+
+  /// Model 0's rates against the max-min conditions, when they were solved
+  /// for the current capacities.
+  void check_max_min() {
+    if (stale_ && models_[0]->solves() == solves_at_change_) return;
+    stale_ = false;
+    ++max_min_checks_;
+    mrs::testing::expect_max_min_fair(*models_[0], *topo_, conds_[0].get(),
+                                      live_);
   }
 
   void run_burst() {
@@ -239,6 +272,7 @@ class Differential {
     const LinkId link(rng_.index(topo_->link_count()));
     const bool cut = !conds_[0]->link_faulted(link);
     for (auto& cond : conds_) cond->set_link_fault(link, cut);
+    note_condition_change();
     // Half the time rates are re-solved immediately (the NetworkService
     // pattern); otherwise the epoch tracker must catch the change at the
     // next flow event on its own.
@@ -260,6 +294,7 @@ class Differential {
     for (const auto& adj : topo_->neighbors(v)) {
       for (auto& cond : conds_) cond->set_link_fault(adj.link, cut);
     }
+    note_condition_change();
     if (rng_.bernoulli(0.5)) {
       for (auto& fm : models_) fm->recompute_rates();
     }
@@ -375,6 +410,10 @@ class Differential {
   std::vector<FlowId> live_;
   std::vector<std::size_t> switch_vertices_;
   std::size_t largest_component_ = 0;
+  std::uint64_t epoch_ = 0;             ///< condition epoch last noted
+  std::uint64_t solves_at_change_ = 0;  ///< model 0's solves() then
+  bool stale_ = false;
+  std::size_t max_min_checks_ = 0;
 };
 
 class FlowDifferential : public ::testing::TestWithParam<std::uint64_t> {};

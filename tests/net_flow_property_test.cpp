@@ -7,6 +7,7 @@
 #include "mrs/common/rng.hpp"
 #include "mrs/net/flow.hpp"
 #include "mrs/net/topology.hpp"
+#include "flow_checks.hpp"
 
 namespace mrs::net {
 namespace {
@@ -84,13 +85,13 @@ TEST_P(RandomTrafficProperty, RateNeverExceedsCap) {
   }
 }
 
-// The progressive-filling invariants, checked at every arrival of a random
-// stream: (a) per-link frozen-rate sums never exceed capacity beyond 1e-9
-// relative error (the exact-residual last freeze removes the old
-// subtraction-drift leak); (b) the maintained O(1) aggregates equal a
-// from-scratch audit bitwise; (c) max-min optimality — every flow is either
-// at its application cap or bottlenecked on some saturated link where it
-// gets a maximal share.
+// The progressive-filling invariants, checked at every event of a random
+// stream by testing::expect_max_min_fair: (a) per-link frozen-rate sums
+// never exceed capacity beyond 1e-9 relative error (the exact-residual last
+// freeze removes the old subtraction-drift leak); (b) the on-demand link
+// loads equal a from-scratch audit bitwise; (c) max-min optimality — every
+// flow is either at its application cap or bottlenecked on some saturated
+// link where it gets a maximal share.
 TEST_P(RandomTrafficProperty, FrozenSumsAndMaxMinOptimality) {
   Rng rng(GetParam() + 2000);
   TreeTopologyConfig cfg;
@@ -100,7 +101,6 @@ TEST_P(RandomTrafficProperty, FrozenSumsAndMaxMinOptimality) {
   cfg.uplink = units::Gbps(4);
   const Topology topo = make_multi_rack_tree(cfg);
   FlowModel fm(&topo);
-  const std::size_t directed = topo.link_count() * 2;
 
   std::vector<FlowId> live;
   Seconds now = 0.0;
@@ -124,54 +124,7 @@ TEST_P(RandomTrafficProperty, FrozenSumsAndMaxMinOptimality) {
           fm.start(src, dst, rng.uniform(0.05, 2.0) * kGb, now, cap));
     }
 
-    // (a) + (b): frozen-rate sums vs capacity, maintained vs audited.
-    std::vector<double> audit(directed, 0.0);
-    for (const FlowId id : live) {
-      const FlowInfo& f = fm.info(id);
-      if (!f.active) continue;
-      for (const DirectedLink& dl : topo.path(f.src, f.dst)) {
-        audit[dl.directed_index()] += f.rate;
-      }
-    }
-    for (std::size_t d = 0; d < directed; ++d) {
-      const double capacity = topo.link(LinkId(d / 2)).capacity;
-      EXPECT_LE(audit[d], capacity * (1.0 + 1e-9)) << "link " << d;
-      // `live` ascends by flow id, so the audit accumulates in the solver's
-      // canonical member order: the sums must match bit-for-bit.
-      EXPECT_EQ(fm.directed_link_load(d), audit[d]) << "link " << d;
-    }
-
-    // (c) max-min optimality: each flow is capped, or crosses a saturated
-    // link on which no other flow holds a strictly larger share.
-    for (const FlowId id : live) {
-      const FlowInfo& f = fm.info(id);
-      if (!f.active) continue;
-      if (f.rate >= f.rate_cap * (1.0 - 1e-9)) continue;  // at its cap
-      bool bottlenecked = false;
-      for (const DirectedLink& dl : topo.path(f.src, f.dst)) {
-        const std::size_t d = dl.directed_index();
-        const double capacity = topo.link(LinkId(d / 2)).capacity;
-        if (audit[d] < capacity * (1.0 - 1e-9)) continue;  // not saturated
-        double max_rate = 0.0;
-        for (const FlowId other : live) {
-          const FlowInfo& g = fm.info(other);
-          if (!g.active) continue;
-          for (const DirectedLink& odl : topo.path(g.src, g.dst)) {
-            if (odl.directed_index() == d) {
-              max_rate = std::max(max_rate, g.rate);
-              break;
-            }
-          }
-        }
-        if (f.rate >= max_rate * (1.0 - 1e-9)) {
-          bottlenecked = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(bottlenecked)
-          << "flow " << id.value() << " rate " << f.rate
-          << " is neither capped nor bottlenecked (not max-min optimal)";
-    }
+    mrs::testing::expect_max_min_fair(fm, topo, nullptr, live);
   }
 }
 
