@@ -152,40 +152,44 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
                  candidates * (incremental ? 2 : 1 + n_m.size()));
   // Decision records are pure observation: fields are filled from values
   // the scan already computed, and the Bernoulli draw below is untouched.
-  const auto record = [&](DecisionOutcome outcome, int locality) {
+  // The locality is the placement's class: as assigned, or as it would
+  // have been for a declined offer.
+  const auto record = [&](DecisionOutcome outcome) {
     if (decisions_ == nullptr) return;
     auto rec = offer_record(engine, /*is_map=*/true, node);
     rec.job = job.id();
-    if (best_task < job.map_count()) rec.task = best_task;
     rec.candidates = candidates;
     rec.cost = best_c;
     rec.cost_avg = best_c_ave;
     rec.p = best_p;
-    rec.locality = locality;
+    if (best_task < job.map_count()) {
+      rec.task = best_task;
+      rec.locality = static_cast<int>(
+          outcome == DecisionOutcome::kAssigned
+              ? job.map_state(best_task).locality
+              : engine.map_locality(job, best_task, node));
+    }
     rec.outcome = outcome;
     decisions_->record(rec);
   };
   if (best_task == job.map_count()) {  // no unassigned task
-    record(DecisionOutcome::kNoCandidate, -1);
+    record(DecisionOutcome::kNoCandidate);
     return;
   }
 
   telemetry::observe(metrics_.map_p, best_p);
   if (best_p < cfg_.p_min) {  // Lines 10-12: too costly, skip this node
     telemetry::inc(metrics_.map_pmin_skips);
-    record(DecisionOutcome::kPminSkip,
-           static_cast<int>(engine.map_locality(job, best_task, node)));
+    record(DecisionOutcome::kPminSkip);
     return;
   }
   if (!rng_.bernoulli(best_p)) {  // Lines 13-16
     telemetry::inc(metrics_.map_bernoulli_rejects);
-    record(DecisionOutcome::kBernoulliReject,
-           static_cast<int>(engine.map_locality(job, best_task, node)));
+    record(DecisionOutcome::kBernoulliReject);
     return;
   }
   engine.assign_map(job, best_task, node);
-  record(DecisionOutcome::kAssigned,
-         static_cast<int>(job.map_state(best_task).locality));
+  record(DecisionOutcome::kAssigned);
 }
 
 void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
@@ -256,7 +260,8 @@ void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
   // Per candidate: C_if at this node plus the average over all nodes with
   // a free reduce slot (Eq. 3 evaluated once per node by the evaluator).
   telemetry::inc(metrics_.reduce_cost_evals, candidates * (1 + n_r.size()));
-  const auto record = [&](DecisionOutcome outcome, int locality) {
+  // Only an assigned reduce has a locality class.
+  const auto record = [&](DecisionOutcome outcome) {
     if (decisions_ == nullptr) return;
     auto rec = offer_record(engine, /*is_map=*/false, node);
     rec.job = job.id();
@@ -265,29 +270,30 @@ void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
     rec.cost = best_c;
     rec.cost_avg = best_c_ave;
     rec.p = best_p;
-    rec.locality = locality;
+    if (outcome == DecisionOutcome::kAssigned) {
+      rec.locality = static_cast<int>(job.reduce_state(best_task).locality);
+    }
     rec.outcome = outcome;
     decisions_->record(rec);
   };
   if (best_task == job.reduce_count()) {
-    record(DecisionOutcome::kNoCandidate, -1);
+    record(DecisionOutcome::kNoCandidate);
     return;
   }
 
   telemetry::observe(metrics_.reduce_p, best_p);
   if (best_p < cfg_.p_min) {  // Lines 11-13
     telemetry::inc(metrics_.reduce_pmin_skips);
-    record(DecisionOutcome::kPminSkip, -1);
+    record(DecisionOutcome::kPminSkip);
     return;
   }
   if (!rng_.bernoulli(best_p)) {  // Lines 14-17
     telemetry::inc(metrics_.reduce_bernoulli_rejects);
-    record(DecisionOutcome::kBernoulliReject, -1);
+    record(DecisionOutcome::kBernoulliReject);
     return;
   }
   engine.assign_reduce(job, best_task, node);
-  record(DecisionOutcome::kAssigned,
-         static_cast<int>(job.reduce_state(best_task).locality));
+  record(DecisionOutcome::kAssigned);
 }
 
 }  // namespace mrs::core
