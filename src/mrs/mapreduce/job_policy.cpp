@@ -1,6 +1,7 @@
 #include "mrs/mapreduce/job_policy.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace mrs::mapreduce {
 

@@ -26,8 +26,8 @@ namespace mrs::mapreduce {
 
 /// A map chosen by JobRun::next_map_for and its rung on the ladder.
 struct MapPick {
-  std::size_t task;
-  int rank;  ///< 0 node-local, 1 rack-local, 2 any
+  std::size_t task = 0;
+  int rank = 0;  ///< 0 node-local, 1 rack-local, 2 any
 };
 
 enum class MapPhase {

@@ -13,9 +13,9 @@
 
 namespace mrs::testing {
 
-/// Checks `model`'s rates for the active flows among `live` on `topo`, with each
-/// directed link's effective capacity read from `cond` (nominal capacity
-/// when null), as the model reads it:
+/// Checks `model`'s rates for the active flows among `live` on `topo`,
+/// with each directed link's effective capacity read from `cond` (nominal
+/// capacity when null), as the model reads it:
 ///  - a flow is parked (stalled) iff its route crosses a cut link, and a
 ///    parked flow runs at rate 0, so it adds no load;
 ///  - each directed link's rate sum is within its effective capacity, and
