@@ -63,15 +63,8 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
     if (local < job.map_count()) {
       telemetry::inc(metrics_.map_local_fastpath);
       engine.assign_map(job, local, node);
-      if (decisions_ != nullptr) {
-        auto rec = offer_record(engine, /*is_map=*/true, node);
-        rec.job = job.id();
-        rec.task = local;
-        rec.p = 1.0;
-        rec.locality = static_cast<int>(job.map_state(local).locality);
-        rec.outcome = DecisionOutcome::kLocalFastPath;
-        decisions_->record(rec);
-      }
+      record(engine, /*is_map=*/true, node, job, {.task = local, .p = 1.0},
+             DecisionOutcome::kLocalFastPath);
       return;
     }
   }
@@ -81,11 +74,7 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
       engine.cluster().nodes_with_free_map_slots();
   MRS_ASSERT(!n_m.empty());  // `node` itself has a free map slot
 
-  double best_p = -1.0;
-  double best_c = 0.0;
-  double best_c_ave = 0.0;
-  std::size_t best_task = job.map_count();
-  std::uint64_t candidates = 0;
+  Best best{.task = job.map_count()};
   // Costs come from the job's static replica-distance cache. B_j scales
   // cost and average identically, so it cancels out of the ratio
   // C_ave / C_ij — work with raw distances.
@@ -114,7 +103,7 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
       if (job.map_state(j).phase != mapreduce::MapPhase::kUnassigned) {
         continue;
       }
-      ++candidates;
+      ++best.candidates;
       double c_ij = job.static_min_distance(j, node);             // Line 4
       double c_sum = 0.0;                                         // Line 6
       if (incremental) {
@@ -137,59 +126,40 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
       }
       const double c_ave = c_sum / static_cast<double>(n_m.size());
       const double p = assignment_probability(c_ij, c_ave, cfg_.model);
-      if (p > best_p) {
-        best_p = p;
-        best_c = c_ij;
-        best_c_ave = c_ave;
-        best_task = j;
+      if (p > best.p) {
+        best.p = p;
+        best.c = c_ij;
+        best.c_ave = c_ave;
+        best.task = j;
       }
     }
   }
-  telemetry::inc(metrics_.map_candidates, candidates);
+  telemetry::inc(metrics_.map_candidates, best.candidates);
   // Per candidate: C_ij once plus (on the naive path) one term per node
   // with a free map slot; the incremental path reads one cached sum.
   telemetry::inc(metrics_.map_cost_evals,
-                 candidates * (incremental ? 2 : 1 + n_m.size()));
-  // Decision records are pure observation: fields are filled from values
-  // the scan already computed, and the Bernoulli draw below is untouched.
-  // The locality is the placement's class: as assigned, or as it would
-  // have been for a declined offer.
-  const auto record = [&](DecisionOutcome outcome) {
-    if (decisions_ == nullptr) return;
-    auto rec = offer_record(engine, /*is_map=*/true, node);
-    rec.job = job.id();
-    rec.candidates = candidates;
-    rec.cost = best_c;
-    rec.cost_avg = best_c_ave;
-    rec.p = best_p;
-    if (best_task < job.map_count()) {
-      rec.task = best_task;
-      rec.locality = static_cast<int>(
-          outcome == DecisionOutcome::kAssigned
-              ? job.map_state(best_task).locality
-              : engine.map_locality(job, best_task, node));
-    }
-    rec.outcome = outcome;
-    decisions_->record(rec);
-  };
-  if (best_task == job.map_count()) {  // no unassigned task
-    record(DecisionOutcome::kNoCandidate);
+                 best.candidates * (incremental ? 2 : 1 + n_m.size()));
+  if (best.task == job.map_count()) {  // no unassigned task
+    record(engine, /*is_map=*/true, node, job, best,
+           DecisionOutcome::kNoCandidate);
     return;
   }
 
-  telemetry::observe(metrics_.map_p, best_p);
-  if (best_p < cfg_.p_min) {  // Lines 10-12: too costly, skip this node
+  telemetry::observe(metrics_.map_p, best.p);
+  if (best.p < cfg_.p_min) {  // Lines 10-12: too costly, skip this node
     telemetry::inc(metrics_.map_pmin_skips);
-    record(DecisionOutcome::kPminSkip);
+    record(engine, /*is_map=*/true, node, job, best,
+           DecisionOutcome::kPminSkip);
     return;
   }
-  if (!rng_.bernoulli(best_p)) {  // Lines 13-16
+  if (!rng_.bernoulli(best.p)) {  // Lines 13-16
     telemetry::inc(metrics_.map_bernoulli_rejects);
-    record(DecisionOutcome::kBernoulliReject);
+    record(engine, /*is_map=*/true, node, job, best,
+           DecisionOutcome::kBernoulliReject);
     return;
   }
-  engine.assign_map(job, best_task, node);
-  record(DecisionOutcome::kAssigned);
+  engine.assign_map(job, best.task, node);
+  record(engine, /*is_map=*/true, node, job, best, DecisionOutcome::kAssigned);
 }
 
 void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
@@ -225,15 +195,11 @@ void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
     node_speed = engine.cluster().node(node).speed_factor;
   }
 
-  double best_p = -1.0;
-  double best_c = 0.0;
-  double best_c_ave = 0.0;
-  std::size_t best_task = job.reduce_count();
-  std::uint64_t candidates = 0;
+  Best best{.task = job.reduce_count()};
   {
     telemetry::ScopedTimer score_timer(metrics_.score_wall);
     for (std::size_t f : unassigned) {
-      ++candidates;
+      ++best.candidates;
       double c_if = eval.cost(self, f);          // Line 5 (Eq. 3)
       double c_ave = eval.average_cost(f);       // Line 7
       if (mix > 0.0) {
@@ -248,52 +214,67 @@ void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
                     static_cast<double>(n_r.size());
       }
       const double p = assignment_probability(c_if, c_ave, cfg_.model);
-      if (p > best_p) {
-        best_p = p;
-        best_c = c_if;
-        best_c_ave = c_ave;
-        best_task = f;
+      if (p > best.p) {
+        best.p = p;
+        best.c = c_if;
+        best.c_ave = c_ave;
+        best.task = f;
       }
     }
   }
-  telemetry::inc(metrics_.reduce_candidates, candidates);
+  telemetry::inc(metrics_.reduce_candidates, best.candidates);
   // Per candidate: C_if at this node plus the average over all nodes with
   // a free reduce slot (Eq. 3 evaluated once per node by the evaluator).
-  telemetry::inc(metrics_.reduce_cost_evals, candidates * (1 + n_r.size()));
-  // Only an assigned reduce has a locality class.
-  const auto record = [&](DecisionOutcome outcome) {
-    if (decisions_ == nullptr) return;
-    auto rec = offer_record(engine, /*is_map=*/false, node);
-    rec.job = job.id();
-    if (best_task < job.reduce_count()) rec.task = best_task;
-    rec.candidates = candidates;
-    rec.cost = best_c;
-    rec.cost_avg = best_c_ave;
-    rec.p = best_p;
-    if (outcome == DecisionOutcome::kAssigned) {
-      rec.locality = static_cast<int>(job.reduce_state(best_task).locality);
-    }
-    rec.outcome = outcome;
-    decisions_->record(rec);
-  };
-  if (best_task == job.reduce_count()) {
-    record(DecisionOutcome::kNoCandidate);
+  telemetry::inc(metrics_.reduce_cost_evals,
+                 best.candidates * (1 + n_r.size()));
+  if (best.task == job.reduce_count()) {
+    record(engine, /*is_map=*/false, node, job, best,
+           DecisionOutcome::kNoCandidate);
     return;
   }
 
-  telemetry::observe(metrics_.reduce_p, best_p);
-  if (best_p < cfg_.p_min) {  // Lines 11-13
+  telemetry::observe(metrics_.reduce_p, best.p);
+  if (best.p < cfg_.p_min) {  // Lines 11-13
     telemetry::inc(metrics_.reduce_pmin_skips);
-    record(DecisionOutcome::kPminSkip);
+    record(engine, /*is_map=*/false, node, job, best,
+           DecisionOutcome::kPminSkip);
     return;
   }
-  if (!rng_.bernoulli(best_p)) {  // Lines 14-17
+  if (!rng_.bernoulli(best.p)) {  // Lines 14-17
     telemetry::inc(metrics_.reduce_bernoulli_rejects);
-    record(DecisionOutcome::kBernoulliReject);
+    record(engine, /*is_map=*/false, node, job, best,
+           DecisionOutcome::kBernoulliReject);
     return;
   }
-  engine.assign_reduce(job, best_task, node);
-  record(DecisionOutcome::kAssigned);
+  engine.assign_reduce(job, best.task, node);
+  record(engine, /*is_map=*/false, node, job, best,
+         DecisionOutcome::kAssigned);
+}
+
+void PnaScheduler::record(const Engine& engine, bool is_map, NodeId node,
+                          const JobRun& job, Best best,
+                          DecisionOutcome outcome) const {
+  if (decisions_ == nullptr) return;
+  auto rec = offer_record(engine, is_map, node);
+  rec.job = job.id();
+  rec.candidates = best.candidates;
+  rec.cost = best.c;
+  rec.cost_avg = best.c_ave;
+  rec.p = best.p;
+  rec.outcome = outcome;
+  if (outcome != DecisionOutcome::kNoCandidate) {
+    rec.task = best.task;
+    const bool placed = outcome == DecisionOutcome::kAssigned ||
+                        outcome == DecisionOutcome::kLocalFastPath;
+    if (is_map) {
+      rec.locality = static_cast<int>(
+          placed ? job.map_state(best.task).locality
+                 : engine.map_locality(job, best.task, node));
+    } else if (placed) {
+      rec.locality = static_cast<int>(job.reduce_state(best.task).locality);
+    }
+  }
+  decisions_->record(rec);
 }
 
 }  // namespace mrs::core

@@ -74,6 +74,24 @@ class PnaScheduler final : public mapreduce::TaskScheduler {
   /// `node`.
   void offer_reduce(mapreduce::Engine& engine, NodeId node) override;
 
+  /// The max-P candidate of one offer's scan.
+  struct Best {
+    std::size_t task = 0;  ///< the job's task count while none is scored
+    double p = -1.0;
+    double c = 0.0;      ///< C_ij (C_if) at the offered node
+    double c_ave = 0.0;  ///< average cost over the free nodes
+    std::uint64_t candidates = 0;
+  };
+
+  /// Logs an offer's outcome when a decision log is attached. Pure
+  /// observation: it reads only what the scan computed. A placed map or
+  /// reduce carries its locality class, a declined map the class it
+  /// would have had; a declined reduce has none. `best` is a copy, so the
+  /// scan's running best is never address-taken.
+  void record(const mapreduce::Engine& engine, bool is_map, NodeId node,
+              const mapreduce::JobRun& job, Best best,
+              trace::DecisionOutcome outcome) const;
+
   /// Possibly-null cached metric pointers (telemetry::inc/observe
   /// tolerate null, so the uninstrumented hot path costs one branch).
   struct Metrics {
