@@ -506,6 +506,9 @@ void Engine::finish_map(JobRun& job, std::size_t j, bool backup) {
   MRS_ASSERT(backup ? s.backup.active
                     : (s.phase == MapPhase::kComputing ||
                        s.phase == MapPhase::kFetching));
+  // Before either slot is released: a race's losing copy held its slot
+  // up to now too.
+  touch_utilization();
 
   if (backup) {
     // The backup wins the race: kill the (slower) primary and promote the
@@ -534,7 +537,6 @@ void Engine::finish_map(JobRun& job, std::size_t j, bool backup) {
 
   s.phase = MapPhase::kDone;
   s.finished_at = now();
-  touch_utilization();
   cluster_->release_map_slot(s.node);
   job.note_map_finished();
   job.record_map_duration(s.finished_at - s.assigned_at);

@@ -1,6 +1,9 @@
 // Tests for stragglers, speculative execution and node-failure handling.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+
 #include "mrs/mapreduce/failure_injector.hpp"
 #include "mrs/mapreduce/observers.hpp"
 #include "mrs/net/link_condition.hpp"
@@ -397,6 +400,51 @@ TEST(Speculation, ActiveBackupsRespectCap) {
   EXPECT_TRUE(h.engine.all_jobs_complete());
   EXPECT_GT(trace.count("speculative-launch"), 0u);  // the cap was exercised
   EXPECT_LE(max_active, 1u);
+}
+
+TEST(Speculation, SlotIntegralCountsEveryAttempt) {
+  // The busy map-slot integral equals the summed slot time of every map
+  // attempt, backups included: an attempt holds its slot from its
+  // assignment to its kill, or to its task's finish (the moment the race's
+  // losing copy is released too).
+  mapreduce::EngineConfig cfg;
+  cfg.fault.straggler_probability = 0.3;
+  cfg.fault.straggler_slowdown = 10.0;
+  cfg.fault.speculative_execution = true;
+  cfg.fault.speculation_slack = 1.5;
+  MiniCluster h(6, {}, cfg);
+  h.submit_job(30, 2);
+  MemoryTraceSink trace;
+  h.engine.add_observer(&trace);
+  sched::FifoScheduler fifo;
+  h.run(fifo);
+  ASSERT_TRUE(h.engine.all_jobs_complete());
+  ASSERT_GT(trace.count("speculative-launch"), 0u);
+
+  // Assignment times of the running attempts, by (job, task, backup).
+  std::map<std::tuple<std::size_t, std::size_t, bool>, Seconds> running;
+  double slot_seconds = 0.0;
+  for (const EngineEvent& e : trace.events()) {
+    if (!e.is_map) continue;
+    const auto key = std::make_tuple(e.job.value(), e.task, e.backup);
+    if (e.kind == EventKind::kTaskAssigned) {
+      running[key] = e.time;
+    } else if (e.kind == EventKind::kTaskKilled) {
+      slot_seconds += e.time - running.at(key);
+      running.erase(key);
+    } else if (e.kind == EventKind::kTaskFinished) {
+      for (const bool backup : {false, true}) {
+        const auto it =
+            running.find(std::make_tuple(e.job.value(), e.task, backup));
+        if (it == running.end()) continue;
+        slot_seconds += e.time - it->second;
+        running.erase(it);
+      }
+    }
+  }
+  EXPECT_TRUE(running.empty());
+  EXPECT_NEAR(h.engine.utilization().map_slot_seconds_busy, slot_seconds,
+              1e-9 * slot_seconds);
 }
 
 TEST(FailureInjector, RandomFailuresStillComplete) {
