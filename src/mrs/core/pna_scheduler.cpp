@@ -62,9 +62,9 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
     const std::size_t local = job.next_local_map(node);
     if (local < job.map_count()) {
       telemetry::inc(metrics_.map_local_fastpath);
-      engine.assign_map(job, local, node);
       record(engine, /*is_map=*/true, node, job, {.task = local, .p = 1.0},
              DecisionOutcome::kLocalFastPath);
+      engine.assign_map(job, local, node);
       return;
     }
   }
@@ -158,8 +158,8 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
            DecisionOutcome::kBernoulliReject);
     return;
   }
-  engine.assign_map(job, best.task, node);
   record(engine, /*is_map=*/true, node, job, best, DecisionOutcome::kAssigned);
+  engine.assign_map(job, best.task, node);
 }
 
 void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
@@ -246,9 +246,9 @@ void PnaScheduler::offer_reduce(Engine& engine, NodeId node) {
            DecisionOutcome::kBernoulliReject);
     return;
   }
-  engine.assign_reduce(job, best.task, node);
   record(engine, /*is_map=*/false, node, job, best,
          DecisionOutcome::kAssigned);
+  engine.assign_reduce(job, best.task, node);
 }
 
 void PnaScheduler::record(const Engine& engine, bool is_map, NodeId node,
@@ -264,14 +264,11 @@ void PnaScheduler::record(const Engine& engine, bool is_map, NodeId node,
   rec.outcome = outcome;
   if (outcome != DecisionOutcome::kNoCandidate) {
     rec.task = best.task;
-    const bool placed = outcome == DecisionOutcome::kAssigned ||
-                        outcome == DecisionOutcome::kLocalFastPath;
     if (is_map) {
-      rec.locality = static_cast<int>(
-          placed ? job.map_state(best.task).locality
-                 : engine.map_locality(job, best.task, node));
-    } else if (placed) {
-      rec.locality = static_cast<int>(job.reduce_state(best.task).locality);
+      rec.locality =
+          static_cast<int>(engine.map_locality(job, best.task, node));
+    } else if (outcome == DecisionOutcome::kAssigned) {
+      rec.locality = static_cast<int>(engine.reduce_locality(job, node));
     }
   }
   decisions_->record(rec);

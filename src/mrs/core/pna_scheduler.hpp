@@ -83,11 +83,12 @@ class PnaScheduler final : public mapreduce::TaskScheduler {
     std::uint64_t candidates = 0;
   };
 
-  /// Logs an offer's outcome when a decision log is attached. Pure
-  /// observation: it reads only what the scan computed. A placed map or
-  /// reduce carries its locality class, a declined map the class it
-  /// would have had; a declined reduce has none. `best` is a copy, so the
-  /// scan's running best is never address-taken.
+  /// Logs an offer's outcome when a decision log is attached; called
+  /// before any assignment. Pure observation: it reads only what the scan
+  /// computed. A placed map or reduce carries its locality class, a
+  /// declined map the class it would have had; a declined reduce has
+  /// none. `best` is a copy, so the scan's running best is never
+  /// address-taken.
   void record(const mapreduce::Engine& engine, bool is_map, NodeId node,
               const mapreduce::JobRun& job, Best best,
               trace::DecisionOutcome outcome) const;

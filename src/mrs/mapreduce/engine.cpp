@@ -305,6 +305,17 @@ Locality Engine::map_locality(const JobRun& job, std::size_t j,
   return rack_local ? Locality::kRackLocal : Locality::kRemote;
 }
 
+Locality Engine::reduce_locality(const JobRun& job, NodeId node) const {
+  Locality locality = Locality::kRemote;
+  for (std::size_t j = 0; j < job.map_count(); ++j) {
+    const MapTaskState& m = job.map_state(j);
+    if (m.phase != MapPhase::kDone) continue;
+    if (m.node == node) return Locality::kNodeLocal;
+    if (topology().same_rack(m.node, node)) locality = Locality::kRackLocal;
+  }
+  return locality;
+}
+
 void Engine::touch_utilization() {
   const Seconds t = simulation_->now();
   const Seconds dt = t - util_last_change_;
@@ -647,23 +658,7 @@ void Engine::assign_reduce(JobRun& job, std::size_t f, NodeId node) {
   cluster_->occupy_reduce_slot(node);
   r.node = node;
   r.assigned_at = now();
-  // Locality per the paper's Sec. III-C definition ("a task assigned to a
-  // machine with data for that task"), evaluated at assignment: a reduce is
-  // node-local when its machine already holds materialised map output of
-  // the job (a completed map ran here). Blind early launches therefore
-  // score worse than data-aware ones.
-  r.locality = Locality::kRemote;
-  for (std::size_t j = 0; j < job.map_count(); ++j) {
-    const MapTaskState& m = job.map_state(j);
-    if (m.phase != MapPhase::kDone) continue;
-    if (m.node == node) {
-      r.locality = Locality::kNodeLocal;
-      break;
-    }
-    if (topology().same_rack(m.node, node)) {
-      r.locality = Locality::kRackLocal;
-    }
-  }
+  r.locality = reduce_locality(job, node);
   r.phase = ReducePhase::kStartup;
   ++r.attempts;
   job.note_reduce_assigned();

@@ -193,6 +193,14 @@ class Engine {
   [[nodiscard]] Locality map_locality(const JobRun& job, std::size_t j,
                                       NodeId node) const;
 
+  /// Locality class a reduce of `job` would have on `node`, per the
+  /// paper's Sec. III-C definition ("a task assigned to a machine with
+  /// data for that task"): node-local when a completed map of the job ran
+  /// there, rack-local when one ran in its rack. Blind early launches
+  /// therefore score worse than data-aware ones.
+  [[nodiscard]] Locality reduce_locality(const JobRun& job,
+                                         NodeId node) const;
+
   // --- scheduler-facing actions ---
   /// Place map task `j` of `job` on `node`; requires a free map slot and an
   /// unassigned task.

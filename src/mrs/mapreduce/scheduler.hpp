@@ -77,7 +77,8 @@ class TaskScheduler {
   /// the fields every record takes from the engine filled in: time, task
   /// kind, offering node and the size of the free map (reduce) node set.
   /// The scheduler fills in the rest; the outcome defaults to
-  /// kNoCandidate.
+  /// kNoCandidate. Build it before the assignment, which may take the
+  /// node's last free slot.
   [[nodiscard]] static trace::PlacementDecisionRecord offer_record(
       const Engine& engine, bool is_map, NodeId node);
 };

@@ -18,15 +18,16 @@ void MinCostScheduler::offer_map(Engine& engine, NodeId node) {
     // Local task: zero cost, zero regret — always optimal here.
     const std::size_t local = job->next_local_map(node);
     if (local < job->map_count()) {
-      engine.assign_map(*job, local, node);
       if (decisions_ != nullptr) {
         auto rec = offer_record(engine, /*is_map=*/true, node);
         rec.job = job->id();
         rec.task = local;
-        rec.locality = static_cast<int>(job->map_state(local).locality);
+        rec.locality =
+            static_cast<int>(engine.map_locality(*job, local, node));
         rec.outcome = DecisionOutcome::kLocalFastPath;
         decisions_->record(rec);
       }
+      engine.assign_map(*job, local, node);
       return;
     }
     const auto& free_nodes = engine.cluster().nodes_with_free_map_slots();
