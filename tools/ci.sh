@@ -32,8 +32,9 @@
 # byte), the k=32 fat-tree smoke (8192-host streams of 600 and 1200 s
 # must drain under a peak-RSS bound), then the bench_paper smoke: --help lists 26 distinct rows, an
 # unknown row exits 2, the two rows that need no simulation write their
-# CSVs, `bench_paper extended_baselines` (six schedulers on the paper's
-# mixed batch) matches tests/golden/bench/extended_baselines.csv byte for
+# CSVs, `bench_paper extended_baselines fault_tolerance` (six schedulers
+# on the paper's mixed batch; stragglers, speculation and TaskTracker
+# failures on it) match their references in tests/golden/bench/ byte for
 # byte, every `bench_paper <row>` the docs name is a listed row, and every
 # build/bench/<binary> the docs name is one the build defines and produced.
 #
@@ -307,7 +308,10 @@ echo "==> bench_paper smoke: row table, bad row, no-simulation rows, baselines, 
 # need no simulation, so they are cheap enough to run here. The extended
 # baselines row (FIFO, Fair, Coupling, LARTS, MinCost and PNA on the
 # paper's mixed batch, a few seconds) pins every baseline scheduler's
-# placements at paper scale: its CSV must match its reference. Every
+# placements at paper scale, and the fault tolerance row (Fair and PNA on
+# the 60-node mixed batch under stragglers, speculative backups and
+# TaskTracker failures, about a second) pins the engine's attempt
+# lifecycle: each CSV must match its reference. Every
 # `bench_paper <row>` the docs name must be a listed row (the same
 # doc-drift idea as cli_test's flag check), and every build/bench/<name>
 # they name must be an executable bench/CMakeLists.txt defines and the
@@ -323,8 +327,10 @@ rm -f bench_out/table2_workload.csv bench_out/fig3_datasize_cdf.csv
 ./build/bench/bench_paper table2_workload fig3_datasize_cdf >/dev/null
 test -s bench_out/table2_workload.csv
 test -s bench_out/fig3_datasize_cdf.csv
-./build/bench/bench_paper extended_baselines >/dev/null
-cmp bench_out/extended_baselines.csv tests/golden/bench/extended_baselines.csv
+./build/bench/bench_paper extended_baselines fault_tolerance >/dev/null
+for row in extended_baselines fault_tolerance; do
+  cmp "bench_out/$row.csv" "tests/golden/bench/$row.csv"
+done
 DOC_ROWS="$(grep -ohE 'bench_paper( +[a-z][a-z0-9]*_[a-z0-9_]*)+' \
   "${DOCS[@]}" | tr -s ' ' '\n' | grep -v '^bench_paper$' | sort -u)"
 test -n "$DOC_ROWS"
@@ -344,7 +350,8 @@ for bin in $DOC_BINS; do
     exit 1
   fi
 done
-echo "bench_paper smoke: 26 rows; extended_baselines matches its reference;" \
+echo "bench_paper smoke: 26 rows; extended_baselines and fault_tolerance" \
+  "match their references;" \
   "docs name $(echo "$DOC_ROWS" | wc -l) of them and" \
   "$(echo "$DOC_BINS" | wc -l) bench binaries"
 }
