@@ -29,7 +29,8 @@ struct ChaosCluster {
         distance(topo),
         engine(&sim, &clstr, &store, &network, &distance, engine_cfg) {}
 
-  JobRun& submit_job(std::size_t maps, std::size_t reduces, Bytes block) {
+  JobRun& submit_job(std::size_t maps, std::size_t reduces, Bytes block,
+                     std::size_t replication = 2) {
     JobSpec spec;
     spec.name = "job" + std::to_string(counter);
     spec.reduce_count = reduces;
@@ -40,7 +41,8 @@ struct ChaosCluster {
     spec.task_startup = 0.5;
     for (std::size_t j = 0; j < maps; ++j) {
       const BlockId b = store.add_block(
-          block, placer.place(2, dfs::PlacementPolicy::kHdfsDefault));
+          block,
+          placer.place(replication, dfs::PlacementPolicy::kHdfsDefault));
       spec.map_tasks.push_back({b, block});
     }
     return engine.submit(std::move(spec), Rng(100 + counter++));
@@ -68,12 +70,14 @@ TEST(StallRetry, CutTransferTimesOutRetriesAndCompletes) {
   // in-flight fetch or shuffle parks at rate zero, the watchdog kills the
   // attempt after `stall_timeout`, and the capped-backoff retry machinery
   // re-places it. Once the links repair, every job must still finish.
+  // Single-replica blocks leave some nodes without local maps, so map
+  // fetches stall as well as reduce shuffles.
   EngineConfig cfg;
   cfg.stall_timeout = 3.0;
   cfg.stall_backoff_base = 1.0;
   cfg.stall_backoff_cap = 4.0;
   ChaosCluster h(4, cfg);
-  h.submit_job(16, 4, 256.0 * units::kMiB);
+  h.submit_job(16, 4, 256.0 * units::kMiB, /*replication=*/1);
   sched::FifoScheduler fifo;
   h.engine.set_scheduler(&fifo);
   telemetry::Registry registry;
@@ -104,6 +108,18 @@ TEST(StallRetry, CutTransferTimesOutRetriesAndCompletes) {
             snap.counter("engine.transfer.stall_timeouts"));
   EXPECT_EQ(snap.counter("engine.transfer.retries"),
             snap.counter("engine.transfer.stall_timeouts"));
+  // The one watchdog watches both task kinds: map fetches and reduce
+  // shuffles each time out and retry. Index [is_map].
+  std::size_t timeouts[2] = {0, 0};
+  std::size_t retries[2] = {0, 0};
+  for (const EngineEvent& e : trace.events()) {
+    if (e.kind == EventKind::kStallTimeout) ++timeouts[e.is_map];
+    if (e.kind == EventKind::kStallRetry) ++retries[e.is_map];
+  }
+  for (const bool is_map : {false, true}) {
+    EXPECT_GT(timeouts[is_map], 0u) << (is_map ? "map" : "reduce");
+    EXPECT_GT(retries[is_map], 0u) << (is_map ? "map" : "reduce");
+  }
 }
 
 TEST(StallRetry, RepeatedStallKillsFeedBlacklistProbation) {
