@@ -19,6 +19,20 @@ constexpr std::size_t kShuffleParallelFetchers = 4;
 /// must be a duration baseline to compare against).
 constexpr double kSpeculationMinProgress = 0.05;
 
+/// Has the attempt started and not yet ended?
+bool is_running(MapPhase phase) {
+  return phase == MapPhase::kStartup || phase == MapPhase::kFetching ||
+         phase == MapPhase::kComputing;
+}
+bool is_running(ReducePhase phase) {
+  return phase == ReducePhase::kStartup || phase == ReducePhase::kShuffling ||
+         phase == ReducePhase::kComputing;
+}
+
+std::uint64_t task_epoch(const JobRun& job, bool is_map, std::size_t task) {
+  return is_map ? job.map_state(task).epoch : job.reduce_state(task).epoch;
+}
+
 }  // namespace
 
 Engine::Engine(sim::Simulation* simulation, cluster::Cluster* cluster,
@@ -235,19 +249,12 @@ void Engine::abort_job(JobRun& job) {
   // Kill every running attempt so the job releases its slots and no stale
   // callbacks fire after the record is emitted.
   for (std::size_t j = 0; j < job.map_count(); ++j) {
-    MapTaskState& s = job.map_state(j);
-    if (s.backup.active) kill_map_attempt(job, j, /*backup=*/true);
-    const bool running = s.phase == MapPhase::kStartup ||
-                         s.phase == MapPhase::kFetching ||
-                         s.phase == MapPhase::kComputing;
-    if (running) kill_map_attempt(job, j, /*backup=*/false);
+    if (is_running(job.map_state(j).phase)) {
+      kill_map_attempt(job, j, /*backup=*/false);
+    }
   }
   for (std::size_t f = 0; f < job.reduce_count(); ++f) {
-    const ReduceTaskState& r = job.reduce_state(f);
-    const bool running = r.phase == ReducePhase::kStartup ||
-                         r.phase == ReducePhase::kShuffling ||
-                         r.phase == ReducePhase::kComputing;
-    if (running) kill_reduce_attempt(job, f);
+    if (is_running(job.reduce_state(f).phase)) kill_reduce_attempt(job, f);
   }
 
   retire_job(job, EventKind::kJobAborted);
@@ -316,6 +323,14 @@ Locality Engine::reduce_locality(const JobRun& job, NodeId node) const {
   return locality;
 }
 
+void Engine::note_task_start(JobRun& job) {
+  if (job.first_task_start >= 0.0) return;
+  job.first_task_start = now();
+  if (admission_ != nullptr && job.admitted_at >= 0.0) {
+    admission_->note_queueing_delay(now() - job.admitted_at);
+  }
+}
+
 void Engine::touch_utilization() {
   const Seconds t = simulation_->now();
   const Seconds dt = t - util_last_change_;
@@ -342,68 +357,50 @@ UtilizationSummary Engine::utilization() const {
 // Map task lifecycle
 // ---------------------------------------------------------------------------
 
-Seconds Engine::map_ready(const JobRun& job, std::size_t j, bool backup,
-                          bool remote, bool* straggler) {
-  const MapTaskState& s = job.map_state(j);
-  const double speed =
-      cluster_->node(backup ? s.backup.node : s.node).speed_factor;
-  Seconds duration =
-      job.spec().map_tasks[j].input_size / (job.spec().map_rate * speed);
-  *straggler = config_.fault.straggler_probability > 0.0 &&
-               rng_.bernoulli(config_.fault.straggler_probability);
-  if (*straggler) duration *= config_.fault.straggler_slowdown;
-  if (observed()) {
-    EngineEvent e = task_event(EventKind::kTaskReady, job, true, j, backup);
-    e.remote = remote;
-    e.duration = duration;
-    e.straggler = *straggler;
-    emit(e);
-  }
-  return duration;
-}
-
 void Engine::assign_map(JobRun& job, std::size_t j, NodeId node) {
-  MapTaskState& s = job.map_state(j);
-  MRS_REQUIRE(s.phase == MapPhase::kUnassigned);
+  MRS_REQUIRE(job.map_state(j).phase == MapPhase::kUnassigned);
   MRS_REQUIRE(cluster_->node(node).free_map_slots() > 0);
   MRS_REQUIRE(heartbeat_map_budget_ > 0);
-  --heartbeat_map_budget_;
+  launch_map_attempt(job, j, node, /*backup=*/false);
+}
 
+void Engine::launch_map_attempt(JobRun& job, std::size_t j, NodeId node,
+                                bool backup) {
+  --heartbeat_map_budget_;
   touch_utilization();
   cluster_->occupy_map_slot(node);
-  s.node = node;
-  s.assigned_at = now();
-  s.locality = map_locality(job, j, node);
-  s.placement_cost = map_cost(job, j, node);
-  s.phase = MapPhase::kStartup;
-  s.fetch_flow = FlowId::invalid();
+  MapTaskState& s = job.map_state(j);
+  MapAttempt& a = s.attempt(backup);
+  a.node = node;
+  a.assigned_at = now();
+  a.phase = MapPhase::kStartup;
+  a.fetch_flow = FlowId::invalid();
   ++s.attempts;
-  job.note_map_assigned();
-  if (job.first_task_start < 0.0) {
-    job.first_task_start = now();
-    if (admission_ != nullptr && job.admitted_at >= 0.0) {
-      admission_->note_queueing_delay(now() - job.admitted_at);
-    }
+  if (!backup) {
+    // The primary carries the task's placement; a backup that wins the
+    // race hands its own over in finish_map.
+    s.locality = map_locality(job, j, node);
+    s.placement_cost = map_cost(job, j, node);
+    job.note_map_assigned();
+    note_task_start(job);
   }
-  if (observed()) emit(task_event(EventKind::kTaskAssigned, job, true, j));
+  if (observed()) {
+    emit(task_event(EventKind::kTaskAssigned, job, true, j, backup));
+  }
 
   const auto epoch = s.epoch;
-  s.pending_event = simulation_->schedule_in(
-      job.spec().task_startup, [this, &job, j, epoch] {
+  a.pending_event = simulation_->schedule_in(
+      job.spec().task_startup, [this, &job, j, backup, epoch] {
         if (job.map_state(j).epoch != epoch) return;  // attempt was killed
-        map_attempt_ready(job, j, /*backup=*/false);
+        map_attempt_ready(job, j, backup);
       });
 }
 
 void Engine::map_attempt_ready(JobRun& job, std::size_t j, bool backup) {
   MapTaskState& s = job.map_state(j);
+  MapAttempt& a = s.attempt(backup);
   const MapTaskSpec& spec = job.spec().map_tasks[j];
-  const NodeId node = backup ? s.backup.node : s.node;
-  const Locality locality = map_locality(job, j, node);
-  if (locality == Locality::kNodeLocal) {
-    start_map_compute(job, j, backup);
-    return;
-  }
+  const bool remote = map_locality(job, j, a.node) != Locality::kNodeLocal;
   // Remote input is *streamed* from the best replica while the map
   // computes (Hadoop maps read their split as they process it): the flow
   // is application-limited to the map's compute rate, and the task
@@ -411,143 +408,113 @@ void Engine::map_attempt_ready(JobRun& job, std::size_t j, bool backup) {
   // when the path keeps up, the transfer time when the network is the
   // bottleneck.
   NodeId src;
-  double best = std::numeric_limits<double>::max();
-  for (NodeId replica : blocks_->replicas(spec.block)) {
-    // Fallback to the first replica even when every path is cut (infinite
-    // condition-aware distance): the transfer still starts and simply
-    // stalls at rate 0, which is the stall watchdog's cue to retry later.
-    if (!src.valid()) src = replica;
-    const double d = distance(node, replica);
-    if (d < best) {
-      best = d;
-      src = replica;
+  if (remote) {
+    double best = std::numeric_limits<double>::max();
+    for (NodeId replica : blocks_->replicas(spec.block)) {
+      // Fallback to the first replica even when every path is cut
+      // (infinite condition-aware distance): the transfer still starts and
+      // simply stalls at rate 0, which is the stall watchdog's cue to
+      // retry later.
+      if (!src.valid()) src = replica;
+      const double d = distance(a.node, replica);
+      if (d < best) {
+        best = d;
+        src = replica;
+      }
     }
+    MRS_ASSERT(src.valid() && src != a.node);
   }
-  MRS_ASSERT(src.valid() && src != node);
-  bool straggler = false;
-  const Seconds nominal =
-      map_ready(job, j, backup, /*remote=*/true, &straggler);
-  const double cap = spec.input_size / nominal;
-  job_task_bytes_[job.id().value()].map_in[j] += spec.input_size;
+
+  // The compute time on the attempt's node, straggler-adjusted.
+  Seconds duration =
+      spec.input_size /
+      (job.spec().map_rate * cluster_->node(a.node).speed_factor);
+  const bool straggler = config_.fault.straggler_probability > 0.0 &&
+                         rng_.bernoulli(config_.fault.straggler_probability);
+  if (straggler) duration *= config_.fault.straggler_slowdown;
+  if (observed()) {
+    EngineEvent e = task_event(EventKind::kTaskReady, job, true, j, backup);
+    e.remote = remote;
+    e.duration = duration;
+    e.straggler = straggler;
+    emit(e);
+  }
 
   const auto epoch = s.epoch;
-  const FlowId flow = network_->transfer(
-      src, node, spec.input_size,
-      [this, &job, j, backup, epoch] {
-        if (job.map_state(j).epoch != epoch) return;
-        finish_map(job, j, backup);
-      },
-      /*rate_cap=*/cap);
-  if (backup) {
-    s.backup.phase = MapPhase::kFetching;
-    s.backup.compute_start = now();
-    s.backup.compute_duration = nominal;
-    s.backup.fetch_flow = flow;
+  auto finish = [this, &job, j, backup, epoch] {
+    if (job.map_state(j).epoch != epoch) return;  // attempt was killed
+    finish_map(job, j, backup);
+  };
+  if (remote) {
+    job_task_bytes_[job.id().value()].map_in[j] += spec.input_size;
+    a.fetch_flow =
+        network_->transfer(src, a.node, spec.input_size, std::move(finish),
+                           /*rate_cap=*/spec.input_size / duration);
+    a.phase = MapPhase::kFetching;
   } else {
-    s.phase = MapPhase::kFetching;
-    s.compute_start = now();
-    s.compute_duration = nominal;
-    s.straggler = straggler;
-    s.fetch_flow = flow;
-    arm_map_stall_watchdog(job, j);
+    a.pending_event = simulation_->schedule_in(duration, std::move(finish));
+    a.phase = MapPhase::kComputing;
   }
+  a.compute_start = now();
+  a.compute_duration = duration;
+  a.straggler = straggler;
+  // The watchdog watches the primary; a backup is itself the mitigation.
+  if (remote && !backup) arm_stall_watchdog(job, /*is_map=*/true, j);
 }
 
-void Engine::start_map_compute(JobRun& job, std::size_t j, bool backup) {
-  MapTaskState& s = job.map_state(j);
-  bool straggler = false;
-  const Seconds duration =
-      map_ready(job, j, backup, /*remote=*/false, &straggler);
-  const auto epoch = s.epoch;
-  const auto handle = simulation_->schedule_in(
-      duration, [this, &job, j, backup, epoch] {
-        if (job.map_state(j).epoch != epoch) return;
-        finish_map(job, j, backup);
-      });
-  if (backup) {
-    s.backup.phase = MapPhase::kComputing;
-    s.backup.compute_start = now();
-    s.backup.compute_duration = duration;
-    s.backup.pending_event = handle;
-  } else {
-    s.phase = MapPhase::kComputing;
-    s.compute_start = now();
-    s.compute_duration = duration;
-    s.straggler = straggler;
-    s.pending_event = handle;
-  }
+void Engine::end_map_attempt(MapAttempt& a) {
+  touch_utilization();
+  simulation_->cancel(a.pending_event);
+  if (a.fetch_flow.valid()) network_->cancel(a.fetch_flow);
+  cluster_->release_map_slot(a.node);
+  a.phase = MapPhase::kUnassigned;
+  a.compute_start = -1.0;
+  a.compute_duration = 0.0;
+  a.straggler = false;
+  a.fetch_flow = FlowId::invalid();
 }
 
 void Engine::kill_map_attempt(JobRun& job, std::size_t j, bool backup) {
   MapTaskState& s = job.map_state(j);
-  touch_utilization();
-  if (backup) {
-    // Killing only the backup: the primary's in-flight callbacks must stay
-    // valid, so the epoch is untouched (the backup's own event/flow are
-    // cancelled explicitly).
-    MRS_REQUIRE(s.backup.active);
-    simulation_->cancel(s.backup.pending_event);
-    if (s.backup.fetch_flow.valid()) network_->cancel(s.backup.fetch_flow);
-    cluster_->release_map_slot(s.backup.node);
-    if (observed()) {
-      emit(task_event(EventKind::kTaskKilled, job, true, j, /*backup=*/true));
-    }
-    s.backup = MapBackupAttempt{};
-  } else {
-    // Full attempt kill: the task returns to the unassigned pool. Any
-    // surviving backup must be killed by the caller first.
-    MRS_REQUIRE(!s.backup.active);
-    MRS_REQUIRE(s.phase != MapPhase::kUnassigned &&
-                s.phase != MapPhase::kDone);
-    simulation_->cancel(s.pending_event);
-    if (s.fetch_flow.valid()) network_->cancel(s.fetch_flow);
-    s.fetch_flow = FlowId::invalid();
-    cluster_->release_map_slot(s.node);
-    s.phase = MapPhase::kUnassigned;
-    s.compute_start = -1.0;
-    s.compute_duration = 0.0;
-    s.straggler = false;
-    ++s.epoch;  // invalidate any stale in-flight callbacks
-    if (observed()) emit(task_event(EventKind::kTaskKilled, job, true, j));
+  // Killing the primary returns the task to the unassigned pool and takes
+  // a surviving backup with it.
+  if (!backup && s.has_backup()) kill_map_attempt(job, j, /*backup=*/true);
+  MapAttempt& a = s.attempt(backup);
+  MRS_REQUIRE(is_running(a.phase));
+  end_map_attempt(a);
+  // Killing only the backup leaves the epoch alone: the primary's
+  // in-flight callbacks stay valid.
+  if (!backup) ++s.epoch;
+  if (observed()) {
+    emit(task_event(EventKind::kTaskKilled, job, true, j, backup));
   }
 }
 
 void Engine::finish_map(JobRun& job, std::size_t j, bool backup) {
   MapTaskState& s = job.map_state(j);
-  MRS_ASSERT(backup ? s.backup.active
-                    : (s.phase == MapPhase::kComputing ||
-                       s.phase == MapPhase::kFetching));
-  // Before either slot is released: a race's losing copy held its slot
-  // up to now too.
-  touch_utilization();
+  MRS_ASSERT(s.attempt(backup).phase == MapPhase::kComputing ||
+             s.attempt(backup).phase == MapPhase::kFetching);
 
-  if (backup) {
-    // The backup wins the race: kill the (slower) primary and promote the
-    // backup's placement so downstream consumers see the real data
-    // location.
-    const MapBackupAttempt won = s.backup;
-    simulation_->cancel(s.pending_event);
-    if (s.fetch_flow.valid()) network_->cancel(s.fetch_flow);
-    cluster_->release_map_slot(s.node);
-    s.backup = MapBackupAttempt{};
-    s.node = won.node;
-    s.locality = map_locality(job, j, won.node);
-    s.placement_cost = map_cost(job, j, won.node);
-    s.compute_start = won.compute_start;
-    s.compute_duration = won.compute_duration;
-  } else if (s.backup.active) {
-    // The primary wins: kill the backup copy.
-    simulation_->cancel(s.backup.pending_event);
-    if (s.backup.fetch_flow.valid()) {
-      network_->cancel(s.backup.fetch_flow);
+  if (s.has_backup()) {
+    // A speculation race: the first finisher wins and the other attempt
+    // is released. A winning backup's placement replaces the primary's,
+    // so downstream consumers see the real data location.
+    end_map_attempt(s.attempt(!backup));
+    if (backup) {
+      s.node = s.backup.node;
+      s.locality = map_locality(job, j, s.node);
+      s.placement_cost = map_cost(job, j, s.node);
+      s.compute_start = s.backup.compute_start;
+      s.compute_duration = s.backup.compute_duration;
+      s.straggler = s.backup.straggler;
     }
-    cluster_->release_map_slot(s.backup.node);
-    s.backup = MapBackupAttempt{};
+    s.backup = MapAttempt{};
   }
   ++s.epoch;
 
   s.phase = MapPhase::kDone;
   s.finished_at = now();
+  touch_utilization();
   cluster_->release_map_slot(s.node);
   job.note_map_finished();
   job.record_map_duration(s.finished_at - s.assigned_at);
@@ -577,69 +544,47 @@ void Engine::maybe_speculate(NodeId node) {
   if (fault.speculation_cap <= 0.0) return;  // backups disabled outright
   // At most one backup launch per heartbeat (it costs map budget like any
   // launch) — speculation is a repair mechanism, not a scheduler.
-  if (heartbeat_map_budget_ > 0 &&
-      cluster_->node(node).free_map_slots() > 0) {
-    // Find the most-lagging speculation-eligible map attempt.
-    JobRun* best_job = nullptr;
-    std::size_t best_task = 0;
-    double best_lag = 0.0;
-    for (JobRun* job : active_jobs_) {
-      if (job->map_finished_fraction() < kSpeculationMinProgress) {
+  if (heartbeat_map_budget_ == 0 ||
+      cluster_->node(node).free_map_slots() == 0) {
+    return;
+  }
+  // Find the most-lagging speculation-eligible map attempt.
+  JobRun* best_job = nullptr;
+  std::size_t best_task = 0;
+  double best_lag = 0.0;
+  for (JobRun* job : active_jobs_) {
+    if (job->map_finished_fraction() < kSpeculationMinProgress) continue;
+    const auto& durations = job->map_duration_stats();
+    if (durations.count() == 0) continue;
+    // Hadoop's speculativecap: bound concurrent backups per job so the
+    // extra copies can't congest the cluster into more "stragglers".
+    std::size_t active_backups = 0;
+    for (std::size_t j = 0; j < job->map_count(); ++j) {
+      if (job->map_state(j).has_backup()) ++active_backups;
+    }
+    const auto cap = static_cast<std::size_t>(
+        fault.speculation_cap * static_cast<double>(job->map_count()));
+    if (active_backups >= std::max<std::size_t>(cap, 1)) continue;
+
+    const Seconds threshold = fault.speculation_slack * durations.mean();
+    for (std::size_t j = 0; j < job->map_count(); ++j) {
+      const MapTaskState& s = job->map_state(j);
+      if (s.phase != MapPhase::kComputing &&
+          s.phase != MapPhase::kFetching) {
         continue;
       }
-      const auto& durations = job->map_duration_stats();
-      if (durations.count() == 0) continue;
-      // Hadoop's speculativecap: bound concurrent backups per job so the
-      // extra copies can't congest the cluster into more "stragglers".
-      std::size_t active_backups = 0;
-      for (std::size_t j = 0; j < job->map_count(); ++j) {
-        if (job->map_state(j).backup.active) ++active_backups;
-      }
-      const auto cap = static_cast<std::size_t>(
-          fault.speculation_cap * static_cast<double>(job->map_count()));
-      if (active_backups >= std::max<std::size_t>(cap, 1)) continue;
-
-      const Seconds threshold = fault.speculation_slack * durations.mean();
-      for (std::size_t j = 0; j < job->map_count(); ++j) {
-        const MapTaskState& s = job->map_state(j);
-        if (s.phase != MapPhase::kComputing &&
-            s.phase != MapPhase::kFetching) {
-          continue;
-        }
-        if (s.backup.active || s.node == node) continue;
-        const Seconds elapsed = now() - s.assigned_at;
-        if (elapsed < threshold) continue;
-        if (elapsed - threshold > best_lag || best_job == nullptr) {
-          best_lag = elapsed - threshold;
-          best_job = job;
-          best_task = j;
-        }
+      if (s.has_backup() || s.node == node) continue;
+      const Seconds elapsed = now() - s.assigned_at;
+      if (elapsed < threshold) continue;
+      if (elapsed - threshold > best_lag || best_job == nullptr) {
+        best_lag = elapsed - threshold;
+        best_job = job;
+        best_task = j;
       }
     }
-    if (best_job == nullptr) return;
-
-    // Launch the backup copy here (costs one map budget like any launch).
-    --heartbeat_map_budget_;
-    touch_utilization();
-    cluster_->occupy_map_slot(node);
-    MapTaskState& s = best_job->map_state(best_task);
-    s.backup.active = true;
-    s.backup.node = node;
-    s.backup.phase = MapPhase::kStartup;
-    s.backup.assigned_at = now();
-    ++s.attempts;
-    if (observed()) {
-      emit(task_event(EventKind::kTaskAssigned, *best_job, true, best_task,
-                      /*backup=*/true));
-    }
-    const auto epoch = s.epoch;
-    JobRun& job = *best_job;
-    const std::size_t j = best_task;
-    s.backup.pending_event = simulation_->schedule_in(
-        job.spec().task_startup, [this, &job, j, epoch] {
-          if (job.map_state(j).epoch != epoch) return;
-          map_attempt_ready(job, j, /*backup=*/true);
-        });
+  }
+  if (best_job != nullptr) {
+    launch_map_attempt(*best_job, best_task, node, /*backup=*/true);
   }
 }
 
@@ -662,12 +607,7 @@ void Engine::assign_reduce(JobRun& job, std::size_t f, NodeId node) {
   r.phase = ReducePhase::kStartup;
   ++r.attempts;
   job.note_reduce_assigned();
-  if (job.first_task_start < 0.0) {
-    job.first_task_start = now();
-    if (admission_ != nullptr && job.admitted_at >= 0.0) {
-      admission_->note_queueing_delay(now() - job.admitted_at);
-    }
-  }
+  note_task_start(job);
   if (observed()) emit(task_event(EventKind::kTaskAssigned, job, false, f));
 
   const auto epoch = r.epoch;
@@ -692,15 +632,13 @@ void Engine::start_reduce_shuffle(JobRun& job, std::size_t f) {
       ++r.pending_maps;
     }
   }
-  arm_reduce_stall_watchdog(job, f);
+  arm_stall_watchdog(job, /*is_map=*/false, f);
   pump_reduce_fetchers(job, f);
 }
 
 void Engine::kill_reduce_attempt(JobRun& job, std::size_t f, bool requeue) {
   ReduceTaskState& r = job.reduce_state(f);
-  MRS_REQUIRE(r.phase != ReducePhase::kUnassigned &&
-              r.phase != ReducePhase::kDone &&
-              r.phase != ReducePhase::kBackoff);
+  MRS_REQUIRE(is_running(r.phase));
   touch_utilization();
   simulation_->cancel(r.pending_event);
   for (FlowId flow : r.inflight_flows) network_->cancel(flow);
@@ -715,9 +653,7 @@ void Engine::kill_reduce_attempt(JobRun& job, std::size_t f, bool requeue) {
   r.active_fetchers = 0;
   r.bytes_fetched = 0.0;
   std::fill(r.fetched_map.begin(), r.fetched_map.end(), false);
-  // A stall kill (requeue=false) parks the task in kBackoff; the caller's
-  // backoff timer moves it back to the unassigned pool.
-  r.phase = requeue ? ReducePhase::kUnassigned : ReducePhase::kBackoff;
+  r.phase = ReducePhase::kUnassigned;
   r.postpone_count = 0;
   ++r.epoch;
   if (requeue) job.note_reduce_attempt_lost();
@@ -861,8 +797,7 @@ void Engine::fail_node(NodeId node) {
   std::vector<JobRun*> doomed;
   const auto note_attempt_loss = [this, &doomed](JobRun& job,
                                                  std::size_t attempts) {
-    if (config_.max_task_attempts == 0) return;
-    if (attempts < config_.max_task_attempts) return;
+    if (!attempt_cap_reached(attempts)) return;
     if (std::find(doomed.begin(), doomed.end(), &job) == doomed.end()) {
       doomed.push_back(&job);
     }
@@ -876,16 +811,12 @@ void Engine::fail_node(NodeId node) {
     for (std::size_t j = 0; j < job.map_count(); ++j) {
       MapTaskState& s = job.map_state(j);
       // Backup copy on the dead node: drop it (primary keeps running).
-      if (s.backup.active && s.backup.node == node) {
+      if (s.has_backup() && s.backup.node == node) {
         kill_map_attempt(job, j, /*backup=*/true);
       }
       // Primary on the dead node: kill both attempts (a surviving backup
       // is discarded too — simple and rare) and reschedule the task.
-      const bool primary_running = s.phase == MapPhase::kStartup ||
-                                   s.phase == MapPhase::kFetching ||
-                                   s.phase == MapPhase::kComputing;
-      if (primary_running && s.node == node) {
-        if (s.backup.active) kill_map_attempt(job, j, /*backup=*/true);
+      if (is_running(s.phase) && s.node == node) {
         kill_map_attempt(job, j, /*backup=*/false);
         job.note_map_attempt_lost();
         note_attempt_loss(job, s.attempts);
@@ -928,10 +859,7 @@ void Engine::fail_node(NodeId node) {
     // --- reduce attempts on the failed node ---
     for (std::size_t f = 0; f < job.reduce_count(); ++f) {
       ReduceTaskState& r = job.reduce_state(f);
-      const bool running = r.phase == ReducePhase::kStartup ||
-                           r.phase == ReducePhase::kShuffling ||
-                           r.phase == ReducePhase::kComputing;
-      if (running && r.node == node) {
+      if (is_running(r.phase) && r.node == node) {
         kill_reduce_attempt(job, f);
         note_attempt_loss(job, r.attempts);
       }
@@ -940,12 +868,7 @@ void Engine::fail_node(NodeId node) {
 
   touch_utilization();
   cluster_->set_node_alive(node, false);
-
-  const bool was_listed = blacklist_.listed(node);
-  blacklist_.note_failure(node, now());
-  if (!was_listed && blacklist_.listed(node) && observed()) {
-    emit({.kind = EventKind::kNodeBlacklisted, .time = now(), .node = node});
-  }
+  note_node_failure(node);
 
   for (JobRun* job : doomed) abort_job(*job);
 }
@@ -1006,78 +929,40 @@ Seconds Engine::stall_backoff(std::size_t retries) const {
   return std::min(backoff, config_.stall_backoff_cap);
 }
 
-void Engine::note_stall_kill(NodeId node) {
+bool Engine::note_node_failure(NodeId node) {
   const bool was_listed = blacklist_.listed(node);
   blacklist_.note_failure(node, now());
-  if (!blacklist_.listed(node)) return;
-  if (!was_listed && observed()) {
+  const bool listed = blacklist_.listed(node);
+  if (listed && !was_listed && observed()) {
     emit({.kind = EventKind::kNodeBlacklisted, .time = now(), .node = node});
   }
-  // The node is alive (its transfers stalled; it did not crash), so the
-  // recovery hook that normally starts probation never runs — start (or,
-  // on a repeat offense mid-probation, restart) it here. note_failure just
-  // invalidated any pending probation end, so without this restart the
-  // node would stay unschedulable forever.
-  if (cluster_->node_alive(node)) begin_probation(node);
+  return listed;
 }
 
-void Engine::arm_map_stall_watchdog(JobRun& job, std::size_t j) {
+void Engine::arm_stall_watchdog(JobRun& job, bool is_map, std::size_t task) {
   if (config_.stall_timeout <= 0.0) return;
-  const auto epoch = job.map_state(j).epoch;
-  simulation_->schedule_in(config_.stall_timeout, [this, &job, j, epoch] {
-    if (job.map_state(j).epoch != epoch) return;  // attempt gone
-    check_map_stall(job, j);
-  });
-}
-
-void Engine::check_map_stall(JobRun& job, std::size_t j) {
-  MapTaskState& s = job.map_state(j);
-  if (s.phase != MapPhase::kFetching) return;  // fetch finished meanwhile
-  const bool stalled = s.fetch_flow.valid() &&
-                       network_->flows().info(s.fetch_flow).stalled;
-  // An active backup is already the mitigation for this attempt: let the
-  // race resolve instead of killing both sides of it.
-  if (!stalled || s.backup.active) {
-    arm_map_stall_watchdog(job, j);
-    return;
-  }
-  const NodeId node = s.node;
-  ++s.stall_retries;
-  if (observed()) emit(task_event(EventKind::kStallTimeout, job, true, j));
-  kill_map_attempt(job, j, /*backup=*/false);
-  note_stall_kill(node);
-  if (config_.max_task_attempts != 0 &&
-      s.attempts >= config_.max_task_attempts) {
-    abort_job(job);
-    return;
-  }
-  // Park in backoff before re-entering the pool: an instant retry would
-  // often be placed right back onto the still-broken path.
-  s.phase = MapPhase::kBackoff;
-  const auto epoch = s.epoch;
+  const auto epoch = task_epoch(job, is_map, task);
   simulation_->schedule_in(
-      stall_backoff(s.stall_retries), [this, &job, j, epoch] {
-        MapTaskState& ms = job.map_state(j);
-        if (ms.epoch != epoch || ms.phase != MapPhase::kBackoff) return;
-        if (job.aborted || job.finish_time >= 0.0) return;
-        ms.phase = MapPhase::kUnassigned;
-        job.note_map_attempt_lost();
-        if (observed()) emit(task_event(EventKind::kStallRetry, job, true, j));
+      config_.stall_timeout, [this, &job, is_map, task, epoch] {
+        if (task_epoch(job, is_map, task) != epoch) return;  // attempt gone
+        check_stall(job, is_map, task);
       });
 }
 
-void Engine::arm_reduce_stall_watchdog(JobRun& job, std::size_t f) {
-  if (config_.stall_timeout <= 0.0) return;
-  const auto epoch = job.reduce_state(f).epoch;
-  simulation_->schedule_in(config_.stall_timeout, [this, &job, f, epoch] {
-    if (job.reduce_state(f).epoch != epoch) return;
-    check_reduce_stall(job, f);
-  });
-}
-
-void Engine::check_reduce_stall(JobRun& job, std::size_t f) {
-  ReduceTaskState& r = job.reduce_state(f);
-  if (r.phase != ReducePhase::kShuffling) return;  // shuffle done meanwhile
+Engine::StallVerdict Engine::stall_verdict(const JobRun& job, bool is_map,
+                                           std::size_t task) const {
+  if (is_map) {
+    const MapTaskState& s = job.map_state(task);
+    if (s.phase != MapPhase::kFetching) return StallVerdict::kOver;
+    const bool stalled = s.fetch_flow.valid() &&
+                         network_->flows().info(s.fetch_flow).stalled;
+    // An active backup is already the mitigation for this attempt: let the
+    // race resolve instead of killing both sides of it.
+    return stalled && !s.has_backup() ? StallVerdict::kStalled
+                                      : StallVerdict::kMoving;
+  }
+  const ReduceTaskState& r = job.reduce_state(task);
+  if (r.phase != ReducePhase::kShuffling) return StallVerdict::kOver;
   // inflight_flows keeps completed ids until the shuffle resolves; the
   // stall verdict only counts flows still active. Stalled means every
   // in-flight fetch sits at rate 0 — a single live fetcher still makes
@@ -1090,30 +975,67 @@ void Engine::check_reduce_stall(JobRun& job, std::size_t f) {
     ++active;
     stalled += info.stalled ? 1 : 0;
   }
-  if (active == 0 || stalled < active) {
-    arm_reduce_stall_watchdog(job, f);
+  return active > 0 && stalled == active ? StallVerdict::kStalled
+                                         : StallVerdict::kMoving;
+}
+
+void Engine::check_stall(JobRun& job, bool is_map, std::size_t task) {
+  switch (stall_verdict(job, is_map, task)) {
+    case StallVerdict::kOver:
+      return;
+    case StallVerdict::kMoving:
+      arm_stall_watchdog(job, is_map, task);
+      return;
+    case StallVerdict::kStalled:
+      break;
+  }
+  const auto kill = [&](auto& s) {
+    const NodeId node = s.node;
+    ++s.stall_retries;
+    if (observed()) {
+      emit(task_event(EventKind::kStallTimeout, job, is_map, task));
+    }
+    is_map ? kill_map_attempt(job, task, /*backup=*/false)
+           : kill_reduce_attempt(job, task, /*requeue=*/false);
+    // The node is alive (its transfers stalled; it did not crash), so the
+    // recovery hook that normally starts probation never runs — start
+    // (or, on a repeat offense mid-probation, restart) it here.
+    // note_failure just invalidated any pending probation end, so without
+    // this restart the node would stay unschedulable forever.
+    if (note_node_failure(node) && cluster_->node_alive(node)) {
+      begin_probation(node);
+    }
+    if (attempt_cap_reached(s.attempts)) {
+      abort_job(job);
+      return;
+    }
+    // Park in backoff before re-entering the pool: an instant retry would
+    // often be placed right back onto the still-broken path.
+    s.phase = decltype(s.phase)::kBackoff;
+    simulation_->schedule_in(
+        stall_backoff(s.stall_retries),
+        [this, &job, is_map, task, epoch = s.epoch] {
+          end_stall_backoff(job, is_map, task, epoch);
+        });
+  };
+  is_map ? kill(job.map_state(task)) : kill(job.reduce_state(task));
+}
+
+void Engine::end_stall_backoff(JobRun& job, bool is_map, std::size_t task,
+                               std::uint64_t epoch) {
+  if (job.aborted || job.finish_time >= 0.0) return;
+  const auto requeue = [epoch](auto& s) {
+    using Phase = decltype(s.phase);
+    if (s.epoch != epoch || s.phase != Phase::kBackoff) return false;
+    s.phase = Phase::kUnassigned;
+    return true;
+  };
+  if (!(is_map ? requeue(job.map_state(task))
+               : requeue(job.reduce_state(task)))) {
     return;
   }
-  const NodeId node = r.node;
-  ++r.stall_retries;
-  if (observed()) emit(task_event(EventKind::kStallTimeout, job, false, f));
-  kill_reduce_attempt(job, f, /*requeue=*/false);
-  note_stall_kill(node);
-  if (config_.max_task_attempts != 0 &&
-      r.attempts >= config_.max_task_attempts) {
-    abort_job(job);
-    return;
-  }
-  const auto epoch = r.epoch;
-  simulation_->schedule_in(
-      stall_backoff(r.stall_retries), [this, &job, f, epoch] {
-        ReduceTaskState& rs = job.reduce_state(f);
-        if (rs.epoch != epoch || rs.phase != ReducePhase::kBackoff) return;
-        if (job.aborted || job.finish_time >= 0.0) return;
-        rs.phase = ReducePhase::kUnassigned;
-        job.note_reduce_attempt_lost();
-        if (observed()) emit(task_event(EventKind::kStallRetry, job, false, f));
-      });
+  is_map ? job.note_map_attempt_lost() : job.note_reduce_attempt_lost();
+  if (observed()) emit(task_event(EventKind::kStallRetry, job, is_map, task));
 }
 
 // ---------------------------------------------------------------------------

@@ -253,25 +253,47 @@ class Engine {
   /// Record, deactivate and announce a finished or aborted job.
   void retire_job(JobRun& job, EventKind outcome);
   void activate_job(JobRun& job);
-  /// Post-startup step of a map attempt: local read -> compute, remote ->
-  /// application-limited stream.
+  /// The job's first task launch: feeds its queueing delay to admission.
+  void note_task_start(JobRun& job);
+  /// Start map `j`'s primary attempt (or its backup) on `node`: spend
+  /// the map budget, occupy the slot, schedule the startup.
+  void launch_map_attempt(JobRun& job, std::size_t j, NodeId node,
+                          bool backup);
+  /// Post-startup step of a map attempt: draw its compute time, then a
+  /// local read computes, a remote one streams application-limited.
   void map_attempt_ready(JobRun& job, std::size_t j, bool backup);
-  void start_map_compute(JobRun& job, std::size_t j, bool backup);
   void finish_map(JobRun& job, std::size_t j, bool backup);
-  /// Cancel an attempt's pending event / fetch flow and free its slot.
+  /// Cancel the attempt's pending event and fetch flow, free its slot and
+  /// leave it unassigned.
+  void end_map_attempt(MapAttempt& attempt);
+  /// Kill the backup, or the primary together with any backup.
   void kill_map_attempt(JobRun& job, std::size_t j, bool backup);
-  /// `requeue` returns the task to the unassigned pool immediately (node
+  /// `requeue` counts the task back into the unassigned pool (node
   /// failures); the stall watchdog passes false and parks it in kBackoff.
   void kill_reduce_attempt(JobRun& job, std::size_t f, bool requeue = true);
+  /// Has a task with `attempts` launched attempts used up the job's cap
+  /// (max_task_attempts)?
+  [[nodiscard]] bool attempt_cap_reached(std::size_t attempts) const {
+    return config_.max_task_attempts != 0 &&
+           attempts >= config_.max_task_attempts;
+  }
   // --- transfer stall watchdog (config_.stall_timeout > 0 only) ---
-  void arm_map_stall_watchdog(JobRun& job, std::size_t j);
-  void check_map_stall(JobRun& job, std::size_t j);
-  void arm_reduce_stall_watchdog(JobRun& job, std::size_t f);
-  void check_reduce_stall(JobRun& job, std::size_t f);
+  /// kOver: the watched transfer ended; kMoving: it still progresses (or a
+  /// backup races it); kStalled: kill and retry.
+  enum class StallVerdict { kOver, kMoving, kStalled };
+  void arm_stall_watchdog(JobRun& job, bool is_map, std::size_t task);
+  [[nodiscard]] StallVerdict stall_verdict(const JobRun& job, bool is_map,
+                                           std::size_t task) const;
+  void check_stall(JobRun& job, bool is_map, std::size_t task);
+  /// The retry backoff after a stall kill at `epoch` is over: the task
+  /// re-enters the unassigned pool.
+  void end_stall_backoff(JobRun& job, bool is_map, std::size_t task,
+                         std::uint64_t epoch);
   /// Backoff before retry `retries` (capped exponential).
   [[nodiscard]] Seconds stall_backoff(std::size_t retries) const;
-  /// Feed a stall kill on `node` into the blacklist (probation machinery).
-  void note_stall_kill(NodeId node);
+  /// Feed a failure on `node` into the blacklist, announcing a new
+  /// listing; true while the node is listed.
+  bool note_node_failure(NodeId node);
   /// Put a recovered-or-alive blacklisted node on probation: unschedulable
   /// for the configured window, restored unless re-listed meanwhile.
   void begin_probation(NodeId node);
@@ -285,10 +307,6 @@ class Engine {
   void touch_utilization();
   void record_task(const JobRun& job, bool is_map, std::size_t index);
   [[nodiscard]] JobRecord job_record(const JobRun& job) const;
-  /// A map attempt's startup is over: draw its straggler-adjusted compute
-  /// duration on its node and emit kTaskReady.
-  [[nodiscard]] Seconds map_ready(const JobRun& job, std::size_t j,
-                                  bool backup, bool remote, bool* straggler);
   // --- lifecycle events: build one only `if (observed())` ---
   [[nodiscard]] bool observed() const { return !observers_.empty(); }
   void emit(const EngineEvent& event) const {

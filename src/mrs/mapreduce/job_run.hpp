@@ -50,43 +50,48 @@ enum class ReducePhase {
   kBackoff,     ///< stall-killed, waiting out the retry backoff
 };
 
-/// A speculative backup copy of a map task (Hadoop speculative execution):
-/// launched when the primary attempt lags; whichever attempt finishes first
-/// wins, the other is killed.
-struct MapBackupAttempt {
-  bool active = false;
-  NodeId node;
+/// One run of a map task on a node: the task's primary attempt or its
+/// speculative backup copy (Hadoop speculative execution: launched when
+/// the primary lags; whichever attempt finishes first wins, the other is
+/// killed).
+struct MapAttempt {
+  NodeId node;  ///< placement (valid once assigned)
   MapPhase phase = MapPhase::kUnassigned;
   Seconds assigned_at = -1.0;
   Seconds compute_start = -1.0;
   Seconds compute_duration = 0.0;
+  /// True when the attempt drew the straggler slowdown.
+  bool straggler = false;
   FlowId fetch_flow = FlowId::invalid();
   sim::EventHandle pending_event;  ///< startup or compute completion
 };
 
-struct MapTaskState {
-  MapPhase phase = MapPhase::kUnassigned;
-  NodeId node;  ///< placement (valid once assigned)
+/// A map task: its primary attempt (the base, which also carries the
+/// task's phase once done or backing off) and at most one backup.
+struct MapTaskState : MapAttempt {
   Locality locality = Locality::kRemote;
-  Seconds assigned_at = -1.0;
-  Seconds compute_start = -1.0;
-  Seconds compute_duration = 0.0;
   Seconds finished_at = -1.0;
   /// Realized transmission cost of the placement (B_j * distance), for
   /// metrics.
   double placement_cost = 0.0;
-  /// True when the attempt drew the straggler slowdown.
-  bool straggler = false;
   /// Attempts started so far (>= 2 after a failure re-run or speculation).
   std::size_t attempts = 0;
   /// Attempts killed by the transfer stall watchdog (cumulative across
   /// retries; drives the backoff exponent).
   std::size_t stall_retries = 0;
-  /// Bumped whenever an attempt is killed; in-flight callbacks compare it.
+  /// Bumped whenever the primary attempt ends; in-flight callbacks of
+  /// both attempts compare it.
   std::uint64_t epoch = 0;
-  FlowId fetch_flow = FlowId::invalid();
-  sim::EventHandle pending_event;  ///< startup or compute completion
-  MapBackupAttempt backup;
+  /// The speculative copy; running unless its phase is kUnassigned.
+  MapAttempt backup;
+
+  [[nodiscard]] bool has_backup() const {
+    return backup.phase != MapPhase::kUnassigned;
+  }
+  /// The backup when `speculative`, else the primary.
+  [[nodiscard]] MapAttempt& attempt(bool speculative) {
+    return speculative ? backup : *this;
+  }
 };
 
 struct ReduceTaskState {

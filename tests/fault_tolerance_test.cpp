@@ -406,7 +406,7 @@ TEST(Speculation, ActiveBackupsRespectCap) {
   std::function<void()> watch = [&] {
     std::size_t active = 0;
     for (std::size_t j = 0; j < job.map_count(); ++j) {
-      if (job.map_state(j).backup.active) ++active;
+      if (job.map_state(j).has_backup()) ++active;
     }
     max_active = std::max(max_active, active);
     if (!h.engine.all_jobs_complete()) h.sim.schedule_in(0.1, watch);
