@@ -476,8 +476,8 @@ void Engine::end_map_attempt(MapAttempt& a) {
 
 void Engine::kill_map_attempt(JobRun& job, std::size_t j, bool backup) {
   MapTaskState& s = job.map_state(j);
-  // Killing the primary returns the task to the unassigned pool and takes
-  // a surviving backup with it.
+  // Killing the primary leaves the task unassigned and takes a surviving
+  // backup with it.
   if (!backup && s.has_backup()) kill_map_attempt(job, j, /*backup=*/true);
   MapAttempt& a = s.attempt(backup);
   MRS_REQUIRE(is_running(a.phase));
