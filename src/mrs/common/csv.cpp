@@ -1,5 +1,8 @@
 #include "mrs/common/csv.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "mrs/common/check.hpp"
@@ -85,6 +88,48 @@ bool CsvReader::row(std::vector<std::string>& fields) {
   if (!any) return false;  // exhausted (or final trailing newline)
   fields.push_back(std::move(field));
   return true;
+}
+
+bool CsvDataRows::next(std::vector<std::string>& fields) {
+  while (reader_.row(fields)) {
+    line_ = next_line_;
+    for (const std::string& field : fields) {
+      next_line_ += static_cast<std::size_t>(
+          std::count(field.begin(), field.end(), '\n'));
+    }
+    ++next_line_;
+    if (fields.size() == 1 && fields[0].empty()) continue;  // blank line
+    if (!fields[0].empty() && fields[0][0] == '#') continue;  // comment
+    if (!header_skipped_) {
+      header_skipped_ = true;
+      continue;
+    }
+    return true;
+  }
+  return false;
+}
+
+namespace {
+
+template <typename T>
+std::optional<T> parse_whole(std::string_view field) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
+std::optional<double> parse_finite(std::string_view field) {
+  const std::optional<double> value = parse_whole<double>(field);
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
+}
+
+std::optional<std::size_t> parse_count(std::string_view field) {
+  return parse_whole<std::size_t>(field);
 }
 
 }  // namespace mrs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "mrs/common/check.hpp"
@@ -151,75 +152,43 @@ std::vector<Arrival> generate_tenant_arrivals(const ArrivalConfig& cfg,
 
 double parse_trace_double(const std::string& field, const std::string& path,
                           std::size_t line, const char* column) {
-  std::size_t pos = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(field, &pos);
-  } catch (const std::exception&) {
+  const std::optional<double> value = parse_finite(field);
+  if (!value) {
     trace_error(path, line,
                 strf("bad numeric value '%s' for %s", field.c_str(), column));
   }
-  if (pos != field.size()) {
-    trace_error(path, line,
-                strf("bad numeric value '%s' for %s", field.c_str(), column));
-  }
-  return value;
+  return *value;
 }
 
 std::size_t parse_trace_count(const std::string& field,
                               const std::string& path, std::size_t line,
                               const char* column) {
-  std::size_t pos = 0;
-  unsigned long value = 0;
-  try {
-    value = std::stoul(field, &pos);
-  } catch (const std::exception&) {
+  const std::optional<std::size_t> value = parse_count(field);
+  if (!value) {
     trace_error(path, line,
                 strf("bad integer value '%s' for %s", field.c_str(), column));
   }
-  if (pos != field.size() || field[0] == '-') {
-    trace_error(path, line,
-                strf("bad integer value '%s' for %s", field.c_str(), column));
-  }
-  return static_cast<std::size_t>(value);
+  return *value;
 }
 
 /// Shared record-level trace parser: turns the CSV stream into Arrivals
 /// one row at a time (used by both the buffered loader and the streaming
-/// reader). Tracks physical line numbers — a quoted field may span lines,
-/// so the count advances by 1 + embedded newlines per record — skips
-/// comment ('#') and blank records, and treats the first remaining record
-/// as the header. Accepts the canonical 8-column layout plus the legacy
-/// 5- and 7-column ones.
+/// reader). CsvDataRows skips comments, blank records and the header and
+/// tracks physical line numbers. Accepts the canonical 8-column layout
+/// plus the legacy 5- and 7-column ones.
 class TraceRowCursor {
  public:
   TraceRowCursor(std::istream& in, std::string path)
-      : reader_(in), path_(std::move(path)) {}
+      : rows_(in), path_(std::move(path)) {}
 
   /// Parses the next data row into `out` (job_id left unassigned).
   /// Returns false at end of input. `out_line` receives the row's
   /// starting physical line (for caller-side error reporting).
   bool next(Arrival& out, std::size_t* out_line = nullptr) {
-    std::vector<std::string>& f = fields_;
-    while (reader_.row(f)) {
-      const std::size_t line = next_line_;
-      for (const std::string& field : f) {
-        next_line_ +=
-            static_cast<std::size_t>(std::count(field.begin(), field.end(),
-                                                '\n'));
-      }
-      ++next_line_;
-      if (f.size() == 1 && f[0].empty()) continue;  // blank line
-      if (!f[0].empty() && f[0][0] == '#') continue;  // comment
-      if (!header_skipped_) {
-        header_skipped_ = true;
-        continue;
-      }
-      parse_row(f, line, out);
-      if (out_line != nullptr) *out_line = line;
-      return true;
-    }
-    return false;
+    if (!rows_.next(fields_)) return false;
+    parse_row(fields_, rows_.line(), out);
+    if (out_line != nullptr) *out_line = rows_.line();
+    return true;
   }
 
  private:
@@ -265,11 +234,9 @@ class TraceRowCursor {
     out = std::move(a);
   }
 
-  CsvReader reader_;
+  CsvDataRows rows_;
   std::string path_;
   std::vector<std::string> fields_;
-  std::size_t next_line_ = 1;
-  bool header_skipped_ = false;
 };
 
 std::vector<std::string> trace_row_fields(const Arrival& a) {

@@ -132,7 +132,9 @@ struct Arrival {
 /// Fields follow RFC-4180 quoting (commas, quotes and newlines in names
 /// survive). Lines starting with '#' and blank lines are skipped; rows
 /// are sorted by time on load and job ids assigned contiguously from 1.
-/// Throws std::runtime_error with a path:line prefix on malformed rows.
+/// Numbers must fill their field and be finite (parse_finite,
+/// parse_count). Throws std::runtime_error with a path:line prefix on
+/// malformed rows.
 [[nodiscard]] std::vector<Arrival> load_arrival_trace(
     const std::string& path);
 

@@ -1,10 +1,11 @@
 #include "mrs/workload/table2.hpp"
 
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
 #include "mrs/common/check.hpp"
+#include "mrs/common/csv.hpp"
 #include "mrs/common/strfmt.hpp"
 
 namespace mrs::workload {
@@ -114,26 +115,21 @@ std::vector<mapreduce::JobSpec> make_batch(
 std::vector<JobDescription> load_jobs_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_jobs_csv: cannot open " + path);
+  CsvDataRows rows(in);
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error(strf("load_jobs_csv: %s:%zu: %s", path.c_str(),
+                                  rows.line(), what.c_str()));
+  };
+  const auto count = [&](const std::string& field, const char* column) {
+    const std::optional<std::size_t> n = parse_count(field);
+    if (!n) fail(strf("bad integer value '%s' for %s", field.c_str(), column));
+    return *n;
+  };
   std::vector<JobDescription> jobs;
-  std::string line;
-  bool header_skipped = false;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    if (!header_skipped) {
-      header_skipped = true;  // first non-comment line is the header
-      continue;
-    }
-    std::vector<std::string> fields;
-    std::string field;
-    std::istringstream ss(line);
-    while (std::getline(ss, field, ',')) fields.push_back(field);
+  std::vector<std::string> fields;
+  while (rows.next(fields)) {
     if (fields.size() < 4 || fields.size() > 6) {
-      throw std::runtime_error(strf("load_jobs_csv: %s:%zu: expected "
-                                    "name,kind,maps,reduces[,weight"
-                                    "[,tenant]]",
-                                    path.c_str(), line_no));
+      fail("expected name,kind,maps,reduces[,weight[,tenant]]");
     }
     JobDescription d;
     d.job_id = strf("%zu", jobs.size() + 1);
@@ -141,26 +137,21 @@ std::vector<JobDescription> load_jobs_csv(const std::string& path) {
     if (fields[1] == "Wordcount") d.kind = JobKind::kWordcount;
     else if (fields[1] == "Terasort") d.kind = JobKind::kTerasort;
     else if (fields[1] == "Grep") d.kind = JobKind::kGrep;
-    else {
-      throw std::runtime_error(strf("load_jobs_csv: %s:%zu: unknown kind "
-                                    "'%s'",
-                                    path.c_str(), line_no,
-                                    fields[1].c_str()));
-    }
-    d.map_count = std::stoul(fields[2]);
-    d.reduce_count = std::stoul(fields[3]);
+    else fail(strf("unknown kind '%s'", fields[1].c_str()));
+    d.map_count = count(fields[2], "maps");
+    d.reduce_count = count(fields[3], "reduces");
     if (d.map_count == 0 || d.reduce_count == 0) {
-      throw std::runtime_error(strf("load_jobs_csv: %s:%zu: counts must "
-                                    "be positive",
-                                    path.c_str(), line_no));
+      fail("counts must be positive");
     }
-    if (fields.size() >= 5) d.weight = std::stod(fields[4]);
-    if (!(d.weight > 0.0)) {
-      throw std::runtime_error(strf("load_jobs_csv: %s:%zu: weight must "
-                                    "be > 0",
-                                    path.c_str(), line_no));
+    if (fields.size() >= 5) {
+      const std::optional<double> weight = parse_finite(fields[4]);
+      if (!weight) {
+        fail(strf("bad numeric value '%s' for weight", fields[4].c_str()));
+      }
+      d.weight = *weight;
     }
-    if (fields.size() >= 6) d.tenant = TenantId(std::stoul(fields[5]));
+    if (!(d.weight > 0.0)) fail("weight must be > 0");
+    if (fields.size() >= 6) d.tenant = TenantId(count(fields[5], "tenant"));
     jobs.push_back(std::move(d));
   }
   if (jobs.empty()) {

@@ -70,9 +70,11 @@ struct WorkloadConfig {
 ///   name,kind,maps,reduces[,weight[,tenant]]
 /// where kind is Wordcount | Terasort | Grep (sets the execution profile),
 /// weight is the fair-share weight (> 0, default 1) and tenant a
-/// non-negative tenant index (default 0). Lines starting with '#' and
-/// blank lines are skipped. Throws std::runtime_error on unreadable files
-/// or malformed rows.
+/// non-negative tenant index (default 0). Fields may be quoted
+/// (CsvReader); lines starting with '#' and blank lines are skipped.
+/// Numbers must fill their field and be finite (parse_count,
+/// parse_finite). Throws std::runtime_error on unreadable files or
+/// malformed rows, naming the row as path:line.
 [[nodiscard]] std::vector<JobDescription> load_jobs_csv(
     const std::string& path);
 

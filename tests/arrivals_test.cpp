@@ -429,6 +429,30 @@ TEST(Arrivals, MalformedNumericReportsPathAndLine) {
   std::filesystem::remove(path);
 }
 
+TEST(Arrivals, NonFiniteTraceNumbersAreRejected) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pnats_arrivals_inf.csv")
+          .string();
+  const std::string header = "time,name,kind,gb,maps,reduces,tenant,weight\n";
+  for (const std::string row : {"inf,a,Grep,1,4,2,0,1\n",
+                                "1.0,b,Grep,nan,4,2,0,1\n",
+                                "1.0,c,Grep,1,4,2,0,inf\n"}) {
+    {
+      std::ofstream out(path);
+      out << header << row;
+    }
+    try {
+      (void)load_arrival_trace(path);
+      ADD_FAILURE() << "accepted " << row;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path + ":2: bad numeric value"), std::string::npos)
+          << what;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(Arrivals, TraceHorizonCutRenumbersJobIds) {
   // Ids are assigned on load (sorted order); the duration filter then
   // drops rows from anywhere in that order, so generate_arrivals must

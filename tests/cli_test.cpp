@@ -142,6 +142,18 @@ TEST(Cli, MalformedInputExitsTwo) {
   }
 }
 
+TEST(Cli, MalformedJobsFileExitsTwoNamingTheRow) {
+  const fs::path file = fs::path(PNATS_CLI_OUT_DIR) / "cli_bad_jobs.csv";
+  std::ofstream(file) << "name,kind,maps,reduces\nok,Grep,4,2\n"
+                         "bad,Grep,-1,2\n";
+  const Exit e = sim({"--jobs-file", file.string(), "--nodes", "12",
+                      "--quiet"});
+  EXPECT_TRUE(e.exited_with(2)) << e.output;
+  EXPECT_NE(e.output.find(file.string() + ":3: bad integer value '-1'"),
+            std::string::npos)
+      << e.output;
+}
+
 TEST(Cli, OutOfRangeNumbersExitTwoNamingTheFlag) {
   // Each value parses but is outside what the run accepts; the first
   // flag of each row is the one the message must name.

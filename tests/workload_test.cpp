@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "mrs/dfs/block_store.hpp"
 #include "mrs/workload/table2.hpp"
@@ -186,6 +188,66 @@ TEST_F(JobsCsvTest, RejectsZeroCounts) {
 TEST_F(JobsCsvTest, RejectsEmptyFile) {
   write("name,kind,maps,reduces\n");
   EXPECT_THROW(load_jobs_csv(path_), std::runtime_error);
+}
+
+/// The message load_jobs_csv throws on the current file, or "".
+std::string jobs_error(const std::string& path) {
+  try {
+    (void)load_jobs_csv(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(JobsCsvTest, RejectsTrailingGarbageInACount) {
+  write("name,kind,maps,reduces\nX,Grep,12abc,1\n");
+  EXPECT_NE(jobs_error(path_).find(":2: bad integer value '12abc' for maps"),
+            std::string::npos)
+      << jobs_error(path_);
+}
+
+TEST_F(JobsCsvTest, RejectsExponentCount) {
+  write("name,kind,maps,reduces\nX,Grep,4,1e9\n");
+  EXPECT_NE(jobs_error(path_).find("bad integer value '1e9' for reduces"),
+            std::string::npos)
+      << jobs_error(path_);
+}
+
+TEST_F(JobsCsvTest, RejectsNegativeCount) {
+  // A negative count must fail here, not wrap to 2^64 - 1 and fail later.
+  write("name,kind,maps,reduces\n# comment\nX,Grep,-1,1\n");
+  EXPECT_NE(jobs_error(path_).find(":3: bad integer value '-1' for maps"),
+            std::string::npos)
+      << jobs_error(path_);
+}
+
+TEST_F(JobsCsvTest, RejectsNonFiniteWeight) {
+  for (const char* weight : {"inf", "nan", "-inf", "1e999"}) {
+    write(std::string("name,kind,maps,reduces,weight\nX,Grep,1,1,") +
+          weight + "\n");
+    EXPECT_NE(jobs_error(path_).find("bad numeric value"), std::string::npos)
+        << weight << ": " << jobs_error(path_);
+  }
+}
+
+TEST_F(JobsCsvTest, QuotedNameKeepsItsComma) {
+  write("name,kind,maps,reduces,weight,tenant\n"
+        "\"sort, then grep\",Grep,3,2,0.5,1\n"
+        "\"two\nlines\",Wordcount,4,1\n"
+        "Y,Grep,x,1\n");
+  EXPECT_NE(jobs_error(path_).find(":5: bad integer value 'x'"),
+            std::string::npos)
+      << jobs_error(path_);
+  write("name,kind,maps,reduces,weight,tenant\n"
+        "\"sort, then grep\",Grep,3,2,0.5,1\n");
+  const auto jobs = load_jobs_csv(path_);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].name, "sort, then grep");
+  EXPECT_EQ(jobs[0].map_count, 3u);
+  EXPECT_EQ(jobs[0].reduce_count, 2u);
+  EXPECT_DOUBLE_EQ(jobs[0].weight, 0.5);
+  EXPECT_EQ(jobs[0].tenant, TenantId(1));
 }
 
 TEST_F(JobsCsvTest, MissingFileThrows) {
