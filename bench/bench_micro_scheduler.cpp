@@ -185,12 +185,15 @@ BENCHMARK(BM_ReduceCostEvaluator);
 // already placed, and p_min above 1 - 1/e so every remote offer is scored
 // and skipped. Each heartbeat is then one full Algorithm 1 scan (~800
 // candidates x 60 free nodes) with zero state drift, isolating C_ave:
-// Arg(0) = naive rescans, Arg(1) = incremental row sums + slot index.
+// Arg(0) = naive rescans (pairwise hops over N_m), Arg(1) = closed-form
+// hop sums from the N_m counts + slot index. Every candidate here has the
+// same hop counts, so both paths compute P once per scan and reuse it
+// (PnaScheduler reuses P while a candidate repeats the previous costs).
 // items_per_second == heartbeats/sec (the number docs/perf.md records).
 struct SaturatedCluster {
   /// `hetero` swaps in a fast/slow split cluster (per-node slot counts and
   /// speeds) and blends the compute term into the PNA cost (cost_mix 0.5)
-  /// — the incremental row sums stay exact, so the same gate applies.
+  /// — the closed-form hop sums stay exact, so the same gate applies.
   /// `traced` installs the causal tracer (span recorder + decision log)
   /// before start, so the heartbeat path pays the full record cost: the
   /// worst case for tracing since every skipped offer emits a record.

@@ -56,8 +56,12 @@ void Cluster::init_nodes(std::span<const NodeConfig> per_node, Rng& rng) {
   // Every node starts alive with all slots free.
   free_map_index_.reserve(nodes_.size());
   free_reduce_index_.reserve(nodes_.size());
+  free_map_by_coord_.assign(topo_->coord_count(), 0);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     free_map_index_.push_back(NodeId(i));
+    for (const std::uint32_t c : topo_->coords_of(NodeId(i))) {
+      if (c != net::kNoCoord) ++free_map_by_coord_[c];
+    }
     if (nodes_[i].reduce_slots > 0) free_reduce_index_.push_back(NodeId(i));
   }
 }
@@ -94,17 +98,10 @@ void Cluster::note_map_toggle(NodeId id, bool now_free) {
   } else {
     index_erase(free_map_index_, id);
   }
-  ++free_map_version_;
-  if (map_journal_.size() >= kJournalCap) {
-    // Drop the older half; consumers lagging past the retained window
-    // rebuild from the full set (free_map_toggles_since returns nullopt).
-    const std::size_t drop = map_journal_.size() / 2;
-    map_journal_.erase(map_journal_.begin(),
-                       map_journal_.begin() +
-                           static_cast<std::ptrdiff_t>(drop));
-    map_journal_base_ += drop;
+  for (const std::uint32_t c : topo_->coords_of(id)) {
+    if (c == net::kNoCoord) continue;
+    now_free ? ++free_map_by_coord_[c] : --free_map_by_coord_[c];
   }
-  map_journal_.push_back({id, now_free});
 }
 
 void Cluster::note_reduce_toggle(NodeId id, bool now_free) {
@@ -210,15 +207,6 @@ const std::vector<NodeId>& Cluster::nodes_with_free_reduce_slots() const {
     return scan_cache_;
   }
   return free_reduce_index_;
-}
-
-std::optional<std::span<const SlotToggle>> Cluster::free_map_toggles_since(
-    std::uint64_t since) const {
-  MRS_REQUIRE(since <= free_map_version_);
-  if (since < map_journal_base_) return std::nullopt;  // window lost
-  const std::size_t first = since - map_journal_base_;
-  return std::span<const SlotToggle>(map_journal_.data() + first,
-                                     map_journal_.size() - first);
 }
 
 }  // namespace mrs::cluster

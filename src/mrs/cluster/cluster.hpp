@@ -10,15 +10,14 @@
 // incrementally: membership only changes on a node's 0 <-> 1-free-slots
 // transition (at most one node per assign/finish), so the sorted index
 // vectors are patched in place and `nodes_with_free_*_slots()` returns a
-// cached reference instead of scanning and allocating per heartbeat. A
-// monotonic version counter plus a bounded toggle journal lets consumers
-// (the per-job C_ave row-sum cache) patch their own aggregates by
-// +/- distance(task, toggled node) instead of rescanning the set.
+// cached reference instead of scanning and allocating per heartbeat. The
+// same toggles patch per-pod, per-rack and per-host counts of the N_m set,
+// from which free_map_hops() sums hop counts over N_m in closed form
+// (PNA's C_ave numerator, Eq. 4) without visiting its nodes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,14 +68,6 @@ struct NodeState {
   }
 };
 
-/// One free-set membership change: `node` entered (now_free) or left the
-/// free-slot set. Journal entry i after version v corresponds to the
-/// transition from version v + i to v + i + 1.
-struct SlotToggle {
-  NodeId node;
-  bool now_free = false;
-};
-
 class Cluster {
  public:
   /// Builds one NodeState per topology host. `rng` drives the speed-factor
@@ -122,18 +113,24 @@ class Cluster {
   [[nodiscard]] const std::vector<NodeId>& nodes_with_free_reduce_slots()
       const;
 
-  /// Monotonic version of the free-map set; bumped on every membership
-  /// change. Consumers cache aggregates keyed by this.
-  [[nodiscard]] std::uint64_t free_map_version() const {
-    return free_map_version_;
+  /// Nodes of N_m that have topology coordinate `coord`
+  /// (Topology::coords_of, not kNoCoord): those in a pod or rack, or 0/1
+  /// for a host.
+  [[nodiscard]] std::size_t free_map_nodes_at(std::uint32_t coord) const {
+    return free_map_by_coord_.at(coord);
   }
 
-  /// Membership toggles of the free-map set from version `since`
-  /// (exclusive) to the current version, oldest first. nullopt when
-  /// `since` predates the retained journal window — the consumer must
-  /// rebuild from the full set.
-  [[nodiscard]] std::optional<std::span<const SlotToggle>>
-  free_map_toggles_since(std::uint64_t since) const;
+  /// Sum over N_m of Topology::nearest_hops to a host set with distinct
+  /// coordinates `set` (Topology::append_set_coords), from the counts
+  /// above: max_hops |N_m| - 2 * (sum over the set's pods of their N_m
+  /// nodes + the same over its racks + |set & N_m|). An exact integer,
+  /// equal to the pairwise sum of min hops.
+  [[nodiscard]] std::size_t free_map_hops(
+      std::span<const std::uint32_t> set) const {
+    std::size_t shared = 0;
+    for (const std::uint32_t c : set) shared += free_map_by_coord_[c];
+    return topo_->max_hops() * free_map_index_.size() - 2 * shared;
+  }
 
   /// Equivalence/debug mode: recompute the free lists by a full O(nodes)
   /// scan on every call (the pre-index behavior) instead of returning the
@@ -187,16 +184,11 @@ class Cluster {
   std::size_t busy_reduce_total_ = 0;
 
   // Incremental free-slot index (sorted ascending, matching the scan
-  // order of the naive implementation); the map side also keeps a
-  // version and a toggle journal for PNA's incremental row sums.
+  // order of the naive implementation); the map side also counts its
+  // members per pod, rack and host coordinate for free_map_hops().
   std::vector<NodeId> free_map_index_;
   std::vector<NodeId> free_reduce_index_;
-  std::uint64_t free_map_version_ = 0;
-  // map_journal_[i] is the toggle from version map_journal_base_ + i to
-  // map_journal_base_ + i + 1; trimmed when it outgrows kJournalCap.
-  static constexpr std::size_t kJournalCap = 4096;
-  std::vector<SlotToggle> map_journal_;
-  std::uint64_t map_journal_base_ = 0;
+  std::vector<std::size_t> free_map_by_coord_;
 
   bool naive_free_scan_ = false;
   mutable std::vector<NodeId> scan_cache_;  ///< naive-mode scratch

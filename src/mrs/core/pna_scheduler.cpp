@@ -1,6 +1,9 @@
 #include "mrs/core/pna_scheduler.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <span>
 
 #include "mrs/mapreduce/job_policy.hpp"
 
@@ -70,20 +73,20 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
   }
 
   // Full Algorithm 1: score every unassigned candidate.
-  const std::vector<NodeId>& n_m =
-      engine.cluster().nodes_with_free_map_slots();
+  const cluster::Cluster& clstr = engine.cluster();
+  const net::Topology& topo = engine.topology();
+  const std::vector<NodeId>& n_m = clstr.nodes_with_free_map_slots();
   MRS_ASSERT(!n_m.empty());  // `node` itself has a free map slot
+  const net::Coords here = topo.coords_of(node);
 
   Best best{.task = job.map_count()};
-  // Costs come from the job's static replica-distance cache. B_j scales
-  // cost and average identically, so it cancels out of the ratio
-  // C_ave / C_ij — work with raw distances.
-  // Fast C_ave: the per-task row sum over N_m is maintained incrementally
-  // (patched by +/- distance on free-set toggles). Only provably exact —
-  // and therefore only enabled — for integral static distances, where the
-  // patched double sum is bit-identical to the naive rescan below.
-  const bool incremental =
-      cfg_.incremental_scoring && job.static_costs_integral();
+  // Costs are hop counts to the nearest replica, from the job's replica
+  // coordinates. B_j scales cost and average identically, so it cancels
+  // out of the ratio C_ave / C_ij — work with raw hop counts. Fast C_ave:
+  // the cluster's per-pod, per-rack and per-host counts of N_m give the
+  // hop sum over N_m in closed form, an exact integer equal to the
+  // pairwise loop below.
+  const bool incremental = cfg_.incremental_scoring;
   // Combined cost mode: per-node compute speeds enter both sides of the
   // ratio. The inverse-speed sum over N_m depends only on the free set,
   // so it is computed once per decision.
@@ -91,25 +94,37 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
   double inv_speed_sum = 0.0;
   double node_speed = 1.0;
   if (mix > 0.0) {
-    for (NodeId k : n_m) {
-      inv_speed_sum += 1.0 / engine.cluster().node(k).speed_factor;
-    }
-    node_speed = engine.cluster().node(node).speed_factor;
+    for (NodeId k : n_m) inv_speed_sum += 1.0 / clstr.node(k).speed_factor;
+    node_speed = clstr.node(node).speed_factor;
   }
   {
     telemetry::ScopedTimer score_timer(metrics_.score_wall);
-    if (incremental) job.sync_free_map_sums(engine.cluster());
+    // P depends on C_ij and C_sum alone, and hop counts take few values,
+    // so a candidate often repeats the previous one's costs: P is then
+    // the same computation on the same inputs, and is reused.
+    double last_c = -1.0;
+    double last_sum = -1.0;
+    double last_ave = 0.0;
+    double last_p = 0.0;
     for (std::size_t j = 0; j < job.map_count(); ++j) {
       if (job.map_state(j).phase != mapreduce::MapPhase::kUnassigned) {
         continue;
       }
       ++best.candidates;
-      double c_ij = job.static_min_distance(j, node);             // Line 4
-      double c_sum = 0.0;                                         // Line 6
+      const std::span<const std::uint32_t> coords = job.replica_coords(j);
+      double c_ij =
+          static_cast<double>(topo.nearest_hops(here, coords));  // Line 4
+      double c_sum = 0.0;                                        // Line 6
       if (incremental) {
-        c_sum = job.static_free_map_sum(j);
+        c_sum = static_cast<double>(clstr.free_map_hops(coords));
       } else {
-        for (NodeId k : n_m) c_sum += job.static_min_distance(j, k);
+        for (NodeId k : n_m) {
+          std::size_t h = std::numeric_limits<std::size_t>::max();
+          for (NodeId l : engine.map_replicas(job, j)) {
+            h = std::min(h, topo.hops(k, l));
+          }
+          c_sum += static_cast<double>(h);
+        }
       }
       if (mix > 0.0) {
         // Blend into estimated seconds. The distance terms above are
@@ -124,12 +139,16 @@ void PnaScheduler::offer_map(Engine& engine, NodeId node) {
         c_sum = (1.0 - mix) * net_scale * c_sum +
                 mix * comp_scale * inv_speed_sum;
       }
-      const double c_ave = c_sum / static_cast<double>(n_m.size());
-      const double p = assignment_probability(c_ij, c_ave, cfg_.model);
-      if (p > best.p) {
-        best.p = p;
+      if (c_ij != last_c || c_sum != last_sum) {
+        last_c = c_ij;
+        last_sum = c_sum;
+        last_ave = c_sum / static_cast<double>(n_m.size());
+        last_p = assignment_probability(c_ij, last_ave, cfg_.model);
+      }
+      if (last_p > best.p) {
+        best.p = last_p;
         best.c = c_ij;
-        best.c_ave = c_ave;
+        best.c_ave = last_ave;
         best.task = j;
       }
     }

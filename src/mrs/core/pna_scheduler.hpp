@@ -38,12 +38,12 @@ struct PnaConfig {
   /// path is disabled when alpha > 0 (a local task on a slow node is no
   /// longer free).
   double cost_mix = 0.0;
-  /// Use the incremental C_ave fast path (per-job row sums over the
-  /// cluster's free-slot index, patched on membership toggles) when the
-  /// job's static costs are integral — decision-identical to the naive
-  /// full scan (integer sums in double are exact). Off = recompute the
-  /// Eq. 4 average by scanning every free node per candidate task (the
-  /// naive path the equivalence tests compare against).
+  /// Use the closed-form C_ave numerator (Cluster::free_map_hops: the hop
+  /// sum over N_m from the cluster's per-pod, per-rack and per-host
+  /// free-map counts, O(replication) per candidate) — decision-identical
+  /// to the naive scan, since both are exact integer sums. Off = sum
+  /// every free node's nearest-replica hops per candidate task (the naive
+  /// path the equivalence tests compare against).
   bool incremental_scoring = true;
 };
 

@@ -132,23 +132,12 @@ JobRun& Engine::submit(JobSpec spec, Rng rng) {
   JobRun& job = *jobs_.back();
 
   // Build the per-node/per-rack locality index (schedulers find local
-  // candidates in O(1)) and the per-(task, node) minimum replica hop
-  // distance cache behind map_cost().
-  auto replica_nodes =
-      [this, &job](std::size_t j) -> const std::vector<NodeId>& {
-    return blocks_->replicas(job.spec().map_tasks[j].block);
-  };
+  // candidates in O(1)) and the replica coordinates behind map_hops().
   job.build_placement_index(
-      replica_nodes, [this](NodeId n) { return topology().rack_of(n); },
-      topology().rack_count());
-  job.build_static_costs(
-      cluster_->node_count(), replica_nodes, [this](NodeId a, NodeId b) {
-        return static_cast<double>(topology().hops(a, b));
-      });
-
-  job_task_bytes_.push_back(
-      {std::vector<Bytes>(job.map_count(), 0.0),
-       std::vector<Bytes>(job.reduce_count(), 0.0)});
+      [this, &job](std::size_t j) -> const std::vector<NodeId>& {
+        return map_replicas(job, j);
+      },
+      topology());
   if (first_submit_ < 0.0 || job.submit_time < first_submit_) {
     first_submit_ = job.submit_time;
   }
@@ -296,20 +285,20 @@ void Engine::on_heartbeat(NodeId node) {
 }
 
 double Engine::map_cost(const JobRun& job, std::size_t j, NodeId node) const {
-  MRS_REQUIRE(job.has_static_costs());
   return job.spec().map_tasks.at(j).input_size *
-         job.static_min_distance(j, node);
+         static_cast<double>(map_hops(job, j, node));
 }
 
 Locality Engine::map_locality(const JobRun& job, std::size_t j,
                               NodeId node) const {
-  const MapTaskSpec& spec = job.spec().map_tasks.at(j);
-  bool rack_local = false;
-  for (NodeId replica : blocks_->replicas(spec.block)) {
-    if (replica == node) return Locality::kNodeLocal;
-    if (topology().same_rack(replica, node)) rack_local = true;
+  switch (map_hops(job, j, node)) {
+    case 0:
+      return Locality::kNodeLocal;
+    case 2:
+      return Locality::kRackLocal;
+    default:
+      return Locality::kRemote;
   }
-  return rack_local ? Locality::kRackLocal : Locality::kRemote;
 }
 
 Locality Engine::reduce_locality(const JobRun& job, NodeId node) const {
@@ -446,7 +435,7 @@ void Engine::map_attempt_ready(JobRun& job, std::size_t j, bool backup) {
     finish_map(job, j, backup);
   };
   if (remote) {
-    job_task_bytes_[job.id().value()].map_in[j] += spec.input_size;
+    s.network_bytes += spec.input_size;
     a.fetch_flow =
         network_->transfer(src, a.node, spec.input_size, std::move(finish),
                            /*rate_cap=*/spec.input_size / duration);
@@ -718,7 +707,7 @@ void Engine::pump_reduce_fetchers(JobRun& job, std::size_t f) {
       r.inflight_copies.push_back(
           simulation_->schedule_in(t, std::move(on_done)));
     } else {
-      job_task_bytes_[job.id().value()].reduce_in[f] += bytes;
+      r.network_bytes += bytes;
       r.inflight_flows.push_back(network_->transfer(
           NodeId(src), r.node, bytes, std::move(on_done)));
     }
@@ -1048,8 +1037,6 @@ void Engine::record_task(const JobRun& job, bool is_map, std::size_t index) {
   rec.kind = job.spec().kind;
   rec.is_map = is_map;
   rec.index = index;
-  const TaskBytes& bytes = job_task_bytes_[job.id().value()];
-  rec.network_bytes = (is_map ? bytes.map_in : bytes.reduce_in)[index];
   const auto fill = [&rec](const auto& state) {
     rec.node = state.node;
     rec.locality = state.locality;
@@ -1057,6 +1044,7 @@ void Engine::record_task(const JobRun& job, bool is_map, std::size_t index) {
     rec.finished_at = state.finished_at;
     rec.placement_cost = state.placement_cost;
     rec.attempts = state.attempts;
+    rec.network_bytes = state.network_bytes;
   };
   is_map ? fill(job.map_state(index)) : fill(job.reduce_state(index));
   task_records_.push_back(rec);

@@ -182,14 +182,27 @@ class Engine {
            job.map_count() == 0;
   }
 
+  /// Replica holders of map `j`'s input block (distinct hosts).
+  [[nodiscard]] const std::vector<NodeId>& map_replicas(const JobRun& job,
+                                                        std::size_t j) const {
+    return blocks_->replicas(job.spec().map_tasks[j].block);
+  }
+
+  /// Hops from `node` to the nearest replica of map `j`'s block, from
+  /// host coordinates (Topology::nearest_hops).
+  [[nodiscard]] std::size_t map_hops(const JobRun& job, std::size_t j,
+                                     NodeId node) const {
+    return topology().nearest_hops(topology().coords_of(node),
+                                   job.replica_coords(j));
+  }
+
   /// Transmission cost of placing map `j` of `job` on `node` (Eq. 1):
-  /// B_j * min over replica holders l of h_{node,l}, with h the topology's
-  /// hop counts (replica distances are topological; the per-job static
-  /// cost cache built at submit holds them).
+  /// B_j * map_hops(job, j, node) (replica distances are topological).
   [[nodiscard]] double map_cost(const JobRun& job, std::size_t j,
                                 NodeId node) const;
 
-  /// Locality class `node` would have for map `j` of `job`.
+  /// Locality class `node` would have for map `j` of `job`, from the same
+  /// nearest-replica hop count: 0 node-local, 2 rack-local, else remote.
   [[nodiscard]] Locality map_locality(const JobRun& job, std::size_t j,
                                       NodeId node) const;
 
@@ -352,14 +365,6 @@ class Engine {
 
   std::vector<TaskRecord> task_records_;
   std::vector<JobRecord> job_records_;
-
-  // Per-task realized network byte counters (map fetch + shuffle in).
-  // Keyed like the job's task arrays; allocated at activation.
-  struct TaskBytes {
-    std::vector<Bytes> map_in;
-    std::vector<Bytes> reduce_in;
-  };
-  std::vector<TaskBytes> job_task_bytes_;  ///< indexed by JobId
 
   // Per-heartbeat assignment budgets (reset on every heartbeat).
   std::size_t heartbeat_map_budget_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace mrs::mapreduce {
 
@@ -121,20 +120,22 @@ std::vector<std::size_t> JobRun::unassigned_reduces() const {
 void JobRun::build_placement_index(
     const std::function<const std::vector<NodeId>&(std::size_t)>&
         replica_nodes,
-    const std::function<RackId(NodeId)>& rack_of, std::size_t rack_count) {
+    const net::Topology& topo) {
   MRS_REQUIRE(local_tasks_by_node_.empty());  // build once
   const std::size_t nodes = node_count_;
+  MRS_REQUIRE(topo.host_count() == nodes);
   local_tasks_by_node_.resize(nodes);
-  local_tasks_by_rack_.resize(std::max<std::size_t>(rack_count, 1));
+  local_tasks_by_rack_.resize(std::max<std::size_t>(topo.rack_count(), 1));
+  replica_coords_begin_.push_back(0);
   for (std::size_t j = 0; j < maps_.size(); ++j) {
-    for (NodeId replica : replica_nodes(j)) {
+    const std::vector<NodeId>& replicas = replica_nodes(j);
+    for (NodeId replica : replicas) {
       MRS_REQUIRE(replica.value() < nodes);
       local_tasks_by_node_[replica.value()].push_back(j);
-      const RackId rack = rack_of(replica);
-      if (rack.valid()) {
-        local_tasks_by_rack_[rack.value()].push_back(j);
-      }
+      local_tasks_by_rack_[topo.rack_of(replica).value()].push_back(j);
     }
+    topo.append_set_coords(replicas, replica_coords_);
+    replica_coords_begin_.push_back(replica_coords_.size());
   }
   // A task with two same-rack replicas appears twice in its rack list;
   // harmless (the cursor skips assigned tasks), but de-duplicate anyway to
@@ -185,78 +186,6 @@ MapPick JobRun::next_map_for(NodeId node, RackId rack) {
   task = next_rack_map(rack);
   if (task < maps_.size()) return {task, 1};
   return {next_any_map(), 2};
-}
-
-void JobRun::build_static_costs(
-    std::size_t node_count,
-    const std::function<const std::vector<NodeId>&(std::size_t)>&
-        replica_nodes,
-    const std::function<double(NodeId, NodeId)>& dist) {
-  static_nodes_ = node_count;
-  static_min_dist_.assign(maps_.size() * node_count, 0.0);
-  free_map_sum_valid_ = false;
-  static_costs_integral_ = true;
-  // Exactness bound for the incremental row sums: with every distance an
-  // integer <= 2^20 and <= 2^30 summed terms, partial sums stay below
-  // 2^50 < 2^53 and double arithmetic on them is exact.
-  constexpr double kMaxExactDistance = 1048576.0;  // 2^20
-  for (std::size_t j = 0; j < maps_.size(); ++j) {
-    const std::vector<NodeId>& replicas = replica_nodes(j);
-    MRS_REQUIRE(!replicas.empty());
-    for (std::size_t k = 0; k < node_count; ++k) {
-      double best = std::numeric_limits<double>::max();
-      for (NodeId l : replicas) {
-        best = std::min(best, dist(NodeId(k), l));
-      }
-      static_min_dist_[j * node_count + k] = best;
-      if (best != std::floor(best) || best < 0.0 ||
-          best > kMaxExactDistance) {
-        static_costs_integral_ = false;
-      }
-    }
-  }
-}
-
-void JobRun::sync_free_map_sums(const cluster::Cluster& cluster) {
-  MRS_REQUIRE(has_static_costs());
-  const std::uint64_t version = cluster.free_map_version();
-  if (free_map_sum_valid_ && version == free_map_sum_version_) return;
-
-  const std::vector<NodeId>& free_nodes =
-      cluster.nodes_with_free_map_slots();
-  const std::size_t m = maps_.size();
-  bool patched = false;
-  if (free_map_sum_valid_) {
-    const auto toggles = cluster.free_map_toggles_since(free_map_sum_version_);
-    // Replaying beats rebuilding only while there are fewer toggles than
-    // nodes in the set (each costs one O(m) column pass either way).
-    if (toggles.has_value() && toggles->size() < free_nodes.size()) {
-      for (const cluster::SlotToggle& t : *toggles) {
-        const double* col = static_min_dist_.data() + t.node.value();
-        if (t.now_free) {
-          for (std::size_t j = 0; j < m; ++j) {
-            free_map_sum_[j] += col[j * static_nodes_];
-          }
-        } else {
-          for (std::size_t j = 0; j < m; ++j) {
-            free_map_sum_[j] -= col[j * static_nodes_];
-          }
-        }
-      }
-      patched = true;
-    }
-  }
-  if (!patched) {
-    free_map_sum_.assign(m, 0.0);
-    for (NodeId k : free_nodes) {
-      const double* col = static_min_dist_.data() + k.value();
-      for (std::size_t j = 0; j < m; ++j) {
-        free_map_sum_[j] += col[j * static_nodes_];
-      }
-    }
-  }
-  free_map_sum_version_ = version;
-  free_map_sum_valid_ = true;
 }
 
 void JobRun::rewind_placement_cursors() {

@@ -10,16 +10,18 @@
 // carry.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
-#include "mrs/cluster/cluster.hpp"
 #include "mrs/common/check.hpp"
 #include "mrs/common/ids.hpp"
 #include "mrs/common/rng.hpp"
 #include "mrs/common/stats.hpp"
 #include "mrs/common/units.hpp"
 #include "mrs/mapreduce/job.hpp"
+#include "mrs/net/topology.hpp"
 #include "mrs/sim/simulation.hpp"
 
 namespace mrs::mapreduce {
@@ -76,6 +78,8 @@ struct MapTaskState : MapAttempt {
   double placement_cost = 0.0;
   /// Attempts started so far (>= 2 after a failure re-run or speculation).
   std::size_t attempts = 0;
+  /// Input bytes fetched over the network, summed over every attempt.
+  Bytes network_bytes = 0.0;
   /// Attempts killed by the transfer stall watchdog (cumulative across
   /// retries; drives the backoff exponent).
   std::size_t stall_retries = 0;
@@ -106,6 +110,9 @@ struct ReduceTaskState {
   std::size_t postpone_count = 0;
   /// Attempts started so far (> 1 after a node failure re-run).
   std::size_t attempts = 0;
+  /// Shuffle bytes fetched over the network, summed over every attempt
+  /// and re-fetch.
+  Bytes network_bytes = 0.0;
   /// Attempts killed by the shuffle stall watchdog (cumulative).
   std::size_t stall_retries = 0;
   /// Bumped whenever the attempt is killed; in-flight fetch callbacks
@@ -216,12 +223,23 @@ class JobRun {
 
   // --- placement index (built by the engine at submit) ---
   /// Build per-node / per-rack lists of map tasks with a local replica, so
-  /// schedulers find locality candidates without scanning every task.
-  /// `replica_nodes(j)` must return the replica holders of map j's block.
+  /// schedulers find locality candidates without scanning every task, and
+  /// each map's replica coordinates. `replica_nodes(j)` must return the
+  /// replica holders of map j's block (distinct hosts of `topo`).
   void build_placement_index(
       const std::function<const std::vector<NodeId>&(std::size_t)>&
           replica_nodes,
-      const std::function<RackId(NodeId)>& rack_of, std::size_t rack_count);
+      const net::Topology& topo);
+
+  /// The distinct pod, rack and host coordinates of map j's replicas
+  /// (Topology::append_set_coords): O(replication) per map, enough for
+  /// its nearest-replica hop count from any node (net::nearest_hops) and
+  /// over the free map nodes (Cluster::free_map_hops).
+  [[nodiscard]] std::span<const std::uint32_t> replica_coords(
+      std::size_t j) const {
+    return {replica_coords_.data() + replica_coords_begin_[j],
+            replica_coords_begin_[j + 1] - replica_coords_begin_[j]};
+  }
 
   /// First unassigned map with a replica on `node` (amortised O(1)), or
   /// map_count() when none.
@@ -234,44 +252,6 @@ class JobRun {
   /// 0), else local to its `rack` (rank 1), else any (rank 2). `task` is
   /// map_count() when no map is unassigned.
   [[nodiscard]] MapPick next_map_for(NodeId node, RackId rack);
-
-  // --- static placement-cost cache (built by the engine at submit from
-  //     topology hop counts) ---
-  /// min_distance(j, k) = min over replica holders l of h_kl; `dist` is
-  /// evaluated once per (task, node) pair at build time. A later call
-  /// replaces the cache (tests install a custom distance matrix this way).
-  void build_static_costs(
-      std::size_t node_count,
-      const std::function<const std::vector<NodeId>&(std::size_t)>&
-          replica_nodes,
-      const std::function<double(NodeId, NodeId)>& dist);
-  [[nodiscard]] bool has_static_costs() const {
-    return !static_min_dist_.empty();
-  }
-  /// Requires has_static_costs().
-  [[nodiscard]] double static_min_distance(std::size_t j, NodeId k) const {
-    return static_min_dist_[j * static_nodes_ + k.value()];
-  }
-  /// True when every static distance is a small integer (hop counts, the
-  /// default). Integer sums in double are exact, so the incremental
-  /// +/- patching below is bit-identical to a fresh scan — the provable-
-  /// equivalence precondition for the fast C_ave path.
-  [[nodiscard]] bool static_costs_integral() const {
-    return static_costs_integral_;
-  }
-
-  // --- incremental C_ave row sums (Algorithm 1 fast path) ---
-  /// Bring the per-task row sums over the cluster's free-map-slot set up
-  /// to the cluster's current free-map version: replay the toggle journal
-  /// (+/- static_min_distance(task, toggled node) per task), or rebuild
-  /// from the full set when the journal window was lost or replay would
-  /// cost more than a rebuild. Requires has_static_costs().
-  void sync_free_map_sums(const cluster::Cluster& cluster);
-  /// Sum of static_min_distance(j, k) over the free-map-slot set as of the
-  /// last sync — the C_ave numerator of Eq. 4 in O(1).
-  [[nodiscard]] double static_free_map_sum(std::size_t j) const {
-    return free_map_sum_[j];
-  }
 
   // --- lifecycle bookkeeping (engine use) ---
   void note_map_assigned() { --maps_unassigned_; }
@@ -334,17 +314,10 @@ class JobRun {
   std::vector<std::vector<std::size_t>> local_tasks_by_rack_;
   std::vector<std::size_t> rack_cursor_;
   std::size_t any_cursor_ = 0;
-  // Static min-replica-distance cache [task][node].
-  std::vector<double> static_min_dist_;
-  std::size_t static_nodes_ = 0;
-  bool static_costs_integral_ = false;
-  // Per-task row sums over the free-map-slot set, valid at version
-  // free_map_sum_version_ of the owning cluster's free-map set. Kept for
-  // every task (assigned ones included) — simpler and patching is O(1)
-  // per (toggle, task) either way.
-  std::vector<double> free_map_sum_;
-  std::uint64_t free_map_sum_version_ = 0;
-  bool free_map_sum_valid_ = false;
+  // Map j's replica coordinates are replica_coords_[replica_coords_begin_
+  // [j], replica_coords_begin_[j + 1]).
+  std::vector<std::uint32_t> replica_coords_;
+  std::vector<std::size_t> replica_coords_begin_;
   std::vector<Bytes> intermediate_;      ///< I matrix, row-major [map][reduce]
   std::vector<Bytes> map_output_total_;  ///< row sums of I
   std::size_t maps_unassigned_ = 0;

@@ -1,5 +1,7 @@
 #include "mrs/net/topology.hpp"
 
+#include <algorithm>
+
 #include "mrs/common/rng.hpp"
 
 namespace mrs::net {
@@ -40,6 +42,21 @@ Route Topology::path(NodeId src, NodeId dst) const {
   return route;
 }
 
+void Topology::append_set_coords(std::span<const NodeId> set,
+                                 std::vector<std::uint32_t>& out) const {
+  MRS_REQUIRE(!set.empty());
+  const std::size_t first = out.size();
+  for (const NodeId n : set) {
+    for (const std::uint32_t c : coords_of(n)) {
+      if (c != kNoCoord &&
+          std::find(out.begin() + static_cast<std::ptrdiff_t>(first),
+                    out.end(), c) == out.end()) {
+        out.push_back(c);
+      }
+    }
+  }
+}
+
 void Topology::scale_host_link_capacities(
     std::span<const double> per_host_scale) {
   MRS_REQUIRE(per_host_scale.size() == places_.size());
@@ -60,6 +77,7 @@ class TopologyBuilder {
     topo_.rack_count_ = racks;
     topo_.half_ = half;
     topo_.rack_links_ = rack_links;
+    topo_.max_hops_ = 2 + (racks > 1 ? 2 : 0) + (half > 0 ? 2 : 0);
   }
 
   /// Adds a switch and returns its vertex index.

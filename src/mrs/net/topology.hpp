@@ -85,6 +85,11 @@ class Route {
   std::size_t size_ = 0;
 };
 
+/// A host's pod, rack and host coordinates (Topology::coords_of);
+/// kNoCoord stands for a level that does not split the hosts.
+using Coords = std::array<std::uint32_t, 3>;
+inline constexpr std::uint32_t kNoCoord = 0xffffffffu;
+
 /// Immutable network graph, built by the factory functions below.
 class Topology {
  public:
@@ -147,6 +152,46 @@ class Topology {
     return a.pod == b.pod ? 4 : 6;
   }
 
+  /// Most hops between two hosts: 6 on a fat-tree, 4 on a multi-rack
+  /// tree, 2 in a single rack.
+  [[nodiscard]] std::size_t max_hops() const { return max_hops_; }
+  /// Coordinates number every pod, rack and host once: pods first, then
+  /// racks, then hosts (coord_count() in all). A host has one per level
+  /// that splits the hosts: its pod's, its rack's and its own. The pod of
+  /// a tree and the rack of a single rack, which every host shares, are
+  /// kNoCoord. Then hops(a, b) = max_hops() - 2 * (number of coordinates
+  /// a and b share), since the matches nest (same host => same rack =>
+  /// same pod).
+  [[nodiscard]] std::size_t coord_count() const {
+    return pod_count() + rack_count_ + host_count();
+  }
+  [[nodiscard]] Coords coords_of(NodeId n) const {
+    const Place& p = place(n);
+    const auto racks_at = static_cast<std::uint32_t>(pod_count());
+    const auto hosts_at = racks_at + static_cast<std::uint32_t>(rack_count_);
+    return {pod_count() > 1 ? p.pod : kNoCoord,
+            rack_count_ > 1 ? racks_at + p.rack : kNoCoord,
+            hosts_at + static_cast<std::uint32_t>(n.value())};
+  }
+  /// Hops from a host with coordinates `v` to the nearest host of a set
+  /// whose distinct coordinates are `set` (append_set_coords):
+  /// max_hops() - 2([pod(v) in pods(set)] + [rack(v) in racks(set)] +
+  /// [v in set]), the minimum of hops(v, s) over the set.
+  [[nodiscard]] std::size_t nearest_hops(
+      const Coords& v, std::span<const std::uint32_t> set) const {
+    std::size_t shared = 0;
+    for (const std::uint32_t c : set) {
+      shared += static_cast<std::size_t>((c == v[0]) | (c == v[1]) |
+                                         (c == v[2]));
+    }
+    return max_hops_ - 2 * shared;
+  }
+  /// Append the distinct coordinates of the hosts in `set` (a block's
+  /// replicas) to `out`: one per pod, rack and host of the set, less
+  /// kNoCoord.
+  void append_set_coords(std::span<const NodeId> set,
+                         std::vector<std::uint32_t>& out) const;
+
   /// Scale each host's access-link capacity by `per_host_scale[host]`
   /// (heterogeneous NIC generations; hetero::NodeClassProfile supplies
   /// the factors). Routing is hop-based and unaffected; call before any
@@ -179,6 +224,7 @@ class Topology {
   // a tree, the links each rack owns (its uplink, then one per host).
   std::size_t half_ = 0;
   std::size_t rack_links_ = 0;
+  std::size_t max_hops_ = 0;
 };
 
 /// Parameters for the standard data-center tree shapes.

@@ -108,56 +108,66 @@ TEST(Cluster, FreeSlotIndexMatchesNaiveScan) {
   EXPECT_EQ(fast.busy_map_slots(), 1u);
 }
 
-TEST(Cluster, FreeSlotVersionAndJournal) {
-  const auto topo = net::make_single_rack(4);
-  NodeConfig cfg;
-  cfg.map_slots = 1;
-  cfg.reduce_slots = 1;
-  Cluster c(&topo, cfg, Rng(1));
-
-  const std::uint64_t v0 = c.free_map_version();
-  c.occupy_map_slot(NodeId(2));  // leaves the set
-  c.occupy_map_slot(NodeId(0));  // leaves the set
-  c.release_map_slot(NodeId(2));  // re-enters
-  EXPECT_EQ(c.free_map_version(), v0 + 3);
-
-  const auto toggles = c.free_map_toggles_since(v0);
-  ASSERT_TRUE(toggles.has_value());
-  ASSERT_EQ(toggles->size(), 3u);
-  EXPECT_EQ((*toggles)[0].node, NodeId(2));
-  EXPECT_FALSE((*toggles)[0].now_free);
-  EXPECT_EQ((*toggles)[1].node, NodeId(0));
-  EXPECT_FALSE((*toggles)[1].now_free);
-  EXPECT_EQ((*toggles)[2].node, NodeId(2));
-  EXPECT_TRUE((*toggles)[2].now_free);
-
-  // A suffix query sees only the newer toggles; a current query is empty.
-  const auto tail = c.free_map_toggles_since(v0 + 2);
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(tail->size(), 1u);
-  const auto none = c.free_map_toggles_since(c.free_map_version());
-  ASSERT_TRUE(none.has_value());
-  EXPECT_TRUE(none->empty());
-}
-
-TEST(Cluster, JournalTrimForcesRebuild) {
-  const auto topo = net::make_single_rack(2);
-  NodeConfig cfg;
-  cfg.map_slots = 1;
-  Cluster c(&topo, cfg, Rng(1));
-  // Push far past the journal capacity; a query anchored at version 0
-  // must then report the window as lost (nullopt -> consumer rebuilds).
-  for (int i = 0; i < 5000; ++i) {
-    c.occupy_map_slot(NodeId(0));
-    c.release_map_slot(NodeId(0));
+// The per-pod, per-rack and per-host counts of N_m behind free_map_hops()
+// must equal a rescan of the free-map set after every occupy, release,
+// failure, recovery and probation toggle, on topologies with and without
+// a pod level.
+TEST(Cluster, FreeMapCountsMatchARescan) {
+  std::vector<net::Topology> shapes;
+  shapes.push_back(net::make_fat_tree({.k = 4}));
+  shapes.push_back(net::make_multi_rack_tree(
+      {.racks = 3, .hosts_per_rack = 4}));
+  shapes.push_back(net::make_single_rack(5));
+  Rng rng(7);
+  for (const net::Topology& topo : shapes) {
+    NodeConfig cfg;
+    cfg.map_slots = 2;
+    Cluster c(&topo, cfg, Rng(1));
+    const auto check = [&](int step) {
+      for (std::size_t h = 0; h < topo.host_count(); ++h) {
+        const net::Coords mine = topo.coords_of(NodeId(h));
+        for (std::size_t level = 0; level < mine.size(); ++level) {
+          if (mine[level] == net::kNoCoord) continue;
+          std::size_t rescan = 0;
+          for (std::size_t o = 0; o < topo.host_count(); ++o) {
+            const NodeId other(o);
+            if (c.node(other).free_map_slots() > 0 &&
+                topo.coords_of(other)[level] == mine[level]) {
+              ++rescan;
+            }
+          }
+          ASSERT_EQ(c.free_map_nodes_at(mine[level]), rescan)
+              << topo.host_count() << " hosts, step " << step << ", host "
+              << h << ", level " << level;
+        }
+      }
+    };
+    check(-1);
+    for (int step = 0; step < 400; ++step) {
+      const NodeId n(rng.index(topo.host_count()));
+      const NodeState& s = c.node(n);
+      switch (rng.index(5)) {
+        case 0:  // assignment
+          if (s.free_map_slots() > 0) c.occupy_map_slot(n);
+          break;
+        case 1:  // completion or kill
+          if (s.busy_map_slots > 0) c.release_map_slot(n);
+          break;
+        case 2:  // failure: the engine releases the node's slots first
+          while (c.node(n).busy_map_slots > 0) c.release_map_slot(n);
+          while (c.node(n).busy_reduce_slots > 0) c.release_reduce_slot(n);
+          c.set_node_alive(n, false);
+          break;
+        case 3:  // recovery
+          c.set_node_alive(n, true);
+          break;
+        default:  // blacklist probation on or off
+          c.set_node_schedulable(n, !s.schedulable);
+          break;
+      }
+      check(step);
+    }
   }
-  EXPECT_FALSE(c.free_map_toggles_since(0).has_value());
-  // Recent history is still replayable.
-  const std::uint64_t v = c.free_map_version();
-  c.occupy_map_slot(NodeId(1));
-  const auto recent = c.free_map_toggles_since(v);
-  ASSERT_TRUE(recent.has_value());
-  EXPECT_EQ(recent->size(), 1u);
 }
 
 TEST(Cluster, SpeedFactorsWithinSpread) {

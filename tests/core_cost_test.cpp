@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "mrs/core/cost_model.hpp"
@@ -63,20 +64,6 @@ struct Fig2Harness {
         distance(fig2_matrix()),
         engine(&sim, &clstr, &store, &network, &distance, EngineConfig{}) {}
 
-  /// Submit `spec` and swap its map-cost cache from topology hops to the
-  /// Fig. 2 matrix. No hop topology can stand in for the matrix: it
-  /// breaks the triangle inequality (d(D3,D2) = 10 > 2 + 4).
-  JobRun& submit(JobSpec spec, Rng rng) {
-    JobRun& job = engine.submit(std::move(spec), std::move(rng));
-    job.build_static_costs(
-        4,
-        [this, &job](std::size_t j) -> const std::vector<NodeId>& {
-          return store.replicas(job.spec().map_tasks[j].block);
-        },
-        [this](NodeId a, NodeId b) { return distance.distance(a, b, 0.0); });
-    return job;
-  }
-
   sim::Simulation sim;
   net::Topology topo;
   dfs::BlockStore store;
@@ -87,25 +74,37 @@ struct Fig2Harness {
 };
 
 TEST(Fig2Example, MapCostsMatchPaper) {
-  Fig2Harness h;
-  // M1's 128 MB block is on D1 (node 0); M2's on D2 (node 1).
+  // Map costs are hop counts, and the example's quoted map costs are hops
+  // on a two-rack tree with D1 and D3 in one rack (nodes 0 and 1) and D2
+  // in the other (node 2). The reduce-side tests below keep the Fig. 2
+  // matrix, which no hop topology reproduces: it breaks the triangle
+  // inequality (d(D3,D2) = 10 > 2 + 4).
+  const net::Topology topo =
+      net::make_multi_rack_tree({.racks = 2, .hosts_per_rack = 2});
+  sim::Simulation sim;
+  dfs::BlockStore store(4);
+  cluster::Cluster clstr(&topo, {}, Rng(1));
+  sim::NetworkService network(&sim, &topo);
+  const net::HopDistanceProvider hops(topo);
+  Engine engine(&sim, &clstr, &store, &network, &hops, EngineConfig{});
+  const NodeId d1(0);
+  const NodeId d3(1);
+  const NodeId d2(2);
+  // M1's 128 MB block is on D1; M2's on D2.
   JobSpec spec;
   spec.name = "fig2";
   spec.reduce_count = 2;
-  spec.map_tasks.push_back(
-      {h.store.add_block(128.0, {NodeId(0)}), 128.0});
-  spec.map_tasks.push_back(
-      {h.store.add_block(128.0, {NodeId(1)}), 128.0});
-  JobRun& job = h.submit(std::move(spec), Rng(2));
+  spec.map_tasks.push_back({store.add_block(128.0, {d1}), 128.0});
+  spec.map_tasks.push_back({store.add_block(128.0, {d2}), 128.0});
+  JobRun& job = engine.submit(std::move(spec), Rng(2));
 
   // "the transmission cost for M1 [on D3] is 128 x 2 = 256 and the cost
   // for M2 [on D2] is 128 x 0 = 0"
-  EXPECT_DOUBLE_EQ(h.engine.map_cost(job, 0, NodeId(2)), 256.0);
-  EXPECT_DOUBLE_EQ(h.engine.map_cost(job, 1, NodeId(1)), 0.0);
-  // And the rest of the example's D3/D1 rows.
-  EXPECT_DOUBLE_EQ(h.engine.map_cost(job, 0, NodeId(0)), 0.0);
-  EXPECT_DOUBLE_EQ(h.engine.map_cost(job, 0, NodeId(1)), 128.0 * 4.0);
-  EXPECT_DOUBLE_EQ(h.engine.map_cost(job, 0, NodeId(3)), 128.0 * 8.0);
+  EXPECT_DOUBLE_EQ(engine.map_cost(job, 0, d3), 256.0);
+  EXPECT_DOUBLE_EQ(engine.map_cost(job, 1, d2), 0.0);
+  // And the rest of the example's D1 row: local on D1, d(D2,D1) = 4.
+  EXPECT_DOUBLE_EQ(engine.map_cost(job, 0, d1), 0.0);
+  EXPECT_DOUBLE_EQ(engine.map_cost(job, 0, d2), 128.0 * 4.0);
 }
 
 TEST(Fig2Example, ReduceCostsMatchManualEq2) {
@@ -397,6 +396,28 @@ std::vector<NodeId> random_hosts(std::size_t hosts, double share, Rng& rng) {
   return out;
 }
 
+/// Makes the free-map set of `c` (one map slot per node) exactly `free`:
+/// every other node is dead, on probation or busy, picked at random.
+void restrict_free_maps(cluster::Cluster& c, const std::vector<NodeId>& free,
+                        Rng& rng) {
+  std::vector<bool> keep(c.node_count(), false);
+  for (NodeId n : free) keep[n.value()] = true;
+  for (std::size_t n = 0; n < c.node_count(); ++n) {
+    if (keep[n]) continue;
+    switch (rng.index(3)) {
+      case 0:
+        c.set_node_alive(NodeId(n), false);
+        break;
+      case 1:
+        c.set_node_schedulable(NodeId(n), false);
+        break;
+      default:
+        c.occupy_map_slot(NodeId(n));
+        break;
+    }
+  }
+}
+
 TEST(HopColumnSums, EqualTheDefaultLoopBitwise) {
   std::vector<net::Topology> shapes;
   shapes.push_back(net::make_single_rack(60));
@@ -423,6 +444,46 @@ TEST(HopColumnSums, EqualTheDefaultLoopBitwise) {
         ASSERT_EQ(bits(fast[s]), bits(loop[s]))
             << topo.host_count() << " hosts, trial " << trial << ", source "
             << sources[s].value();
+      }
+
+      // Map side: with `candidates` as the free-map set N_m, a replica
+      // set's nearest-replica hops and their closed-form sum over N_m
+      // equal the pairwise min-over-replicas loop, bit for bit.
+      cluster::NodeConfig one_slot;
+      one_slot.map_slots = 1;
+      cluster::Cluster clstr(&topo, one_slot, Rng(1));
+      restrict_free_maps(clstr, candidates, rng);
+      ASSERT_EQ(clstr.nodes_with_free_map_slots(), candidates);
+      for (int set = 0; set < 8; ++set) {
+        std::vector<NodeId> replicas;
+        const std::size_t want = 1 + rng.index(3);
+        while (replicas.size() < want) {
+          const NodeId r(rng.index(topo.host_count()));
+          if (std::find(replicas.begin(), replicas.end(), r) ==
+              replicas.end()) {
+            replicas.push_back(r);
+          }
+        }
+        std::vector<std::uint32_t> coords;
+        topo.append_set_coords(replicas, coords);
+        double pairwise_sum = 0.0;
+        for (std::size_t v = 0; v < topo.host_count(); ++v) {
+          std::size_t nearest = std::numeric_limits<std::size_t>::max();
+          for (NodeId r : replicas) {
+            nearest = std::min(nearest, topo.hops(NodeId(v), r));
+          }
+          ASSERT_EQ(topo.nearest_hops(topo.coords_of(NodeId(v)), coords),
+                    nearest)
+              << topo.host_count() << " hosts, trial " << trial << ", node "
+              << v;
+          if (clstr.node(NodeId(v)).free_map_slots() > 0) {
+            pairwise_sum += static_cast<double>(nearest);
+          }
+        }
+        ASSERT_EQ(bits(static_cast<double>(clstr.free_map_hops(coords))),
+                  bits(pairwise_sum))
+            << topo.host_count() << " hosts, trial " << trial << ", "
+            << replicas.size() << " replicas";
       }
     }
   }

@@ -1,5 +1,7 @@
 // Fast-vs-naive equivalence: the incremental scheduling structures (the
-// cluster's free-slot index and the per-job C_ave row-sum cache) are pure
+// cluster's free-slot index and its per-pod/rack/host counts of N_m,
+// from which PNA's C_ave numerator is a closed form instead of the
+// pairwise sum over N_m of min-over-replicas hops) are pure
 // optimizations — every placement decision, record stream and derived
 // metric must be byte-identical to the naive full-scan path
 // (ExperimentConfig::naive_scheduler_path). Parameterized over the
@@ -495,7 +497,7 @@ TEST(NetworkChaos, SerialAndParallelChaosRunsIdentical) {
 }
 
 TEST(NetworkChaos, FastVsNaiveIdenticalUnderChaos) {
-  // The incremental free-slot / row-sum structures must track the naive
+  // The incremental free-slot index and N_m counts must track the naive
   // path even while faults reshuffle distances and stall-kills recycle
   // attempts mid-run.
   for (const auto kind :

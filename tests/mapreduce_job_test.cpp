@@ -1,11 +1,14 @@
 // Tests for JobRun: intermediate-data ground truth, progress model,
-// placement index and static cost cache.
+// placement index and replica coordinates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "mrs/mapreduce/job_run.hpp"
+#include "mrs/net/topology.hpp"
 
 namespace mrs::mapreduce {
 namespace {
@@ -177,9 +180,11 @@ TEST(JobRun, UnassignedLists) {
 
 class PlacementIndexTest : public ::testing::Test {
  protected:
-  // 4 maps over 3 nodes; replicas: m0 -> {0,1}, m1 -> {1,2}, m2 -> {0,2},
-  // m3 -> {1}. Rack 0 = nodes {0,1}, rack 1 = node {2}.
-  PlacementIndexTest() : job_(small_spec(4, 2), 3, Rng(13)) {
+  // 4 maps over 4 nodes; replicas: m0 -> {0,1}, m1 -> {1,2}, m2 -> {0,2},
+  // m3 -> {1}. Rack 0 = nodes {0,1}, rack 1 = nodes {2,3}.
+  PlacementIndexTest()
+      : topo_(net::make_multi_rack_tree({.racks = 2, .hosts_per_rack = 2})),
+        job_(small_spec(4, 2), 4, Rng(13)) {
     replicas_ = {{NodeId(0), NodeId(1)},
                  {NodeId(1), NodeId(2)},
                  {NodeId(0), NodeId(2)},
@@ -188,8 +193,9 @@ class PlacementIndexTest : public ::testing::Test {
         [this](std::size_t j) -> const std::vector<NodeId>& {
           return replicas_[j];
         },
-        [](NodeId n) { return n.value() <= 1 ? RackId(0) : RackId(1); }, 2);
+        topo_);
   }
+  net::Topology topo_;
   std::vector<std::vector<NodeId>> replicas_;
   JobRun job_;
 };
@@ -217,25 +223,33 @@ TEST_F(PlacementIndexTest, AnyLookupSkipsAssigned) {
   EXPECT_EQ(job_.next_any_map(), 2u);
 }
 
-TEST(JobRunStaticCosts, MinOverReplicas) {
-  JobSpec spec = small_spec(2, 2, 100.0);
-  JobRun job(spec, 3, Rng(14));
-  const std::vector<std::vector<NodeId>> replicas = {
-      {NodeId(0)}, {NodeId(1), NodeId(2)}};
-  // Distance = |a - b| for a simple verifiable metric.
-  job.build_static_costs(
-      3,
-      [&replicas](std::size_t j) -> const std::vector<NodeId>& {
-        return replicas[j];
-      },
-      [](NodeId a, NodeId b) {
-        return std::abs(double(a.value()) - double(b.value()));
-      });
-  ASSERT_TRUE(job.has_static_costs());
-  EXPECT_DOUBLE_EQ(job.static_min_distance(0, NodeId(0)), 0.0);
-  EXPECT_DOUBLE_EQ(job.static_min_distance(0, NodeId(2)), 2.0);
-  EXPECT_DOUBLE_EQ(job.static_min_distance(1, NodeId(0)), 1.0);
-  EXPECT_DOUBLE_EQ(job.static_min_distance(1, NodeId(2)), 0.0);
+TEST_F(PlacementIndexTest, ReplicaCoordsGiveMinHopsOverReplicas) {
+  // Each map's replica coordinates: its racks and hosts, each once (a
+  // tree's one pod, which every host shares, has none).
+  EXPECT_EQ(job_.replica_coords(0).size(), 3u);  // rack 0, nodes 0 and 1
+  EXPECT_EQ(job_.replica_coords(1).size(), 4u);  // racks 0 and 1, 2 nodes
+  EXPECT_EQ(job_.replica_coords(3).size(), 2u);  // rack 0, node 1
+  for (std::size_t j = 0; j < job_.map_count(); ++j) {
+    for (std::size_t n = 0; n < topo_.host_count(); ++n) {
+      std::size_t nearest = std::numeric_limits<std::size_t>::max();
+      for (NodeId r : replicas_[j]) {
+        nearest = std::min(nearest, topo_.hops(NodeId(n), r));
+      }
+      EXPECT_EQ(topo_.nearest_hops(topo_.coords_of(NodeId(n)),
+                                   job_.replica_coords(j)),
+                nearest)
+          << "map " << j << " node " << n;
+    }
+  }
+  // m1 = {1, 2}: node-local on 2, rack-local on 0 and 3, never remote.
+  const auto m1 = job_.replica_coords(1);
+  EXPECT_EQ(topo_.nearest_hops(topo_.coords_of(NodeId(2)), m1), 0u);
+  EXPECT_EQ(topo_.nearest_hops(topo_.coords_of(NodeId(0)), m1), 2u);
+  EXPECT_EQ(topo_.nearest_hops(topo_.coords_of(NodeId(3)), m1), 2u);
+  // m3 = {1}: rack-local on 0, cross-rack (4 hops) on 2 and 3.
+  const auto m3 = job_.replica_coords(3);
+  EXPECT_EQ(topo_.nearest_hops(topo_.coords_of(NodeId(0)), m3), 2u);
+  EXPECT_EQ(topo_.nearest_hops(topo_.coords_of(NodeId(3)), m3), 4u);
 }
 
 TEST(JobRunDeterminism, SameSeedSameGroundTruth) {
