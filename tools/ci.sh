@@ -23,9 +23,10 @@
 #   6. ASan/UBSan build of the test suite (PNATS_SANITIZE=asan), catching
 #      memory and UB bugs the plain build cannot
 #   7. TSan build running the fast-vs-naive equivalence suite (the
-#      incremental index under the threaded drivers) plus the flow-solver
-#      differential suite (its parallel model exercises the threaded
-#      component sweep); TSAN=1 widens this to the full test suite
+#      free-slot index and its N_m counts under the threaded drivers)
+#      plus the flow-solver differential suite (its parallel model
+#      exercises the threaded component sweep); TSAN=1 widens this to
+#      the full test suite
 # Between 3 and 4 run the admission, tenant, hetero, chaos and
 # trace-replay smokes (the last four include a `bench_paper <study>_quick`
 # row whose CSV must match its reference in tests/golden/bench/ byte for
